@@ -11,6 +11,11 @@
 #   * any ALL-CAPS top-level markdown file (ROADMAP.md, DESIGN.md, ...).
 # Tokens containing a glob (*) are skipped. Trailing sentence punctuation
 # is stripped. A path passes when it exists as a file or directory.
+#
+# Schema ids: every full experiment-spec schema id (ehdse.experiment_spec/N)
+# in README.md or docs/*.md must be the one the codec emits, read from
+# k_spec_schema in src/spec/json_codec.hpp. Older layouts are mentioned by
+# their suffix alone ("older `/2` documents").
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -50,9 +55,32 @@ require_section() {
     fi
 }
 
+spec_schema=$(grep -oP 'k_spec_schema\s*=\s*"\K[^"]+' src/spec/json_codec.hpp)
+if [ -z "$spec_schema" ]; then
+    echo "check_docs: cannot read k_spec_schema from src/spec/json_codec.hpp" >&2
+    status=1
+fi
+
+check_schema_ids() {
+    local doc="$1" id
+    while IFS= read -r id; do
+        [ -z "$id" ] && continue
+        checked=$((checked + 1))
+        if [ "$id" != "$spec_schema" ]; then
+            echo "check_docs: $doc names spec schema $id; the code emits $spec_schema" >&2
+            status=1
+        fi
+    done <<EOF
+$(grep -oE 'ehdse\.experiment_spec/[0-9]+' "$doc" 2>/dev/null)
+EOF
+}
+
 check_file README.md
+check_schema_ids README.md
 for doc in docs/*.md; do
-    [ -f "$doc" ] && check_file "$doc"
+    [ -f "$doc" ] || continue
+    check_file "$doc"
+    check_schema_ids "$doc"
 done
 
 require_section docs/architecture.md '^## .*[Ee]xperiment spec'
@@ -84,7 +112,7 @@ require_section docs/service.md 'ehdse\.svc/1'
 require_section docs/service.md 'frame_too_large'
 require_section docs/service.md 'k_max_frame_bytes'
 require_section docs/service.md '\-\-list\-harvesters'
-require_section docs/service.md 'ehdse\.experiment_spec/3'
+require_section docs/service.md "${spec_schema//./\\.}"
 require_section docs/paper_mapping.md 'Electrostatic backend'
 require_section docs/testing.md '^## Test taxonomy'
 require_section docs/testing.md '^## Seed-repro workflow'

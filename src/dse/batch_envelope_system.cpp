@@ -74,7 +74,8 @@ batch_envelope_system::batch_envelope_system(
       v_(lanes), z_(lanes), omega_(lanes), re_(lanes), ma_(lanes), u_(lanes),
       lo_(lanes), hi_(lanes), ce_(lanes), ct_(lanes), za_(lanes),
       e_(lanes), vel_(lanes), xx_(lanes), th1_(lanes), cth_(lanes),
-      blocked_(lanes, 0), refine_(lanes, 0) {
+      ct_lo_(lanes), blocked_(lanes, 0), refine_(lanes, 0), warm_(lanes, 0),
+      expanded_(lanes, 0), it_(lanes, 0), paths_(lanes) {
     if (!storage_)
         throw std::invalid_argument("batch_envelope_system: null storage");
     if (lanes == 0)
@@ -270,45 +271,82 @@ void batch_envelope_system::derivatives(
     if (frontend_ == frontend_kind::diode_bridge) {
         // --- Lockstep bisection for the self-consistent electrical damping,
         // mirroring harvester::solve_envelope lane-for-lane (same tolerance,
-        // same bracket, same expansion and stop rules). ---
+        // same bracket, same warm start, same expansion and stop rules). ---
         const double tol = harvester::envelope_options{}.tolerance * c_mech;
         const double c_hi_limit =
             phi * phi / gp.coil_resistance_ohm + c_mech;
+        const int max_iterations =
+            harvester::envelope_options{}.max_iterations;
 
-        // Trial at c_e = 0: blocked lanes take the open-circuit amplitude.
-        std::fill_n(ce_.data(), B, 0.0);
-        eval_damping(ce_.data(), ct_.data(), za_.data());
-        for (std::size_t l = 0; l < B; ++l)
-            blocked_[l] = ct_[l] <= tol ? 1 : 0;
-
-        // Bracket [0, c_hi]; the displacement limiter can distort T, so
-        // expand defensively (masked, <= 8 doublings — as the scalar does).
+        // Warm start (harvester/damping_path.hpp): each lane replays its
+        // previous solve's decisions. The first two trials probe every
+        // lane's cell ends; a lane without a usable path probes 0 and
+        // c_hi, which are exactly the cold solve's first two trials.
         for (std::size_t l = 0; l < B; ++l) {
-            lo_[l] = 0.0;
-            hi_[l] = c_hi_limit;
+            const harvester::damping_cell cell =
+                paths_[l].replay(c_hi_limit, tol, max_iterations);
+            const bool warm = cell.depth > 0;
+            warm_[l] = warm ? 1 : 0;
+            lo_[l] = warm ? cell.lo : 0.0;
+            hi_[l] = warm ? cell.hi : c_hi_limit;
+            it_[l] = cell.depth;
         }
-        eval_damping(hi_.data(), ct_.data(), za_.data());
+        const auto probe_ends = [&] {
+            eval_damping(lo_.data(), ct_lo_.data(), za_.data());
+            eval_damping(hi_.data(), ct_.data(), za_.data());
+        };
+        probe_ends();
+
+        // Lanes whose root left the replayed cell restart cold. Re-probing
+        // the passing lanes' unchanged ends reproduces their values, so
+        // one extra pair serves every failing lane.
+        bool any_failed = false;
+        for (std::size_t l = 0; l < B; ++l) {
+            if (warm_[l] && !(ct_lo_[l] > lo_[l] && !(ct_[l] > hi_[l]))) {
+                warm_[l] = 0;
+                lo_[l] = 0.0;
+                hi_[l] = c_hi_limit;
+                it_[l] = 0;
+                any_failed = true;
+            }
+        }
+        if (any_failed) probe_ends();
+
+        // Cold lanes: a trial at c_e = 0 that the bridge does not load
+        // means blocked — they take the open-circuit amplitude.
+        for (std::size_t l = 0; l < B; ++l) {
+            blocked_[l] = !warm_[l] && ct_lo_[l] <= tol ? 1 : 0;
+            expanded_[l] = 0;
+        }
+
+        // Cold bracket [0, c_hi]; the displacement limiter can distort T,
+        // so expand defensively (masked, <= 8 doublings — as the scalar
+        // does). A warm lane's check already implies T(c_hi) <= c_hi.
         for (int expand = 0; expand < 8; ++expand) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
-                const bool need = !blocked_[l] && ct_[l] > hi_[l];
+                const bool need = !warm_[l] && !blocked_[l] && ct_[l] > hi_[l];
                 refine_[l] = need ? 1 : 0;
                 any = any || need;
             }
             if (!any) break;
-            for (std::size_t l = 0; l < B; ++l)
-                if (refine_[l]) hi_[l] *= 2.0;
+            for (std::size_t l = 0; l < B; ++l) {
+                if (refine_[l]) {
+                    hi_[l] *= 2.0;
+                    expanded_[l] = 1;
+                }
+            }
             eval_damping(hi_.data(), ct_.data(), za_.data());
         }
 
-        // Masked bisection: a converged lane's bracket stops moving, so
-        // every lane lands exactly where its scalar run would.
-        const int max_iterations =
-            harvester::envelope_options{}.max_iterations;
-        for (int it = 0; it < max_iterations; ++it) {
+        // Masked bisection with per-lane iteration counters (a warm lane's
+        // replayed depth counts): a converged lane's bracket stops moving,
+        // so every lane lands exactly where its scalar run would.
+        for (;;) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
-                const bool r = !blocked_[l] && (hi_[l] - lo_[l]) > tol;
+                const bool r = !blocked_[l] && (hi_[l] - lo_[l]) > tol &&
+                               it_[l] < max_iterations;
                 refine_[l] = r ? 1 : 0;
                 any = any || r;
             }
@@ -322,7 +360,15 @@ void batch_envelope_system::derivatives(
                 lo_[l] = (r && up) ? ce_[l] : lo_[l];
                 hi_[l] = (r && !up) ? ce_[l] : hi_[l];
             }
+            for (std::size_t l = 0; l < B; ++l) {
+                if (refine_[l]) {
+                    paths_[l].record(it_[l], ct_[l] > ce_[l]);
+                    ++it_[l];
+                }
+            }
         }
+        for (std::size_t l = 0; l < B; ++l)
+            paths_[l].finish(blocked_[l] || expanded_[l] ? 0 : it_[l]);
 
         // Final evaluation at the converged damping (0 for blocked lanes)
         // gives the steady-state amplitude the envelope relaxes towards.

@@ -1,7 +1,7 @@
 // SoA batch implementation of the envelope-mode node system: B design
 // points with identical analogue structure advance in lockstep.
 //
-// The scalar envelope_system spends ~90% of an evaluation inside
+// The scalar envelope_system spends most of an evaluation inside
 // harvester::solve_envelope — a bisection on the self-consistent
 // electrical damping whose every trial evaluates the mechanical response
 // and the averaged diode bridge. Here that bisection runs across all
@@ -13,7 +13,9 @@
 // Per-lane brackets update under masks, so lanes converge exactly as
 // their scalar counterparts would (same iteration count, same semantics);
 // results agree with the scalar path to solver tolerance, enforced by the
-// batch_vs_scalar_equivalence testkit property.
+// batch_vs_scalar_equivalence testkit property. Each lane carries its own
+// damping_path, so the bisection warm-starts per lane exactly like the
+// scalar solve, bit-identical to a cold bisection.
 //
 // Lanes are independent: per-lane actuator position, load bank and energy
 // ledger, shared (read-only) generator, vibration source and storage
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "dse/envelope_system.hpp"
+#include "harvester/damping_path.hpp"
 #include "harvester/microgenerator.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
@@ -135,8 +138,13 @@ private:
     // one (single-threaded) batch_simulator run at a time.
     mutable std::vector<double> v_, z_, omega_, re_, ma_, u_;
     mutable std::vector<double> lo_, hi_, ce_, ct_, za_;
-    mutable std::vector<double> e_, vel_, xx_, th1_, cth_;
-    mutable std::vector<std::uint8_t> blocked_, refine_;
+    mutable std::vector<double> e_, vel_, xx_, th1_, cth_, ct_lo_;
+    mutable std::vector<std::uint8_t> blocked_, refine_, warm_, expanded_;
+    mutable std::vector<int> it_;  ///< per-lane bisection decisions
+
+    // Per-lane damping-solve warm start, carried across derivatives()
+    // calls (harvester/damping_path.hpp); changes only speed.
+    mutable std::vector<harvester::damping_path> paths_;
 };
 
 }  // namespace ehdse::dse

@@ -18,7 +18,8 @@ batch_generic_system::batch_generic_system(
       position_(lanes, 0),
       loads_(lanes),
       load_slots_(lanes),
-      ledgers_(lanes) {
+      ledgers_(lanes),
+      paths_(lanes) {
     if (!storage_)
         throw std::invalid_argument("batch_generic_system: null storage");
     if (lanes == 0)
@@ -90,7 +91,7 @@ void batch_generic_system::derivatives(
 
         const harvester::envelope_rates rates = model_.envelope_dynamics(
             vib_.frequency_at(t[l]), vib_.amplitude_at(t[l]), position_[l], v,
-            z_env, cond, frontend_efficiency_, rect_);
+            z_env, cond, frontend_efficiency_, rect_, paths_[l]);
         dz[l] = rates.amplitude_rate;
         const double i_charge = rates.charge_current_a;
 

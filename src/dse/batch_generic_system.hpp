@@ -119,6 +119,10 @@ private:
     std::vector<std::unordered_map<std::string, power::load_id>> load_slots_;
     std::vector<power::energy_ledger> ledgers_;
     std::vector<std::unique_ptr<lane_plant>> plants_;
+    // Per-lane damping-solve warm start (harvester/damping_path.hpp);
+    // mutable like the scratch of batch_envelope_system — it changes only
+    // speed, and one instance hosts one batch_simulator run.
+    mutable std::vector<harvester::damping_path> paths_;
 };
 
 }  // namespace ehdse::dse

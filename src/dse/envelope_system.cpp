@@ -93,7 +93,7 @@ void envelope_system::derivatives(double t, std::span<const double> x,
 
     const harvester::envelope_rates rates = model_->envelope_dynamics(
         vib_.frequency_at(t), vib_.amplitude_at(t), position_, v, z_env,
-        conditioning_of(frontend_), frontend_efficiency_, rect_);
+        conditioning_of(frontend_), frontend_efficiency_, rect_, path_);
     dxdt[ix_amplitude] = rates.amplitude_rate;
     const double i_charge = rates.charge_current_a;
 

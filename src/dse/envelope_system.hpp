@@ -144,6 +144,11 @@ private:
     int position_ = 0;
     frontend_kind frontend_ = frontend_kind::diode_bridge;
     double frontend_efficiency_ = 0.75;
+    // The run's damping-solve warm start (harvester/damping_path.hpp).
+    // Mutable because derivatives() is logically const; it changes only
+    // how fast the model answers, never the answer, and a system hosts
+    // exactly one (single-threaded) simulation run.
+    mutable harvester::damping_path path_;
 };
 
 }  // namespace ehdse::dse

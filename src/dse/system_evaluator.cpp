@@ -121,12 +121,14 @@ evaluation_result run_simulation(node_system& system, const scenario& scn,
 }
 
 /// Book one finished run into the process-wide metrics sink, if attached.
+/// A batch lane's wall is its sweep's, observed once as dse.batch.seconds.
 void record_run_metrics(const evaluation_result& r) {
     obs::metrics_registry* reg = obs::global_registry();
     if (!reg) return;
     reg->get_counter("dse.evaluate.runs").add();
     if (!r.sim_ok) reg->get_counter("dse.evaluate.failures").add();
-    reg->get_histogram("dse.evaluate.seconds").observe(r.wall_time_s);
+    if (r.batch_lanes == 0)
+        reg->get_histogram("dse.evaluate.seconds").observe(r.wall_time_s);
     reg->get_histogram("dse.evaluate.ode_steps")
         .observe(static_cast<double>(r.ode_steps));
     reg->get_histogram("dse.evaluate.transmissions")
@@ -176,7 +178,8 @@ std::unique_ptr<node_system> system_evaluator::build_system(
 namespace {
 
 /// Book one finished batch into the dse.batch.* metrics, if attached.
-void record_batch_metrics(std::size_t lanes, bool fallback) {
+void record_batch_metrics(std::size_t lanes, bool fallback,
+                          double wall_s = 0.0) {
     obs::metrics_registry* reg = obs::global_registry();
     if (!reg) return;
     if (fallback) {
@@ -185,11 +188,13 @@ void record_batch_metrics(std::size_t lanes, bool fallback) {
     }
     reg->get_counter("dse.batch.batches").add();
     reg->get_counter("dse.batch.lanes").add(lanes);
+    reg->get_histogram("dse.batch.seconds").observe(wall_s);
 }
 
 /// One lockstep sweep over `chunk` through either batch kernel (both
 /// expose the same lane API and the scalar envelope state layout). Fills
-/// every result field except wall_time_s, which the caller attributes.
+/// every result field except wall_time_s and batch_lanes, which the
+/// caller stamps once the sweep's wall is known.
 template <class BatchSystem>
 void run_batch_chunk(BatchSystem& system, std::span<const system_config> chunk,
                      std::span<evaluation_result> results, const scenario& scn,
@@ -305,14 +310,15 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
                             controller_, options, start_position);
         }
 
-        // Wall clock is shared by construction; attribute an even share to
-        // each lane so throughput metrics stay meaningful.
+        // The lanes share one measured wall; each carries it whole, with
+        // the lane count that shared it.
         const double wall_s = watch.seconds();
         for (std::size_t l = 0; l < lanes; ++l) {
-            out[first + l].wall_time_s = wall_s / static_cast<double>(lanes);
+            out[first + l].wall_time_s = wall_s;
+            out[first + l].batch_lanes = lanes;
             record_run_metrics(out[first + l]);
         }
-        record_batch_metrics(lanes, /*fallback=*/false);
+        record_batch_metrics(lanes, /*fallback=*/false, wall_s);
     }
     return out;
 }

@@ -51,7 +51,10 @@ struct evaluation_result {
     std::size_t ode_steps = 0;
     std::size_t ode_steps_rejected = 0;   ///< error-controlled integrator retries
     std::uint64_t events = 0;
-    double wall_time_s = 0.0;             ///< wall clock spent in evaluate()
+    /// Measured wall clock of the run: of evaluate() for a scalar run, of
+    /// the whole SoA sweep for a batch lane (shared by its batch_lanes).
+    double wall_time_s = 0.0;
+    std::size_t batch_lanes = 0;  ///< lanes of the producing sweep; 0 = scalar
     bool sim_ok = true;
     std::optional<sim::trace> voltage_trace;   ///< when tracing was requested
     std::optional<sim::trace> position_trace;  ///< actuator position over time

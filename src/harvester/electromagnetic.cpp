@@ -86,12 +86,13 @@ double electromagnetic_harvester::initial_amplitude(
 envelope_rates electromagnetic_harvester::envelope_dynamics(
     double freq_hz, double accel_amp_ms2, int position, double store_v,
     double z_env, conditioning_kind conditioning, double efficiency,
-    const power::rectifier_params& rect) const {
+    const power::rectifier_params& rect, damping_path& path) const {
     const double omega = 2.0 * std::numbers::pi * freq_hz;
     envelope_rates out;
     if (conditioning == conditioning_kind::diode_bridge) {
-        const envelope_point pt = solve_envelope(gen_, position, freq_hz,
-                                                 accel_amp_ms2, store_v, rect);
+        const envelope_point pt =
+            solve_envelope(gen_, position, freq_hz, accel_amp_ms2, store_v,
+                           rect, {}, &path);
         // Amplitude envelope relaxes towards the steady state.
         const double tau = gen_.settling_tau(pt.c_electrical);
         out.amplitude_rate = (pt.mech.displacement_amp_m - z_env) / tau;

@@ -38,7 +38,8 @@ public:
     envelope_rates envelope_dynamics(
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,
-        const power::rectifier_params& rect) const override;
+        const power::rectifier_params& rect,
+        damping_path& path) const override;
     double phase_lag(double freq_hz, double accel_amp_ms2, int position,
                      double store_v,
                      const power::rectifier_params& rect) const override;

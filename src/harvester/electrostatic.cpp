@@ -202,7 +202,7 @@ double electrostatic_harvester::initial_amplitude(
 envelope_rates electrostatic_harvester::envelope_dynamics(
     double freq_hz, double accel_amp_ms2, int position, double store_v,
     double z_env, conditioning_kind /*conditioning*/, double /*efficiency*/,
-    const power::rectifier_params& /*rect*/) const {
+    const power::rectifier_params& /*rect*/, damping_path& /*path*/) const {
     // The charge-pump conditioning is integral to the device: the envelope
     // front-end selector (diode bridge / mppt) does not apply here.
     const double omega = 2.0 * k_pi * freq_hz;

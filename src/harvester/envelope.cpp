@@ -39,7 +39,8 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
                               double freq_hz, double accel_amp_ms2,
                               double store_v,
                               const power::rectifier_params& rect,
-                              const envelope_options& options) {
+                              const envelope_options& options,
+                              damping_path* path) {
     if (freq_hz <= 0.0)
         throw std::invalid_argument("solve_envelope: frequency must be > 0");
     if (accel_amp_ms2 < 0.0)
@@ -50,6 +51,11 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
     const double tol = options.tolerance * gen.mech_damping();
 
     envelope_point pt;
+    const auto trial = [&](double c_e) {
+        ++pt.iterations;
+        return evaluate_at(gen, position, omega, accel_amp_ms2, store_v, r_coil,
+                           rect, c_e);
+    };
 
     // Root-bracket [0, c_hi]. The bridge can never present more equivalent
     // damping than a short-circuited coil, phi^2 / R, so that (plus margin)
@@ -57,50 +63,62 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
     const double phi = gen.params().coupling_v_per_ms;
     const double c_hi_limit = phi * phi / r_coil + gen.mech_damping();
 
-    trial_point at_zero = evaluate_at(gen, position, omega, accel_amp_ms2,
-                                      store_v, r_coil, rect, 0.0);
-    pt.iterations = 1;
-    if (at_zero.c_target <= tol) {
-        // Bridge blocked (or negligibly loaded) even at the open amplitude.
-        pt.mech = at_zero.mech;
-        pt.elec = at_zero.elec;
-        pt.c_electrical = 0.0;
-        pt.converged = true;
-        return pt;
-    }
-
     double lo = 0.0;
     double hi = c_hi_limit;
-    // Ensure T(hi) - hi < 0 (guaranteed by the physical bound, but the
-    // displacement limiter can distort T; expand defensively).
-    trial_point at_hi = evaluate_at(gen, position, omega, accel_amp_ms2,
-                                    store_v, r_coil, rect, hi);
-    ++pt.iterations;
-    int expand = 0;
-    while (at_hi.c_target > hi && expand < 8) {
-        hi *= 2.0;
-        at_hi = evaluate_at(gen, position, omega, accel_amp_ms2, store_v,
-                            r_coil, rect, hi);
-        ++pt.iterations;
-        ++expand;
+    int it = 0;  // bisection decisions so far, replayed ones included
+
+    // Warm start: replay the previous solve's decisions, then check that
+    // the root is still inside the reached cell (damping_path.hpp). A
+    // caller without a path solves cold from an empty one.
+    damping_path no_path;
+    damping_path& run_path = path != nullptr ? *path : no_path;
+    const damping_cell cell =
+        run_path.replay(c_hi_limit, tol, options.max_iterations);
+    const bool warm = cell.depth > 0 && trial(cell.lo).c_target > cell.lo &&
+                      !(trial(cell.hi).c_target > cell.hi);
+    if (warm) {
+        lo = cell.lo;
+        hi = cell.hi;
+        it = cell.depth;
     }
 
-    trial_point mid_tp = at_zero;
-    for (int it = 0; it < options.max_iterations && (hi - lo) > tol; ++it) {
+    int expand = 0;
+    if (!warm) {
+        const trial_point at_zero = trial(0.0);
+        if (at_zero.c_target <= tol) {
+            // Bridge blocked (or negligibly loaded) even at the open
+            // amplitude.
+            pt.mech = at_zero.mech;
+            pt.elec = at_zero.elec;
+            pt.c_electrical = 0.0;
+            pt.converged = true;
+            run_path.finish(0);
+            return pt;
+        }
+
+        // Ensure T(hi) - hi < 0 (guaranteed by the physical bound, but the
+        // displacement limiter can distort T; expand defensively).
+        trial_point at_hi = trial(hi);
+        while (at_hi.c_target > hi && expand < 8) {
+            hi *= 2.0;
+            at_hi = trial(hi);
+            ++expand;
+        }
+    }
+
+    for (; it < options.max_iterations && (hi - lo) > tol; ++it) {
         const double mid = 0.5 * (lo + hi);
-        mid_tp = evaluate_at(gen, position, omega, accel_amp_ms2, store_v,
-                             r_coil, rect, mid);
-        ++pt.iterations;
-        if (mid_tp.c_target > mid)
+        const bool up = trial(mid).c_target > mid;
+        run_path.record(it, up);
+        if (up)
             lo = mid;
         else
             hi = mid;
     }
+    run_path.finish(expand == 0 ? it : 0);
 
     const double c_e = 0.5 * (lo + hi);
-    const trial_point final_tp = evaluate_at(gen, position, omega, accel_amp_ms2,
-                                             store_v, r_coil, rect, c_e);
-    ++pt.iterations;
+    const trial_point final_tp = trial(c_e);
     pt.mech = final_tp.mech;
     pt.elec = final_tp.elec;
     pt.c_electrical = c_e;

@@ -20,12 +20,19 @@
 //   * describe()              machine-readable parameter summary for
 //                             --list-harvesters and service manifests.
 //
-// Numerical contract: envelope_dynamics / initial_amplitude / phase_lag
-// are pure functions of their arguments. The electromagnetic entry
-// implements them with the exact code the envelope_system used before the
-// refactor, so the generic system calling through the interface stays
-// bit-identical — the testkit batch-vs-scalar and golden-value properties
-// pin that.
+// Numerical contract: initial_amplitude / phase_lag are pure functions of
+// their arguments, and envelope_dynamics is a pure function of all its
+// arguments but the damping_path. That path is per-run solver state the
+// caller owns (one per simulated run or batch lane) and passes in/out: a
+// backend may read it to warm-start an iterative solve and update it for
+// the next call, but the returned rates never depend on what the path
+// held — it changes only speed (the
+// electromagnetic entry's bit-identity argument is in damping_path.hpp;
+// other backends ignore it). The models themselves hold no mutable
+// state. The electromagnetic entry implements the hooks with the exact
+// code the envelope_system used before the refactor, so the generic
+// system calling through the interface stays bit-identical — the testkit
+// batch-vs-scalar and golden-value properties pin that.
 #pragma once
 
 #include <memory>
@@ -33,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "harvester/damping_path.hpp"
 #include "obs/json.hpp"
 #include "power/load_bank.hpp"
 #include "power/rectifier.hpp"
@@ -132,10 +140,12 @@ public:
     /// the current envelope value `z_env` plus the average charging
     /// current the conditioning circuit delivers at store voltage
     /// `store_v`. `efficiency` applies to the mppt conditioning kind only.
+    /// `path` is the calling run's solver warm-start state (see the
+    /// numerical contract above); it never changes the result.
     virtual envelope_rates envelope_dynamics(
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,
-        const power::rectifier_params& rect) const = 0;
+        const power::rectifier_params& rect, damping_path& path) const = 0;
 
     /// Steady-state phase lag between excitation and displacement — the
     /// measurement tap the fine-tuning controller's phase detector reads.

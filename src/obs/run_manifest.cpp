@@ -34,6 +34,7 @@ json_value sim_run_json(const sim_run_record& r) {
     o.emplace_back("seed", json_value(r.seed));
     o.emplace_back("response", json_value(r.response));
     o.emplace_back("wall_s", json_value(r.wall_s));
+    if (r.batch_lanes) o.emplace_back("batch_lanes", json_value(r.batch_lanes));
     o.emplace_back("ode_steps", json_value(r.ode_steps));
     o.emplace_back("ode_steps_rejected", json_value(r.ode_steps_rejected));
     o.emplace_back("events", json_value(r.events));

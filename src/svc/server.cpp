@@ -501,6 +501,7 @@ void server::execute(const std::shared_ptr<connection>& conn,
             record.seed = canon.eval.controller_seed;
             record.response = static_cast<double>(result.transmissions);
             record.wall_s = result.wall_time_s;
+            record.batch_lanes = result.batch_lanes;
             record.ode_steps = result.ode_steps;
             record.ode_steps_rejected = result.ode_steps_rejected;
             record.events = result.events;

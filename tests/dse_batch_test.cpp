@@ -5,15 +5,24 @@
 // vs off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "dse/batch_envelope_system.hpp"
 #include "dse/cached_evaluator.hpp"
 #include "dse/rsm_flow.hpp"
+#include "harvester/electromagnetic.hpp"
+#include "harvester/tuning_table.hpp"
+#include "obs/metrics.hpp"
 #include "obs/run_manifest.hpp"
+#include "power/supercapacitor.hpp"
+#include "testkit/prng.hpp"
 
 namespace ed = ehdse::dse;
 
@@ -96,6 +105,112 @@ TEST(EvaluateBatch, MatchesScalarWithinKernelTolerance) {
                     1e-6 + 1e-3 * std::abs(scalar.harvested_energy_j))
             << "lane " << i;
         EXPECT_EQ(batch[i].sim_ok, scalar.sim_ok) << "lane " << i;
+    }
+}
+
+TEST(EvaluateBatch, LanesCarryTheMeasuredSweepWall) {
+    ehdse::obs::metrics_registry registry;
+    ehdse::obs::set_global_registry(&registry);
+    const ed::system_evaluator evaluator(fast_scenario());
+    const auto configs = spread_configs(3);
+    const auto batch = evaluator.evaluate_batch(configs);
+    const auto scalar = evaluator.evaluate(configs[0]);
+    ehdse::obs::set_global_registry(nullptr);
+
+    // Every lane carries the one measured wall of its sweep, whole, with
+    // the number of lanes that shared it; a scalar run carries its own.
+    for (const auto& r : batch) {
+        EXPECT_EQ(r.batch_lanes, 3u);
+        EXPECT_EQ(r.wall_time_s, batch.front().wall_time_s);
+        EXPECT_GT(r.wall_time_s, 0.0);
+    }
+    EXPECT_EQ(scalar.batch_lanes, 0u);
+    EXPECT_EQ(registry.get_histogram("dse.batch.seconds").count(), 1u);
+    EXPECT_EQ(registry.get_histogram("dse.batch.seconds").sum(),
+              batch.front().wall_time_s);
+    EXPECT_EQ(registry.get_histogram("dse.evaluate.seconds").count(), 1u);
+    EXPECT_EQ(registry.get_counter("dse.evaluate.runs").value(), 4u);
+    EXPECT_EQ(registry.get_counter("dse.batch.lanes").value(), 3u);
+
+    // The manifest names the sharing only where there was any: a scalar
+    // run's record is unchanged.
+    ehdse::obs::sim_run_record lane, alone;
+    lane.batch_lanes = batch.front().batch_lanes;
+    alone.batch_lanes = scalar.batch_lanes;
+    ehdse::obs::run_manifest m;
+    m.add_sim_run(lane);
+    m.add_sim_run(alone);
+    const ehdse::obs::json_value doc = m.to_json();
+    const auto& runs = doc.at("runs").as_array();
+    EXPECT_EQ(runs[0].at("batch_lanes").as_number(), 3.0);
+    EXPECT_EQ(runs[1].find("batch_lanes"), nullptr);
+}
+
+TEST(BatchEnvelopeSystem, PrimedLanesGiveAFreshSystemsDerivatives) {
+    // Each lane's damping path carried across derivatives() calls only
+    // warm-starts the bisection: a system primed at other states returns
+    // bitwise the derivatives a fresh system returns at the same state,
+    // whatever the width and whichever lanes the integrator masked off.
+    namespace eh = ehdse::harvester;
+    const eh::electromagnetic_harvester em;
+    const eh::vibration_source vib = fast_scenario().make_vibration();
+    const auto storage = std::make_shared<ehdse::power::supercapacitor>();
+    // Most lanes sit near the 64 Hz tuning of the first 50 s, so their
+    // bridges conduct and their paths get replayed.
+    const int tuned = ehdse::harvester::tuning_table(em).lookup(64.0);
+    ehdse::testkit::prng r(2012);
+
+    for (std::size_t width = 1; width <= 16; ++width) {
+        ed::batch_envelope_system primed(em.generator(), vib, storage, {}, width);
+        ed::batch_envelope_system fresh(em.generator(), vib, storage, {}, width);
+        for (std::size_t l = 0; l < width; ++l) {
+            const int pos =
+                r.chance(0.75)
+                    ? std::clamp(tuned + static_cast<int>(r.integer(-3, 3)),
+                                 0, 255)
+                    : static_cast<int>(r.integer(0, 255));
+            primed.plant(l).set_position(pos);
+            fresh.plant(l).set_position(pos);
+        }
+
+        // Prime along slow per-lane walks with random masks; now and then
+        // a lane jumps, so stale paths fail their check.
+        std::vector<double> t(width);
+        ehdse::sim::batch_state x(ed::batch_envelope_system::k_state_count,
+                                  width);
+        ehdse::sim::batch_state dxdt = x;
+        std::vector<std::uint8_t> active(width, 1);
+        for (std::size_t l = 0; l < width; ++l) {
+            t[l] = r.uniform(0.0, 20.0);
+            x.set(ed::batch_envelope_system::ix_voltage, l, r.uniform(0.0, 5.0));
+            x.set(ed::batch_envelope_system::ix_amplitude, l,
+                  r.uniform(0.0, 1e-3));
+        }
+        for (int call = 0; call < 40; ++call) {
+            for (std::size_t l = 0; l < width; ++l) {
+                active[l] = r.chance(0.7) ? 1 : 0;
+                const bool jump = r.chance(0.05);
+                const double v = x.at(ed::batch_envelope_system::ix_voltage, l);
+                x.set(ed::batch_envelope_system::ix_voltage, l,
+                      jump ? r.uniform(0.0, 5.0)
+                           : std::max(0.0, v + r.uniform(-1e-3, 1e-3)));
+                t[l] += r.uniform(0.0, 0.25);
+            }
+            primed.derivatives(t, x, dxdt, active);
+        }
+
+        for (std::size_t l = 0; l < width; ++l) active[l] = r.chance(0.7) ? 1 : 0;
+        ehdse::sim::batch_state d_primed = x, d_fresh = x;
+        primed.derivatives(t, x, d_primed, active);
+        fresh.derivatives(t, x, d_fresh, active);
+        for (std::size_t v = 0; v < ed::batch_envelope_system::k_state_count; ++v) {
+            for (std::size_t l = 0; l < width; ++l) {
+                if (!active[l]) continue;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(d_primed.at(v, l)),
+                          std::bit_cast<std::uint64_t>(d_fresh.at(v, l)))
+                    << "width " << width << " lane " << l << " var " << v;
+            }
+        }
     }
 }
 

@@ -1,0 +1,157 @@
+// Golden bit-identity fixture: every deterministic field of evaluate()
+// and of evaluate_batch() at widths 1, 3 and 10, pinned as hex floats on
+// a short scenario that crosses frequency steps, a vibration dropout and
+// a strong-excitation stretch (blocked, conducting and
+// displacement-limited bridge regimes all occur). Performance work on
+// the envelope kernels (warm starts, vectorisation) must leave these
+// numbers bit for bit alone; any numerical drift fails here loudly.
+//
+// On a mismatch the test writes the full actual dump next to the test's
+// working directory (dse_golden_evaluate.actual.txt) so the diff can be
+// inspected — and, for a deliberate numerical change, reviewed and
+// committed as the new fixture.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "dse/system_evaluator.hpp"
+
+namespace ed = ehdse::dse;
+
+namespace {
+
+const char* const k_fixture = EHDSE_TEST_DATA_DIR "/golden/evaluate_short.txt";
+
+/// 900 s: 64 -> 69 -> 74 Hz steps every 300 s, the source off for
+/// 100 s and then driven at 1.5x for the rest of the run.
+ed::scenario golden_scenario() {
+    ed::scenario s;
+    s.duration_s = 900.0;
+    s.step_period_s = 300.0;
+    s.step_count = 2;
+    s.amplitude_schedule = {{0.0, 1.0}, {250.0, 0.0}, {350.0, 1.5}};
+    return s;
+}
+
+/// Ten points spread over the coded design box (corners, faces, centre).
+std::vector<ed::system_config> golden_configs() {
+    const std::vector<ehdse::numeric::vec> coded = {
+        {0.0, 0.0, 0.0},   {-1.0, -1.0, -1.0}, {1.0, 1.0, 1.0},
+        {-1.0, 1.0, -1.0}, {1.0, -1.0, 1.0},   {0.5, -0.5, 0.0},
+        {-0.5, 0.0, 1.0},  {0.0, 1.0, -0.5},   {1.0, 0.0, -1.0},
+        {-1.0, -0.5, 0.5},
+    };
+    const auto space = ed::paper_design_space();
+    std::vector<ed::system_config> out;
+    for (const auto& c : coded)
+        out.push_back(ed::config_from_coded(space, c));
+    return out;
+}
+
+std::string hex(double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/// One `<label>.<field> <value>` line per deterministic field
+/// (wall_time_s and batch_lanes describe the run, not its result).
+void dump(std::ostream& os, const std::string& label,
+          const ed::evaluation_result& r) {
+    const auto line = [&](const char* field, const auto& value) {
+        os << label << '.' << field << ' ' << value << '\n';
+    };
+    line("transmissions", r.transmissions);
+    line("suppressed_wakeups", r.suppressed_wakeups);
+    line("low_band_transmissions", r.low_band_transmissions);
+    line("tuning.wakeups", r.tuning.wakeups);
+    line("tuning.low_energy_skips", r.tuning.low_energy_skips);
+    line("tuning.measurements", r.tuning.measurements);
+    line("tuning.position_matches", r.tuning.position_matches);
+    line("tuning.coarse_tunings", r.tuning.coarse_tunings);
+    line("tuning.coarse_steps", r.tuning.coarse_steps);
+    line("tuning.fine_iterations", r.tuning.fine_iterations);
+    line("tuning.fine_steps", r.tuning.fine_steps);
+    line("tuning.fine_converged", r.tuning.fine_converged);
+    line("final_voltage_v", hex(r.final_voltage_v));
+    line("min_voltage_v", hex(r.min_voltage_v));
+    line("max_voltage_v", hex(r.max_voltage_v));
+    line("harvested_energy_j", hex(r.harvested_energy_j));
+    line("sustained_load_energy_j", hex(r.sustained_load_energy_j));
+    line("withdrawn_energy_j", hex(r.withdrawn_energy_j));
+    for (const auto& [account, joules] : r.ledger.accounts())
+        line(("ledger[" + account + "]").c_str(), hex(joules));
+    line("ode_steps", r.ode_steps);
+    line("ode_steps_rejected", r.ode_steps_rejected);
+    line("events", r.events);
+    line("sim_ok", r.sim_ok ? "true" : "false");
+}
+
+/// Scalar runs of the first `scalar` configs, then one batch per width.
+void dump_backend(std::ostream& os, const std::string& name,
+                  const ed::system_evaluator& evaluator, std::size_t scalar,
+                  const std::vector<std::size_t>& widths) {
+    const std::vector<ed::system_config> configs = golden_configs();
+    for (std::size_t i = 0; i < scalar; ++i)
+        dump(os, name + ".scalar[" + std::to_string(i) + "]",
+             evaluator.evaluate(configs[i]));
+    for (const std::size_t width : widths) {
+        const std::vector<ed::evaluation_result> batch =
+            evaluator.evaluate_batch(
+                std::span<const ed::system_config>(configs.data(), width));
+        for (std::size_t l = 0; l < width; ++l)
+            dump(os,
+                 name + ".batch" + std::to_string(width) + "[" +
+                     std::to_string(l) + "]",
+                 batch[l]);
+    }
+}
+
+std::string golden_dump() {
+    std::ostringstream os;
+    const ed::system_evaluator em(golden_scenario());
+    dump_backend(os, "electromagnetic", em, 10, {1, 3, 10});
+    const ed::system_evaluator es(golden_scenario(),
+                                  ehdse::spec::harvester_spec{"electrostatic"});
+    dump_backend(os, "electrostatic", es, 3, {3});
+    return os.str();
+}
+
+std::vector<std::string> lines_of(std::istream& is) {
+    std::vector<std::string> out;
+    for (std::string l; std::getline(is, l);) out.push_back(l);
+    return out;
+}
+
+}  // namespace
+
+TEST(GoldenEvaluate, ScalarAndBatchResultsMatchPinnedHexFloats) {
+    std::ifstream file(k_fixture);
+    ASSERT_TRUE(file) << "missing fixture " << k_fixture;
+    const std::vector<std::string> expected = lines_of(file);
+
+    const std::string actual_text = golden_dump();
+    std::istringstream actual_stream(actual_text);
+    const std::vector<std::string> actual = lines_of(actual_stream);
+
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < std::max(expected.size(), actual.size()); ++i) {
+        const std::string want = i < expected.size() ? expected[i] : "<none>";
+        const std::string got = i < actual.size() ? actual[i] : "<none>";
+        if (want == got) continue;
+        if (++mismatches <= 20)
+            ADD_FAILURE() << "line " << i + 1 << ": expected '" << want
+                          << "', got '" << got << "'";
+    }
+    if (mismatches > 0) {
+        std::ofstream("dse_golden_evaluate.actual.txt") << actual_text;
+        FAIL() << mismatches << " line(s) differ from " << k_fixture
+               << "; full dump in dse_golden_evaluate.actual.txt";
+    }
+}

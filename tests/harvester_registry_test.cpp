@@ -162,19 +162,20 @@ TEST(Electrostatic, EnvelopeRelaxesTowardSteadyStateAmplitude) {
     const double accel = 0.6;
     const int pos = 64;
     const double target = dev.initial_amplitude(f, accel, pos, 2.5, rect);
+    eh::damping_path path;
     const auto below = dev.envelope_dynamics(
         f, accel, pos, 2.5, 0.5 * target, eh::conditioning_kind::diode_bridge,
-        1.0, rect);
+        1.0, rect, path);
     const auto at = dev.envelope_dynamics(
         f, accel, pos, 2.5, target, eh::conditioning_kind::diode_bridge, 1.0,
-        rect);
+        rect, path);
     EXPECT_GT(below.amplitude_rate, 0.0);
     EXPECT_NEAR(at.amplitude_rate, 0.0, 1e-12);
     EXPECT_GT(at.charge_current_a, 0.0);
     // Below the priming threshold the pump cannot deliver.
     const auto unprimed = dev.envelope_dynamics(
         f, accel, pos, 0.1, target, eh::conditioning_kind::diode_bridge, 1.0,
-        rect);
+        rect, path);
     EXPECT_DOUBLE_EQ(unprimed.charge_current_a, 0.0);
 }
 
