@@ -38,8 +38,10 @@ BENCHMARK(bm_envelope_solve);
 // envelope RHS calls of a paper-default evaluation is 13 uV, the 90th
 // percentile 36 uV), with a 1 mV transmission burst every 100 solves.
 // Solved cold (warm:0) or carrying one damping_path along (warm:1); both
-// return bit-identical operating points, and the trials_per_solve
-// counter (T evaluations per solve) shows what the warm start saves.
+// return bit-identical operating points. The trials_per_solve counter (T
+// evaluations per solve) shows what the warm start saves: 28 cold, 4 when
+// the predicted cell holds the root, a cold solve plus the wasted trials
+// when it does not (harvester/damping_path.hpp).
 void bm_envelope_walk(benchmark::State& state) {
     const bool warm = state.range(0) != 0;
     const harvester::microgenerator gen;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check_docs.sh — fail when README.md or docs/*.md reference repo paths
-# that do not exist, so documentation cannot silently rot as the tree
-# moves, and when a load-bearing doc section disappears. Wired into
+# or constants that do not exist, so documentation cannot silently rot as
+# the tree moves, and when a load-bearing doc section disappears. Wired into
 # CTest as `docs_references` (tier-1 catches it).
 #
 # What counts as a reference:
@@ -16,6 +16,10 @@
 # in README.md or docs/*.md must be the one the codec emits, read from
 # k_spec_schema in src/spec/json_codec.hpp. Older layouts are mentioned by
 # their suffix alone ("older `/2` documents").
+#
+# Constants: every k_... identifier inside a backticked span of README.md
+# or docs/*.md must occur as a word somewhere under src/, so a deleted or
+# renamed constant cannot live on in the docs.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -75,12 +79,25 @@ $(grep -oE 'ehdse\.experiment_spec/[0-9]+' "$doc" 2>/dev/null)
 EOF
 }
 
-check_file README.md
-check_schema_ids README.md
-for doc in docs/*.md; do
+check_constants() {
+    local doc="$1" name
+    while IFS= read -r name; do
+        [ -z "$name" ] && continue
+        checked=$((checked + 1))
+        if ! grep -rqw -e "$name" src; then
+            echo "check_docs: $doc names constant $name, which occurs nowhere under src/" >&2
+            status=1
+        fi
+    done <<EOF
+$(grep -oE '`[^`]+`' "$doc" 2>/dev/null | grep -oP '(?<![A-Za-z0-9_])k_[A-Za-z0-9_]+' | sort -u)
+EOF
+}
+
+for doc in README.md docs/*.md; do
     [ -f "$doc" ] || continue
     check_file "$doc"
     check_schema_ids "$doc"
+    check_constants "$doc"
 done
 
 require_section docs/architecture.md '^## .*[Ee]xperiment spec'

@@ -74,8 +74,8 @@ batch_envelope_system::batch_envelope_system(
       v_(lanes), z_(lanes), omega_(lanes), re_(lanes), ma_(lanes), u_(lanes),
       lo_(lanes), hi_(lanes), ce_(lanes), ct_(lanes), za_(lanes),
       e_(lanes), vel_(lanes), xx_(lanes), th1_(lanes), cth_(lanes),
-      ct_lo_(lanes), blocked_(lanes, 0), refine_(lanes, 0), warm_(lanes, 0),
-      expanded_(lanes, 0), it_(lanes, 0), paths_(lanes) {
+      ct_lo_(lanes), f_lo_(lanes), f_hi_(lanes), blocked_(lanes, 0),
+      refine_(lanes, 0), warm_(lanes, 0), it_(lanes, 0), paths_(lanes) {
     if (!storage_)
         throw std::invalid_argument("batch_envelope_system: null storage");
     if (lanes == 0)
@@ -278,13 +278,26 @@ void batch_envelope_system::derivatives(
         const int max_iterations =
             harvester::envelope_options{}.max_iterations;
 
-        // Warm start (harvester/damping_path.hpp): each lane replays its
-        // previous solve's decisions. The first two trials probe every
-        // lane's cell ends; a lane without a usable path probes 0 and
-        // c_hi, which are exactly the cold solve's first two trials.
+        // Warm start (harvester/damping_path.hpp): one lockstep trial at
+        // every trusted lane's previous root, a Newton step and a walk of
+        // the cold grid give each lane a final-depth cell. The next two
+        // trials probe every lane's cell ends; a lane without a cell
+        // probes 0 and c_hi, which are exactly the cold solve's first two
+        // trials.
+        bool any_trusted = false;
+        for (std::size_t l = 0; l < B; ++l) {
+            const bool trusted = paths_[l].trusted(c_hi_limit);
+            warm_[l] = trusted ? 1 : 0;
+            ce_[l] = trusted ? paths_[l].root : 0.0;
+            any_trusted = any_trusted || trusted;
+        }
+        if (any_trusted) eval_damping(ce_.data(), ct_.data(), za_.data());
         for (std::size_t l = 0; l < B; ++l) {
             const harvester::damping_cell cell =
-                paths_[l].replay(c_hi_limit, tol, max_iterations);
+                warm_[l] ? paths_[l].predicted_cell(ct_[l] - ce_[l],
+                                                    c_hi_limit, tol,
+                                                    max_iterations)
+                         : harvester::damping_cell{};
             const bool warm = cell.depth > 0;
             warm_[l] = warm ? 1 : 0;
             lo_[l] = warm ? cell.lo : 0.0;
@@ -297,9 +310,9 @@ void batch_envelope_system::derivatives(
         };
         probe_ends();
 
-        // Lanes whose root left the replayed cell restart cold. Re-probing
-        // the passing lanes' unchanged ends reproduces their values, so
-        // one extra pair serves every failing lane.
+        // Lanes whose root left the predicted cell restart cold.
+        // Re-probing the passing lanes' unchanged ends reproduces their
+        // values, so one extra pair serves every failing lane.
         bool any_failed = false;
         for (std::size_t l = 0; l < B; ++l) {
             if (warm_[l] && !(ct_lo_[l] > lo_[l] && !(ct_[l] > hi_[l]))) {
@@ -314,10 +327,8 @@ void batch_envelope_system::derivatives(
 
         // Cold lanes: a trial at c_e = 0 that the bridge does not load
         // means blocked — they take the open-circuit amplitude.
-        for (std::size_t l = 0; l < B; ++l) {
+        for (std::size_t l = 0; l < B; ++l)
             blocked_[l] = !warm_[l] && ct_lo_[l] <= tol ? 1 : 0;
-            expanded_[l] = 0;
-        }
 
         // Cold bracket [0, c_hi]; the displacement limiter can distort T,
         // so expand defensively (masked, <= 8 doublings — as the scalar
@@ -330,24 +341,28 @@ void batch_envelope_system::derivatives(
                 any = any || need;
             }
             if (!any) break;
-            for (std::size_t l = 0; l < B; ++l) {
-                if (refine_[l]) {
-                    hi_[l] *= 2.0;
-                    expanded_[l] = 1;
-                }
-            }
+            for (std::size_t l = 0; l < B; ++l)
+                if (refine_[l]) hi_[l] *= 2.0;
             eval_damping(hi_.data(), ct_.data(), za_.data());
         }
 
+        // f = T - c at every lane's bracket ends, for its next prediction.
+        for (std::size_t l = 0; l < B; ++l) {
+            f_lo_[l] = ct_lo_[l] - lo_[l];
+            f_hi_[l] = ct_[l] - hi_[l];
+        }
+
         // Masked bisection with per-lane iteration counters (a warm lane's
-        // replayed depth counts): a converged lane's bracket stops moving,
-        // so every lane lands exactly where its scalar run would.
+        // walked depth counts, so it is already done): a converged lane's
+        // bracket stops moving, so every lane lands exactly where its
+        // scalar run would.
         for (;;) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
                 const bool r = !blocked_[l] && (hi_[l] - lo_[l]) > tol &&
                                it_[l] < max_iterations;
                 refine_[l] = r ? 1 : 0;
+                it_[l] += r ? 1 : 0;
                 any = any || r;
             }
             if (!any) break;
@@ -357,24 +372,25 @@ void batch_envelope_system::derivatives(
             for (std::size_t l = 0; l < B; ++l) {
                 const bool r = refine_[l] != 0;
                 const bool up = ct_[l] > ce_[l];
+                const double f = ct_[l] - ce_[l];
                 lo_[l] = (r && up) ? ce_[l] : lo_[l];
+                f_lo_[l] = (r && up) ? f : f_lo_[l];
                 hi_[l] = (r && !up) ? ce_[l] : hi_[l];
-            }
-            for (std::size_t l = 0; l < B; ++l) {
-                if (refine_[l]) {
-                    paths_[l].record(it_[l], ct_[l] > ce_[l]);
-                    ++it_[l];
-                }
+                f_hi_[l] = (r && !up) ? f : f_hi_[l];
             }
         }
-        for (std::size_t l = 0; l < B; ++l)
-            paths_[l].finish(blocked_[l] || expanded_[l] ? 0 : it_[l]);
 
         // Final evaluation at the converged damping (0 for blocked lanes)
         // gives the steady-state amplitude the envelope relaxes towards.
         for (std::size_t l = 0; l < B; ++l)
             ce_[l] = blocked_[l] ? 0.0 : 0.5 * (lo_[l] + hi_[l]);
         eval_damping(ce_.data(), ct_.data(), za_.data());
+        for (std::size_t l = 0; l < B; ++l) {
+            if (blocked_[l])
+                paths_[l].forget();
+            else
+                paths_[l].learn(ce_[l], lo_[l], f_lo_[l], hi_[l], f_hi_[l]);
+        }
 
         for (std::size_t l = 0; l < B; ++l) {
             const double tau = 2.0 * m / (c_mech + ce_[l]);

@@ -15,7 +15,9 @@
 // results agree with the scalar path to solver tolerance, enforced by the
 // batch_vs_scalar_equivalence testkit property. Each lane carries its own
 // damping_path, so the bisection warm-starts per lane exactly like the
-// scalar solve, bit-identical to a cold bisection.
+// scalar solve, bit-identical to a cold bisection: one lockstep trial at
+// every lane's previous root, one pair checking every lane's predicted
+// cell, one final trial.
 //
 // Lanes are independent: per-lane actuator position, load bank and energy
 // ledger, shared (read-only) generator, vibration source and storage
@@ -139,7 +141,8 @@ private:
     mutable std::vector<double> v_, z_, omega_, re_, ma_, u_;
     mutable std::vector<double> lo_, hi_, ce_, ct_, za_;
     mutable std::vector<double> e_, vel_, xx_, th1_, cth_, ct_lo_;
-    mutable std::vector<std::uint8_t> blocked_, refine_, warm_, expanded_;
+    mutable std::vector<double> f_lo_, f_hi_;  ///< T - c at lo_ / hi_
+    mutable std::vector<std::uint8_t> blocked_, refine_, warm_;
     mutable std::vector<int> it_;  ///< per-lane bisection decisions
 
     // Per-lane damping-solve warm start, carried across derivatives()

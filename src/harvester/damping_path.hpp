@@ -1,101 +1,104 @@
 // Warm start for the self-consistent damping bisection: the scalar
 // solve_envelope (envelope.hpp) and the lockstep SoA bisection in
-// dse::batch_envelope_system share this replay/record helper.
+// dse::batch_envelope_system share this predictor.
 //
 // Both solvers bisect f(c) = T(c) - c on [0, c_hi], where T is the
 // equivalent damping the diode bridge presents at trial damping c. Along
 // one simulation run consecutive solves sit at nearly the same operating
-// point, so their bisections share all but their last few halving
-// decisions. A damping_path keeps one solve's decisions. The next solve
-// replays all but the last k_warm_backoff of them — arithmetic only: the
-// same 0.5 * (lo + hi) sequence, no trial of T — then spends two trials
-// checking that the root still lies in the reached cell (T(lo) > lo and
-// T(hi) <= hi) and bisects on from there. A failed check falls back to
-// the cold solve.
+// point, so the root moves smoothly. A damping_path keeps the previous
+// solve's root and the slope of f across that solve's final cell, both
+// from trials it already made. The next solve spends one trial at that
+// root, takes one Newton step, and walks the cold bisection's own
+// 0.5 * (lo + hi) grid and stop rule from [0, c_hi] down to the
+// final-depth cell holding the prediction — arithmetic only, no trial of
+// T. Two trials check that the root lies in that cell (T(lo) > lo and
+// T(hi) <= hi), and one more at its midpoint is the result: four trials
+// instead of the cold solve's ~28. Any other case solves cold.
 //
 // Why the result is bit-identical to the cold solve for any path (stale,
 // foreign or garbage): T depends on c only through x = u / e, as
 // T = (2 phi^2 / (pi R)) g(x) with g'(x) = -2 sqrt(1 - x^2) <= 0, and the
 // emf amplitude e does not increase with c, so f falls with slope <= -1.
-// The two checked ends are exactly the points where a bisection into the
-// cell makes its last "up" and its last "down" decision, and the check
-// evaluates T there with the cold solve's own operands. Every other
-// decision the replay skips lies at least one cell width from that
-// checked sign change — about 2^k_warm_backoff * tol for a path of
-// natural depth, never under tol / 2 for any path, and either way orders
-// of magnitude beyond T's rounding error — so the cold solve decides it
-// the same way and walks into the same cell. From there both run the
-// same arithmetic. Requiring lo >= 2 tol and hi < c_hi makes the cold
+// The walked cell lies on the cold bisection's grid at the depth where
+// the cold solve stops. Its ends are exactly the points where a bisection
+// into the cell makes its last "up" and its last "down" decision, and the
+// check evaluates T there with the cold solve's own operands. Every other
+// decision on the way down lies at least one final cell width (about
+// tol / 2 or more) from that checked sign change, orders of magnitude
+// beyond T's rounding error, so the cold solve decides it the same way
+// and ends in the same cell; the midpoint trial is then the cold solve's
+// final trial. Requiring lo >= 2 tol and hi < c_hi makes the cold
 // solve's "blocked at c = 0" and "expand past c_hi" decisions implied as
 // well. Only the number of T evaluations changes.
+//
+// Predictor state is untrusted input: the argument above holds whatever
+// the root and slope are, because the walk and the check decide, not the
+// prediction. A root that is not in [0, c_hi) (NaN and infinities
+// included) or a slope that is not negative is not worth a trial — and a
+// root below 0 would make T throw — so such a path solves cold.
 //
 // A path is per-run state passed explicitly (never shared between runs
 // or threads); harvester models stay stateless.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-
 namespace ehdse::harvester {
 
-/// Decisions at the end of a recorded path that a warm start re-bisects
-/// instead of replaying. Consecutive solves of one run share all but
-/// their last <= 8 decisions in ~89% of calls and all but the last <= 10
-/// in ~97%.
-inline constexpr int k_warm_backoff = 10;
-
-/// Bracket a warm start begins from: [lo, hi] after `depth` replayed
-/// decisions. depth == 0 means no usable path — solve cold.
+/// Final-depth cell of the cold bisection's grid, reached after `depth`
+/// halvings of [0, c_hi]. depth == 0 means no usable cell — solve cold.
 struct damping_cell {
     double lo = 0.0;
     double hi = 0.0;
     int depth = 0;
 };
 
-/// Halving decisions of one damping bisection, counted from the
-/// unexpanded bracket [0, c_hi]. Default-constructed: no path.
+/// Predictor state one damping solve leaves for the next.
+/// Default-constructed: no prediction.
 struct damping_path {
-    static constexpr int k_capacity = 64;
+    double root = 0.0;   ///< the previous solve's c_e
+    double slope = 0.0;  ///< of f across its final cell; < 0 when usable
 
-    std::uint64_t up_bits = 0;  ///< bit i set: decision i raised lo
-    int depth = 0;              ///< decisions recorded, <= k_capacity
-
-    /// Decision `index` of the solve in progress (`up`: the root lies
-    /// above the mid). Decisions past k_capacity are dropped — any prefix
-    /// of a path is a valid path.
-    void record(int index, bool up) noexcept {
-        if (index >= k_capacity) return;
-        const std::uint64_t bit = std::uint64_t{1} << index;
-        up_bits = up ? (up_bits | bit) : (up_bits & ~bit);
+    /// Whether the state is worth a trial of T at `root`: root in
+    /// [0, c_hi) and a falling slope. False for NaN or infinite values.
+    bool trusted(double c_hi) const noexcept {
+        return root >= 0.0 && root < c_hi && slope < 0.0;
     }
 
-    /// Close the solve in progress after `decisions` decisions in all
-    /// (replayed ones included). A solve that expanded its bracket or
-    /// found the bridge blocked closes with 0: nothing to replay.
-    void finish(int decisions) noexcept {
-        depth = std::clamp(decisions, 0, k_capacity);
-    }
-
-    /// Replay all but the last k_warm_backoff decisions from [0, c_hi]
-    /// while the cell is wider than `tol` and within `max_iterations`
-    /// (the cold bisection's own continuation rule, so the replayed
-    /// depth counts towards the iteration limit). Returns depth 0 unless
-    /// the reached cell has lo >= 2 tol and hi < c_hi.
-    damping_cell replay(double c_hi, double tol,
-                        int max_iterations) const noexcept {
-        damping_cell cell{0.0, c_hi, 0};
-        const int n = std::min(depth, max_iterations) - k_warm_backoff;
-        for (int i = 0; i < n && (cell.hi - cell.lo) > tol; ++i) {
-            const double mid = 0.5 * (cell.lo + cell.hi);
-            if ((up_bits >> i) & 1u)
-                cell.lo = mid;
-            else
-                cell.hi = mid;
-            cell.depth = i + 1;
+    /// Newton step from `root`, where f now reads `f_root`, then the walk
+    /// of the cold bisection's grid from [0, c_hi] while the cell is wider
+    /// than `tol` and within `max_iterations` (the cold stop rule, so the
+    /// walked depth counts towards the iteration limit). Returns depth 0
+    /// unless the reached cell has lo >= 2 tol and hi < c_hi.
+    damping_cell predicted_cell(double f_root, double c_hi, double tol,
+                                int max_iterations) const noexcept {
+        const double c = root - f_root / slope;
+        double lo = 0.0;
+        double hi = c_hi;
+        double mid = 0.5 * (lo + hi);
+        int depth = 0;
+        for (; depth < max_iterations && (hi - lo) > tol; ++depth) {
+            // Both candidates for the next 0.5 * (lo + hi), computed while
+            // the comparison resolves (the sum commutes exactly).
+            const double mid_up = 0.5 * (mid + hi);
+            const double mid_down = 0.5 * (lo + mid);
+            const bool up = c > mid;
+            lo = up ? mid : lo;
+            hi = up ? hi : mid;
+            mid = up ? mid_up : mid_down;
         }
-        if (!(cell.lo >= 2.0 * tol && cell.hi < c_hi)) return {};
-        return cell;
+        if (!(lo >= 2.0 * tol && hi < c_hi)) return {};
+        return {lo, hi, depth};
     }
+
+    /// Keep a solve's result: root `c_e`, final cell [lo, hi] where f
+    /// read `f_lo` and `f_hi`.
+    void learn(double c_e, double lo, double f_lo, double hi,
+               double f_hi) noexcept {
+        root = c_e;
+        slope = (f_hi - f_lo) / (hi - lo);
+    }
+
+    /// Drop the prediction (a blocked solve has no cell).
+    void forget() noexcept { *this = {}; }
 };
 
 }  // namespace ehdse::harvester

@@ -65,24 +65,35 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
 
     double lo = 0.0;
     double hi = c_hi_limit;
-    int it = 0;  // bisection decisions so far, replayed ones included
+    double f_lo = 0.0;  // f(c) = T(c) - c at the bracket ends
+    double f_hi = 0.0;
+    int it = 0;  // bisection decisions so far, walked ones included
 
-    // Warm start: replay the previous solve's decisions, then check that
-    // the root is still inside the reached cell (damping_path.hpp). A
-    // caller without a path solves cold from an empty one.
+    // Warm start: one trial at the previous root and a Newton step pick a
+    // final-depth cell of the cold grid; two trials check it holds the
+    // root (damping_path.hpp). A caller without a path solves cold.
     damping_path no_path;
     damping_path& run_path = path != nullptr ? *path : no_path;
-    const damping_cell cell =
-        run_path.replay(c_hi_limit, tol, options.max_iterations);
-    const bool warm = cell.depth > 0 && trial(cell.lo).c_target > cell.lo &&
-                      !(trial(cell.hi).c_target > cell.hi);
-    if (warm) {
-        lo = cell.lo;
-        hi = cell.hi;
-        it = cell.depth;
+    damping_cell cell;
+    if (run_path.trusted(c_hi_limit)) {
+        const double root = run_path.root;
+        cell = run_path.predicted_cell(trial(root).c_target - root, c_hi_limit,
+                                       tol, options.max_iterations);
+    }
+    bool warm = false;
+    if (cell.depth > 0) {
+        const double t_lo = trial(cell.lo).c_target;
+        const double t_hi = trial(cell.hi).c_target;
+        warm = t_lo > cell.lo && !(t_hi > cell.hi);
+        if (warm) {
+            lo = cell.lo;
+            hi = cell.hi;
+            f_lo = t_lo - lo;
+            f_hi = t_hi - hi;
+            it = cell.depth;
+        }
     }
 
-    int expand = 0;
     if (!warm) {
         const trial_point at_zero = trial(0.0);
         if (at_zero.c_target <= tol) {
@@ -92,30 +103,32 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
             pt.elec = at_zero.elec;
             pt.c_electrical = 0.0;
             pt.converged = true;
-            run_path.finish(0);
+            run_path.forget();
             return pt;
         }
+        f_lo = at_zero.c_target;
 
         // Ensure T(hi) - hi < 0 (guaranteed by the physical bound, but the
         // displacement limiter can distort T; expand defensively).
         trial_point at_hi = trial(hi);
-        while (at_hi.c_target > hi && expand < 8) {
+        for (int expand = 0; at_hi.c_target > hi && expand < 8; ++expand) {
             hi *= 2.0;
             at_hi = trial(hi);
-            ++expand;
         }
+        f_hi = at_hi.c_target - hi;
     }
 
     for (; it < options.max_iterations && (hi - lo) > tol; ++it) {
         const double mid = 0.5 * (lo + hi);
-        const bool up = trial(mid).c_target > mid;
-        run_path.record(it, up);
-        if (up)
+        const double t_mid = trial(mid).c_target;
+        if (t_mid > mid) {
             lo = mid;
-        else
+            f_lo = t_mid - mid;
+        } else {
             hi = mid;
+            f_hi = t_mid - mid;
+        }
     }
-    run_path.finish(expand == 0 ? it : 0);
 
     const double c_e = 0.5 * (lo + hi);
     const trial_point final_tp = trial(c_e);
@@ -123,6 +136,7 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
     pt.elec = final_tp.elec;
     pt.c_electrical = c_e;
     pt.converged = (hi - lo) <= tol;
+    run_path.learn(c_e, lo, f_lo, hi, f_hi);
     return pt;
 }
 

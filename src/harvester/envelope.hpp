@@ -14,9 +14,9 @@
 // T(c) - c, found by bisection — unconditionally convergent, unlike the
 // naive fixed-point iteration which cycles between the bridge's blocked and
 // saturated regimes at strong coupling. A caller that solves repeatedly
-// along one run passes a damping_path, which warm-starts each bisection
-// from the previous one's decisions with a bit-identical result
-// (damping_path.hpp).
+// along one run passes a damping_path, which predicts each solve's final
+// bisection cell from the previous root and verifies it, with a result
+// bit-identical to the cold bisection (damping_path.hpp).
 //
 // The result feeds the slow dynamics: the supercapacitor sees the averaged
 // charging current i_avg, and the mechanical amplitude relaxes towards the
@@ -41,7 +41,8 @@ struct envelope_point {
 /// Solver knobs; the bisection brackets c_e within
 /// tolerance * mech_damping in 28 cheap evaluations cold when the bridge
 /// conducts (1 when it is blocked) — 27.2 per solve over a paper-default
-/// evaluation — and 13.1 per solve warm-started along that run.
+/// evaluation — and in 4 when a warm start's predicted cell holds the
+/// root: 3.94 per solve over that evaluation.
 struct envelope_options {
     double tolerance = 1e-6;   ///< on c_e, relative to mechanical damping
     int max_iterations = 200;  ///< bisection step limit
@@ -49,8 +50,9 @@ struct envelope_options {
 
 /// Solve the coupled steady state at excitation `freq_hz` / amplitude
 /// `accel_amp_ms2`, actuator position `position`, storage voltage `store_v`.
-/// A non-null `path` warm-starts the bisection from the decisions it
-/// holds and receives this solve's; it changes only `iterations`.
+/// A non-null `path` warm-starts the bisection from the prediction it
+/// holds (any contents) and receives this solve's; it changes only
+/// `iterations`.
 envelope_point solve_envelope(const microgenerator& gen, int position,
                               double freq_hz, double accel_amp_ms2,
                               double store_v,

@@ -25,10 +25,11 @@
 // arguments but the damping_path. That path is per-run solver state the
 // caller owns (one per simulated run or batch lane) and passes in/out: a
 // backend may read it to warm-start an iterative solve and update it for
-// the next call, but the returned rates never depend on what the path
-// held — it changes only speed (the
-// electromagnetic entry's bit-identity argument is in damping_path.hpp;
-// other backends ignore it). The models themselves hold no mutable
+// the next call, but must treat what it holds as untrusted input, so the
+// returned rates never depend on it — it changes only speed (the
+// electromagnetic entry predicts and verifies its damping bisection's
+// final cell; the bit-identity argument is in damping_path.hpp; other
+// backends ignore the path). The models themselves hold no mutable
 // state. The electromagnetic entry implements the hooks with the exact
 // code the envelope_system used before the refactor, so the generic
 // system calling through the interface stays bit-identical — the testkit

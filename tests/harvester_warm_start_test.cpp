@@ -1,18 +1,22 @@
 // Warm-started damping solve (harvester/damping_path.hpp): for any
-// operating point and any path, solve_envelope warm-started from that
-// path equals a fresh cold solve bit for bit in c_electrical, mech, elec
-// and converged. Paths come from the previous point of a slow random
-// walk, from an unrelated point, from random bits, and from a bisection
-// of a doubled (expanded) bracket. Operating points span the tuning
-// range, 0-2x the paper's 60 mg, every actuator position and 0-5 V of
-// store voltage, so blocked and conducting points occur, and so do
-// points where the end stops clip the trial amplitudes and flatten T
-// (the test asserts all three do).
+// operating point and any predictor state, solve_envelope warm-started
+// from that state equals a fresh cold solve bit for bit in c_electrical,
+// mech, elec and converged. States come from the previous point of a
+// slow random walk, from an unrelated point, from random special and
+// out-of-range values, from a root beyond c_hi, and from predictions
+// aimed at, just inside and just outside the ends of the cold solve's
+// final cell. Operating points span the tuning range, 0-2x the paper's
+// 60 mg, every actuator position and 0-5 V of store voltage, so blocked
+// and conducting points occur, and so do points where the end stops clip
+// the trial amplitudes and flatten T (the test asserts all three do).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <numbers>
 #include <sstream>
 #include <string>
@@ -36,6 +40,17 @@ const eh::microgenerator& gen() {
     return g;
 }
 
+/// The solver's unexpanded bracket end and bisection tolerance.
+double c_hi() {
+    const double phi = gen().params().coupling_v_per_ms;
+    return phi * phi / gen().params().coil_resistance_ohm +
+           gen().mech_damping();
+}
+
+double tol() {
+    return eh::envelope_options{}.tolerance * gen().mech_damping();
+}
+
 struct op_point {
     int position = 0;
     double freq_hz = 0.0;
@@ -46,7 +61,8 @@ struct op_point {
 struct warm_case {
     std::vector<op_point> walk;  ///< slow random walk of operating points
     op_point unrelated;          ///< an independent draw
-    eh::damping_path garbage;    ///< random bits, depth 0-64
+    std::vector<eh::damping_path> garbage;  ///< special, out-of-range values
+    eh::damping_path beyond;     ///< a root beyond c_hi
 };
 
 op_point draw_point(tk::prng& r) {
@@ -93,6 +109,51 @@ op_point step(tk::prng& r, op_point p) {
     return p;
 }
 
+/// Predictor state no solve leaves: NaN, infinite, signed-zero,
+/// negative and beyond-c_hi roots; zero, positive, tiny, NaN and
+/// infinite slopes; each mixed with ordinary values of the other field.
+eh::damping_path draw_garbage(tk::prng& r) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double tiny = std::numeric_limits<double>::denorm_min();
+    const double roots[] = {nan,
+                            inf,
+                            -inf,
+                            0.0,
+                            -0.0,
+                            -tiny,
+                            -r.uniform(0.0, c_hi()),
+                            c_hi(),
+                            std::nextafter(c_hi(), 0.0),
+                            c_hi() * r.uniform(1.0, 4.0),
+                            r.uniform(0.0, c_hi())};
+    const double slopes[] = {nan,
+                             inf,
+                             -inf,
+                             0.0,
+                             -0.0,
+                             tiny,
+                             -tiny,
+                             1e-300,
+                             -1e-300,
+                             r.log_uniform(1e-3, 1e3),
+                             -r.log_uniform(1e-3, 1e3)};
+    eh::damping_path path;
+    path.root = roots[r.index(std::size(roots))];
+    path.slope = slopes[r.index(std::size(slopes))];
+    return path;
+}
+
+/// The state a solve on a doubled bracket [0, 2 c_hi] would leave if its
+/// root lay beyond c_hi. No physical T makes solve_envelope expand
+/// (T <= phi^2 / R < c_hi), so the test builds the state directly.
+eh::damping_path beyond_c_hi_path(tk::prng& r) {
+    eh::damping_path path;
+    path.root = r.chance(0.25) ? c_hi() : c_hi() * r.uniform(1.0, 2.0);
+    path.slope = -r.log_uniform(0.5, 50.0);
+    return path;
+}
+
 warm_case draw_case(tk::prng& r) {
     warm_case c;
     op_point p = draw_point(r);
@@ -101,8 +162,8 @@ warm_case draw_case(tk::prng& r) {
         p = step(r, p);
     }
     c.unrelated = draw_point(r);
-    c.garbage.up_bits = r.next();
-    c.garbage.depth = static_cast<int>(r.integer(0, 64));
+    for (int i = 0; i < 4; ++i) c.garbage.push_back(draw_garbage(r));
+    c.beyond = beyond_c_hi_path(r);
     return c;
 }
 
@@ -112,7 +173,7 @@ eh::envelope_point solve(const op_point& p, eh::damping_path* path) {
 }
 
 /// The damping the bridge presents at trial damping c (the T(c) of
-/// envelope.cpp), for the doubled-bracket reference bisection below.
+/// envelope.cpp), for the reference bisection below.
 double presented_damping(const op_point& p, double c) {
     const double omega = 2.0 * std::numbers::pi * p.freq_hz;
     const eh::linear_response mech = gen().response(omega, p.accel, p.position, c);
@@ -122,25 +183,24 @@ double presented_damping(const op_point& p, double c) {
     return 2.0 * elec.p_mech_w / (mech.velocity_amp_ms * mech.velocity_amp_ms);
 }
 
-/// The decisions of a solve whose bracket had doubled to [0, 2 c_hi].
-/// No physical T makes solve_envelope expand (T <= phi^2 / R < c_hi), so
-/// the test bisects the doubled bracket itself and records every step.
-eh::damping_path expanded_path(const op_point& p) {
-    const double phi = gen().params().coupling_v_per_ms;
-    const double c_hi =
-        phi * phi / gen().params().coil_resistance_ohm + gen().mech_damping();
-    const double tol = eh::envelope_options{}.tolerance * gen().mech_damping();
-    eh::damping_path path;
-    double lo = 0.0;
-    double hi = 2.0 * c_hi;
-    int it = 0;
-    for (; (hi - lo) > tol; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        const bool up = presented_damping(p, mid) > mid;
-        path.record(it, up);
-        (up ? lo : hi) = mid;
+/// The final cell of a cold bisection of a conducting point, bisected
+/// here independently of solve_envelope.
+eh::damping_cell cold_cell(const op_point& p) {
+    eh::damping_cell cell{0.0, c_hi(), 0};
+    while (cell.hi - cell.lo > tol()) {
+        const double mid = 0.5 * (cell.lo + cell.hi);
+        (presented_damping(p, mid) > mid ? cell.lo : cell.hi) = mid;
+        ++cell.depth;
     }
-    path.finish(it);
+    return cell;
+}
+
+/// A trusted state whose prediction is exactly `target`: the slope is so
+/// steep that the Newton step vanishes below half an ulp of the root.
+eh::damping_path aimed_at(double target) {
+    eh::damping_path path;
+    path.root = target;
+    path.slope = -std::numeric_limits<double>::max();
     return path;
 }
 
@@ -179,6 +239,8 @@ struct coverage {
     std::size_t blocked = 0;
     std::size_t conducting = 0;
     std::size_t clipped = 0;
+    std::size_t predicted = 0;  ///< walk solves that took four trials
+    std::size_t aimed_inside = 0;
     std::size_t warm_trials = 0;
     std::size_t cold_trials = 0;
 };
@@ -193,6 +255,7 @@ void check_case(const warm_case& c, coverage& seen) {
         seen.blocked += cold.c_electrical == 0.0 ? 1 : 0;
         seen.conducting += cold.elec.conducting ? 1 : 0;
         seen.clipped += open_circuit_clipped(p) ? 1 : 0;
+        seen.predicted += warm.iterations == 4 ? 1 : 0;
         seen.warm_trials += static_cast<std::size_t>(warm.iterations);
         seen.cold_trials += static_cast<std::size_t>(cold.iterations);
     }
@@ -204,15 +267,45 @@ void check_case(const warm_case& c, coverage& seen) {
     solve(c.unrelated, &foreign);
     require_identical(solve(target, &foreign), cold, target, "unrelated path");
 
-    eh::damping_path garbage = c.garbage;
-    require_identical(solve(target, &garbage), cold, target, "random-bit path");
+    for (eh::damping_path garbage : c.garbage)
+        require_identical(solve(target, &garbage), cold, target,
+                          "special-value path");
 
-    eh::damping_path expanded = expanded_path(c.unrelated);
-    require_identical(solve(target, &expanded), cold, target,
-                      "expanded-bracket path");
-    expanded = expanded_path(target);
-    require_identical(solve(target, &expanded), cold, target,
-                      "expanded-bracket path at the same point");
+    eh::damping_path beyond = c.beyond;
+    require_identical(solve(target, &beyond), cold, target,
+                      "beyond-c_hi path");
+
+    // Predictions at, just inside and just outside the ends of the cold
+    // final cell (width in (tol / 2, tol], so c_e +- tol / 4 lies inside
+    // and c_e +- tol / 2 on or beyond an end). Only a prediction inside
+    // the cell may take the four-trial path.
+    if (cold.c_electrical == 0.0) return;  // blocked: no cell
+    const eh::damping_cell ref = cold_cell(target);
+    if (!same_bits(0.5 * (ref.lo + ref.hi), cold.c_electrical))
+        tk::fail("reference bisection disagrees with the cold solve");
+    const double ce = cold.c_electrical;
+    const double q = 0.25 * tol();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double aims[] = {ce,
+                           ce - q,
+                           ce + q,
+                           ce - 2.0 * q,
+                           ce + 2.0 * q,
+                           ref.lo,
+                           ref.hi,
+                           std::nextafter(ref.lo, -inf),
+                           std::nextafter(ref.lo, inf),
+                           std::nextafter(ref.hi, -inf),
+                           std::nextafter(ref.hi, inf)};
+    for (const double aim : aims) {
+        eh::damping_path path = aimed_at(aim);
+        const eh::envelope_point warm = solve(target, &path);
+        require_identical(warm, cold, target, "aimed path");
+        const bool inside = aim > ref.lo && aim <= ref.hi;
+        if (warm.iterations == 4 && !inside)
+            tk::fail("a prediction outside the cold cell took the warm path");
+        seen.aimed_inside += warm.iterations == 4 ? 1 : 0;
+    }
 }
 
 }  // namespace
@@ -233,6 +326,8 @@ TEST(WarmStart, WarmSolveEqualsColdSolveBitForBit) {
     EXPECT_GT(seen.blocked, 0u);
     EXPECT_GT(seen.conducting, 0u);
     EXPECT_GT(seen.clipped, 0u);
+    EXPECT_GT(seen.predicted, 0u);
+    EXPECT_GT(seen.aimed_inside, 0u);
     EXPECT_LT(seen.warm_trials, seen.cold_trials);
 }
 
@@ -242,43 +337,53 @@ TEST(WarmStart, ConductingSolveLeavesAPathBlockedSolveClearsIt) {
     eh::damping_path path;
     const eh::envelope_point first = solve(conducting, &path);
     ASSERT_TRUE(first.elec.conducting);
-    EXPECT_GT(path.depth, eh::k_warm_backoff);
+    EXPECT_TRUE(path.trusted(c_hi()));
+    EXPECT_EQ(path.root, first.c_electrical);
 
-    // Re-solving the same point replays all but the backed-off tail: two
-    // checks, the re-bisected tail, the final evaluation.
+    // Re-solving the same point takes the predicted cell: the trial at
+    // the previous root, the two end checks, the final evaluation.
     const eh::envelope_point again = solve(conducting, &path);
-    EXPECT_EQ(again.iterations, eh::k_warm_backoff + 3);
+    EXPECT_EQ(again.iterations, 4);
     EXPECT_EQ(again.c_electrical, first.c_electrical);
 
     op_point blocked = conducting;
     blocked.store_v = 50.0;
     const eh::envelope_point b = solve(blocked, &path);
     EXPECT_EQ(b.c_electrical, 0.0);
-    EXPECT_EQ(path.depth, 0);
+    EXPECT_FALSE(path.trusted(c_hi()));
 }
 
-TEST(WarmStart, ReplayKeepsItsCellInsideTheColdBracket) {
-    // A replay that would end on the bracket's edge (all "down" keeps
-    // lo = 0; all "up" keeps hi = c_hi) is not usable: the cold solve's
-    // blocked and expansion decisions would not be implied.
+TEST(WarmStart, WalkedCellStaysInsideTheColdBracket) {
+    // A walk that would end on the bracket's edge (a prediction below the
+    // first cell keeps lo = 0; one above the last keeps hi = c_hi) is not
+    // usable, nor is one whose lo is under 2 tol: the cold solve's blocked
+    // and expansion decisions would not be implied.
     const double c_hi = 1.0;
     const double tol = 1e-6;
-    eh::damping_path all_down;
-    all_down.up_bits = 0;
-    all_down.depth = 30;
-    EXPECT_EQ(all_down.replay(c_hi, tol, 200).depth, 0);
-    eh::damping_path all_up;
-    all_up.up_bits = ~std::uint64_t{0};
-    all_up.depth = 30;
-    EXPECT_EQ(all_up.replay(c_hi, tol, 200).depth, 0);
+    const auto walk_to = [&](double c, int max_iterations) {
+        eh::damping_path path;
+        path.root = c;
+        path.slope = -1.0;
+        return path.predicted_cell(0.0, c_hi, tol, max_iterations);
+    };
+    EXPECT_EQ(walk_to(0.0, 200).depth, 0);
+    EXPECT_EQ(walk_to(0.5 * tol, 200).depth, 0);
+    EXPECT_EQ(walk_to(1.5 * tol, 200).depth, 0);
+    EXPECT_EQ(walk_to(c_hi, 200).depth, 0);
+    EXPECT_EQ(walk_to(std::nextafter(c_hi, 0.0), 200).depth, 0);
 
-    eh::damping_path mixed;
-    mixed.up_bits = 0b0110;
-    mixed.depth = 30;
-    const eh::damping_cell cell = mixed.replay(c_hi, tol, 200);
-    EXPECT_EQ(cell.depth, 30 - eh::k_warm_backoff);
-    EXPECT_GT(cell.lo, 2.0 * tol);
+    const eh::damping_cell low = walk_to(3.0 * tol, 200);
+    EXPECT_EQ(low.depth, 20);
+    EXPECT_GE(low.lo, 2.0 * tol);
+
+    const eh::damping_cell cell = walk_to(0.3, 200);
+    EXPECT_EQ(cell.depth, 20);  // 2^-20 is the first width <= tol
+    EXPECT_LT(cell.lo, 0.3);
+    EXPECT_GE(cell.hi, 0.3);
+    EXPECT_LE(cell.hi - cell.lo, tol);
     EXPECT_LT(cell.hi, c_hi);
-    // The replayed depth counts towards the iteration limit.
-    EXPECT_EQ(mixed.replay(c_hi, tol, 12).depth, 12 - eh::k_warm_backoff);
+    // The walked depth counts towards the iteration limit.
+    const eh::damping_cell shallow = walk_to(0.3, 12);
+    EXPECT_EQ(shallow.depth, 12);
+    EXPECT_GT(shallow.hi - shallow.lo, tol);
 }
