@@ -29,8 +29,7 @@ int main() {
         for (const auto& m : modes) {
             mcu::controller_params ctl;
             ctl.mode = m.mode;
-            dse::system_evaluator ev({}, harvester::microgenerator_params{}, {}, {},
-                                     {}, ctl);
+            dse::system_evaluator ev({}, {}, {}, {}, {}, ctl);
             dse::system_config cfg = dse::system_config::original();
             cfg.tx_interval_s = interval;
             const auto r = ev.evaluate(cfg);

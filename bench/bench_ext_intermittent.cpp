@@ -31,7 +31,7 @@ int main() {
             }
             power::supercapacitor_params cap;
             cap.capacitance_f = c_f;
-            dse::system_evaluator ev(s, harvester::microgenerator_params{}, cap);
+            dse::system_evaluator ev(s, {}, cap);
 
             dse::system_config slow = dse::system_config::original();
             dse::system_config fast = slow;

@@ -37,8 +37,7 @@ int main() {
     for (const auto& r : rows) {
         node::node_params node_params;
         node_params.policy = r.policy;
-        dse::system_evaluator ev({}, harvester::microgenerator_params{}, {}, {},
-                                 node_params, {});
+        dse::system_evaluator ev({}, {}, {}, {}, node_params, {});
 
         dse::system_config cfg = dse::system_config::original();
         cfg.tx_interval_s = r.interval;

@@ -20,7 +20,7 @@ int main() {
     for (double c_f : {0.055, 0.22, 0.55, 1.1, 2.2}) {
         power::supercapacitor_params cap;
         cap.capacitance_f = c_f;
-        dse::system_evaluator ev({}, harvester::microgenerator_params{}, cap);
+        dse::system_evaluator ev({}, {}, cap);
 
         dse::system_config original = dse::system_config::original();
         dse::system_config greedy = original;

@@ -6,9 +6,10 @@
 // What the gate pins (scripts/check_perf.sh, baseline
 // BENCH_harvester_backends.json at the repo root):
 //   * <name>_scalar_evals_per_s / <name>_batch_evals_per_s hold the
-//     >-15% regression rule per backend — the generic per-lane batch
-//     kernel (batch_generic_system) must not silently decay any more
-//     than the hand-vectorised electromagnetic one;
+//     >-15% regression rule per backend — a backend batching through the
+//     default make_envelope_batch (its scalar hook per lane) must not
+//     silently decay any more than the hand-vectorised electromagnetic
+//     kernel;
 //   * the electromagnetic batch numbers additionally ride the dedicated
 //     bench_batch_kernel gate with its 4x speedup floor.
 #include <algorithm>

@@ -10,6 +10,7 @@
 #include <numbers>
 
 #include "dse/envelope_system.hpp"
+#include "harvester/electromagnetic.hpp"
 #include "harvester/tuning_table.hpp"
 #include "mcu/tuning_controller.hpp"
 #include "node/sensor_node.hpp"
@@ -17,12 +18,12 @@
 int main() {
     using namespace ehdse;
 
-    harvester::microgenerator gen;
-    harvester::tuning_table table(gen);
+    const harvester::electromagnetic_harvester em;
+    harvester::tuning_table table(em);
     const auto vib =
         harvester::vibration_source::stepped_mg(60.0, 64.0, 5.0, 900.0, 1);
 
-    dse::envelope_system system(gen, vib);
+    dse::envelope_system system(em, vib);
     auto x0 = system.initial_state(2.85, table.lookup(64.0));
     sim::ode_options ode;
     ode.max_dt = 5.0;

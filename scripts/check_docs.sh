@@ -20,6 +20,13 @@
 # Constants: every k_... identifier inside a backticked span of README.md
 # or docs/*.md must occur as a word somewhere under src/, so a deleted or
 # renamed constant cannot live on in the docs.
+#
+# Qualified names: every namespace-qualified identifier inside a backticked
+# span of README.md or docs/*.md whose first part is a namespace of src/
+# (one per first-level source dir — dse::, harvester::, sim::, ... —
+# optionally behind ehdse::) must end in a name that occurs as a word
+# somewhere under src/, so a deleted or renamed class or function cannot
+# live on in the docs either.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -93,11 +100,28 @@ $(grep -oE '`[^`]+`' "$doc" 2>/dev/null | grep -oP '(?<![A-Za-z0-9_])k_[A-Za-z0-
 EOF
 }
 
+namespaces=$(for dir in src/*/; do basename "$dir"; done | paste -sd'|')
+
+check_qualified_names() {
+    local doc="$1" name
+    while IFS= read -r name; do
+        [ -z "$name" ] && continue
+        checked=$((checked + 1))
+        if ! grep -rqw -e "${name##*::}" src; then
+            echo "check_docs: $doc names $name, but ${name##*::} occurs nowhere under src/" >&2
+            status=1
+        fi
+    done <<EOF
+$(grep -oE '`[^`]+`' "$doc" 2>/dev/null | grep -oP "(?<![A-Za-z0-9_:])(ehdse::)?($namespaces)(::[A-Za-z_][A-Za-z0-9_]*)+" | sort -u)
+EOF
+}
+
 for doc in README.md docs/*.md; do
     [ -f "$doc" ] || continue
     check_file "$doc"
     check_schema_ids "$doc"
     check_constants "$doc"
+    check_qualified_names "$doc"
 done
 
 require_section docs/architecture.md '^## .*[Ee]xperiment spec'

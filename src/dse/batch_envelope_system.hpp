@@ -1,28 +1,24 @@
-// SoA batch implementation of the envelope-mode node system: B design
-// points with identical analogue structure advance in lockstep.
+// SoA batch implementation of the envelope-mode node system for every
+// harvester_model registry entry: B design points with identical analogue
+// structure advance in lockstep through one batch_simulator.
 //
-// The scalar envelope_system spends most of an evaluation inside
-// harvester::solve_envelope — a bisection on the self-consistent
-// electrical damping whose every trial evaluates the mechanical response
-// and the averaged diode bridge. Here that bisection runs across all
-// lanes at once: each trial is three flat loops over lanes (mechanics /
-// asin–cos / bridge power + bracket update) written branch-free with
-// value selects so GCC auto-vectorises them, and libm calls are replaced
-// by a fitted polynomial asin plus the exact identities
-// cos(asin x) = sqrt(1 - x^2) and sin(2 asin x) = 2 x sqrt(1 - x^2).
-// Per-lane brackets update under masks, so lanes converge exactly as
-// their scalar counterparts would (same iteration count, same semantics);
-// results agree with the scalar path to solver tolerance, enforced by the
-// batch_vs_scalar_equivalence testkit property. Each lane carries its own
-// damping_path, so the bisection warm-starts per lane exactly like the
-// scalar solve, bit-identical to a cold bisection: one lockstep trial at
-// every lane's previous root, one pair checking every lane's predicted
-// cell, one final trial.
+// This system owns what is not harvester physics: the per-lane plants
+// (actuator position, load bank, energy ledger), the initial state and the
+// phase-lag tap through the model's own hooks, and the storage tail. The
+// envelope RHS of all lanes comes from one harvester::envelope_batch the
+// model builds for the run (harvester_model::make_envelope_batch): the
+// electromagnetic entry's is the hand-vectorised lockstep damping kernel,
+// every other entry's calls its scalar envelope_dynamics hook per lane.
+// Under that hook's numerical contract each lane agrees with its scalar
+// envelope_system run — bitwise for the per-lane default, to solver
+// tolerance for the kernel — and batch(B) == batch(1) bitwise, which the
+// batch_vs_scalar_equivalence testkit property enforces per registered
+// harvester.
 //
 // Lanes are independent: per-lane actuator position, load bank and energy
-// ledger, shared (read-only) generator, vibration source and storage
-// model. One instance hosts one batch_simulator run and is not
-// thread-safe across concurrent runs — evaluate_batch builds one per call.
+// ledger, shared (read-only) model, vibration source and storage model.
+// One instance hosts one batch_simulator run and is not thread-safe
+// across concurrent runs — evaluate_batch builds one per call.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +28,7 @@
 #include <vector>
 
 #include "dse/envelope_system.hpp"
-#include "harvester/damping_path.hpp"
-#include "harvester/microgenerator.hpp"
+#include "harvester/harvester_model.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
 #include "power/energy_ledger.hpp"
@@ -55,9 +50,9 @@ public:
         envelope_system::ix_load_energy;
     static constexpr std::size_t k_state_count = envelope_system::k_state_count;
 
-    /// `gen` and `vib` must outlive the system; `storage` is shared
+    /// `model` and `vib` must outlive the system; `storage` is shared
     /// read-only across lanes.
-    batch_envelope_system(const harvester::microgenerator& gen,
+    batch_envelope_system(const harvester::harvester_model& model,
                           const harvester::vibration_source& vib,
                           std::shared_ptr<const power::storage_model> storage,
                           power::rectifier_params rect, std::size_t lanes);
@@ -69,12 +64,14 @@ public:
     void set_frontend(frontend_kind kind, double efficiency = 0.75);
 
     /// Initial state shared by all lanes (identical scenario => identical
-    /// start): store at v0, amplitude at the converged steady state. Also
-    /// sets every lane's actuator position.
+    /// start): store at v0, amplitude at the model's converged steady
+    /// state. Also sets every lane's actuator position.
     std::vector<double> initial_state(double v0, int initial_position);
 
-    /// Same integration defaults as the scalar envelope system.
-    sim::ode_options suggested_ode_options() const;
+    /// The scalar envelope system's integration defaults.
+    sim::ode_options suggested_ode_options() const {
+        return envelope_ode_options();
+    }
 
     /// Per-lane plant handle for the digital processes of lane l.
     harvester::plant& plant(std::size_t l) { return *plants_.at(l); }
@@ -112,13 +109,7 @@ private:
 
     sim::batch_simulator& bsim() const;
 
-    /// One lockstep trial of the damping fixed point: given per-lane trial
-    /// damping ce[], fill c_target[] (the damping the bridge presents
-    /// there) and za[] (the steady-state displacement amplitude). Reads
-    /// the per-call scratch (omega/re/ma/u) prepared by derivatives().
-    void eval_damping(const double* ce, double* c_target, double* za) const;
-
-    const harvester::microgenerator& gen_;
+    const harvester::harvester_model& model_;
     const harvester::vibration_source& vib_;
     std::shared_ptr<const power::storage_model> storage_;
     power::rectifier_params rect_;
@@ -129,25 +120,17 @@ private:
 
     // Per-lane digital-facing state.
     std::vector<int> position_;
-    std::vector<double> stiffness_;  ///< effective_stiffness(position_[l])
     std::vector<power::load_bank> loads_;
     std::vector<std::unordered_map<std::string, power::load_id>> load_slots_;
     std::vector<power::energy_ledger> ledgers_;
     std::vector<std::unique_ptr<lane_plant>> plants_;
 
-    // Per-derivatives-call scratch, lane-contiguous. Mutable because
-    // derivatives() is logically const; a system instance hosts exactly
-    // one (single-threaded) batch_simulator run at a time.
-    mutable std::vector<double> v_, z_, omega_, re_, ma_, u_;
-    mutable std::vector<double> lo_, hi_, ce_, ct_, za_;
-    mutable std::vector<double> e_, vel_, xx_, th1_, cth_, ct_lo_;
-    mutable std::vector<double> f_lo_, f_hi_;  ///< T - c at lo_ / hi_
-    mutable std::vector<std::uint8_t> blocked_, refine_, warm_;
-    mutable std::vector<int> it_;  ///< per-lane bisection decisions
-
-    // Per-lane damping-solve warm start, carried across derivatives()
-    // calls (harvester/damping_path.hpp); changes only speed.
-    mutable std::vector<harvester::damping_path> paths_;
+    // The lanes' envelope RHS with its per-lane solver state, and the
+    // clamped states and charging currents of one derivatives() call.
+    // derivatives() is logically const: the solver state changes only
+    // speed, and one instance hosts one (single-threaded) run.
+    std::unique_ptr<harvester::envelope_batch> batch_;
+    mutable std::vector<double> v_, z_, ich_;
 };
 
 }  // namespace ehdse::dse

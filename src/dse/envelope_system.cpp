@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "harvester/electromagnetic.hpp"
-
 namespace ehdse::dse {
 
 harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept {
@@ -25,33 +23,12 @@ envelope_system::envelope_system(const harvester::harvester_model& model,
                                  const harvester::vibration_source& vib,
                                  std::shared_ptr<const power::storage_model> storage,
                                  power::rectifier_params rect)
-    : model_(&model), vib_(vib), storage_(std::move(storage)), rect_(rect) {
+    : model_(model), vib_(vib), storage_(std::move(storage)), rect_(rect) {
     if (!storage_)
         throw std::invalid_argument("envelope_system: null storage");
 }
 
-envelope_system::envelope_system(const harvester::microgenerator& gen,
-                                 const harvester::vibration_source& vib,
-                                 power::supercapacitor_params cap,
-                                 power::rectifier_params rect)
-    : envelope_system(gen, vib, std::make_shared<power::supercapacitor>(cap),
-                      rect) {}
-
-envelope_system::envelope_system(const harvester::microgenerator& gen,
-                                 const harvester::vibration_source& vib,
-                                 std::shared_ptr<const power::storage_model> storage,
-                                 power::rectifier_params rect)
-    : owned_model_(std::make_unique<harvester::electromagnetic_harvester>(
-          gen.params())),
-      model_(owned_model_.get()),
-      vib_(vib),
-      storage_(std::move(storage)),
-      rect_(rect) {
-    if (!storage_)
-        throw std::invalid_argument("envelope_system: null storage");
-}
-
-sim::ode_options envelope_system::suggested_ode_options() const {
+sim::ode_options envelope_ode_options() noexcept {
     sim::ode_options ode;
     ode.abs_tol = 1e-8;   // volts-scale states: ~10 nV step error
     ode.rel_tol = 1e-6;
@@ -72,9 +49,9 @@ std::vector<double> envelope_system::initial_state(double v0, int initial_positi
     position_ = initial_position;
     std::vector<double> x(k_state_count, 0.0);
     x[ix_voltage] = v0;
-    x[ix_amplitude] = model_->initial_amplitude(vib_.frequency_at(0.0),
-                                                vib_.amplitude_at(0.0),
-                                                position_, v0, rect_);
+    x[ix_amplitude] = model_.initial_amplitude(vib_.frequency_at(0.0),
+                                               vib_.amplitude_at(0.0),
+                                               position_, v0, rect_);
     return x;
 }
 
@@ -91,7 +68,7 @@ void envelope_system::derivatives(double t, std::span<const double> x,
     const double v = std::max(x[ix_voltage], 0.0);
     const double z_env = std::max(x[ix_amplitude], 0.0);
 
-    const harvester::envelope_rates rates = model_->envelope_dynamics(
+    const harvester::envelope_rates rates = model_.envelope_dynamics(
         vib_.frequency_at(t), vib_.amplitude_at(t), position_, v, z_env,
         conditioning_of(frontend_), frontend_efficiency_, rect_, path_);
     dxdt[ix_amplitude] = rates.amplitude_rate;
@@ -123,7 +100,7 @@ void envelope_system::set_sustained_draw(const std::string& account, double amps
 }
 
 void envelope_system::set_position(int position) {
-    if (position < 0 || position >= model_->position_count())
+    if (position < 0 || position >= model_.position_count())
         throw std::out_of_range("envelope_system: actuator position outside [0,255]");
     position_ = position;
 }
@@ -135,8 +112,8 @@ double envelope_system::vibration_frequency() const {
 double envelope_system::phase_lag() const {
     const double t = sim().now();
     const double v = storage_voltage();
-    return model_->phase_lag(vib_.frequency_at(t), vib_.amplitude_at(t),
-                             position_, v, rect_);
+    return model_.phase_lag(vib_.frequency_at(t), vib_.amplitude_at(t),
+                            position_, v, rect_);
 }
 
 }  // namespace ehdse::dse

@@ -15,7 +15,9 @@
 // rate + store charging current) at each operating point. The
 // electromagnetic entry implements that hook with the exact pre-registry
 // expressions, so dispatching through the interface is bit-identical to
-// the old hard-wired path.
+// the old hard-wired path. batch_envelope_system runs the same model for
+// many design points at once, with the same state layout and integration
+// defaults (envelope_ode_options).
 //
 // Digital processes interact through the harvester::plant interface:
 // instantaneous charge withdrawals (transmission bursts, MCU activity),
@@ -30,7 +32,6 @@
 
 #include "dse/node_system.hpp"
 #include "harvester/harvester_model.hpp"
-#include "harvester/microgenerator.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
 #include "power/energy_ledger.hpp"
@@ -50,6 +51,11 @@ using frontend_kind = spec::frontend_kind;
 /// spec::frontend_kind -> the harvester-layer conditioning enum (the
 /// harvester library cannot depend on spec).
 harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept;
+
+/// Integration defaults of the envelope plant, scalar and batch:
+/// volts-scale tolerances, and a max_dt that resolves the watchdog and
+/// settling dynamics.
+sim::ode_options envelope_ode_options() noexcept;
 
 class envelope_system final : public node_system {
 public:
@@ -74,18 +80,6 @@ public:
                     std::shared_ptr<const power::storage_model> storage,
                     power::rectifier_params rect = {});
 
-    /// Pre-registry spellings: wrap `gen` in an owned electromagnetic
-    /// backend (identical physics — the microgenerator is copied by
-    /// parameter set, so `gen` need not outlive the system).
-    envelope_system(const harvester::microgenerator& gen,
-                    const harvester::vibration_source& vib,
-                    power::supercapacitor_params cap = {},
-                    power::rectifier_params rect = {});
-    envelope_system(const harvester::microgenerator& gen,
-                    const harvester::vibration_source& vib,
-                    std::shared_ptr<const power::storage_model> storage,
-                    power::rectifier_params rect = {});
-
     // --- node_system ---
     void attach(sim::sim_context& sim) override { sim_ = &sim; }
 
@@ -98,8 +92,10 @@ public:
     /// the converged steady state so t=0 is not an artificial transient).
     std::vector<double> initial_state(double v0, int initial_position) override;
 
-    /// Volts-scale tolerances; max_dt resolves watchdog/settling dynamics.
-    sim::ode_options suggested_ode_options() const override;
+    /// envelope_ode_options().
+    sim::ode_options suggested_ode_options() const override {
+        return envelope_ode_options();
+    }
 
     state_map states() const override {
         return {ix_voltage, ix_harvested, ix_load_energy};
@@ -126,14 +122,13 @@ public:
     power::energy_ledger& ledger() noexcept { return ledger_; }
 
     const power::storage_model& storage() const noexcept { return *storage_; }
-    const harvester::harvester_model& model() const noexcept { return *model_; }
+    const harvester::harvester_model& model() const noexcept { return model_; }
     const harvester::vibration_source& vibration() const noexcept { return vib_; }
 
 private:
     sim::sim_context& sim() const;
 
-    std::unique_ptr<const harvester::harvester_model> owned_model_;
-    const harvester::harvester_model* model_;
+    const harvester::harvester_model& model_;
     const harvester::vibration_source& vib_;
     std::shared_ptr<const power::storage_model> storage_;
     power::rectifier_params rect_;

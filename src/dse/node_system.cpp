@@ -26,25 +26,4 @@ std::unique_ptr<node_system> make_node_system(
     return system;
 }
 
-std::unique_ptr<node_system> make_node_system(
-    const spec::evaluation_options& options,
-    const harvester::microgenerator& gen,
-    const harvester::vibration_source& vib,
-    std::shared_ptr<const power::storage_model> storage,
-    const power::supercapacitor_params& cap,
-    const power::rectifier_params& rect) {
-    if (options.model == spec::fidelity::transient) {
-        return storage
-                   ? std::make_unique<transient_system>(gen, vib,
-                                                        std::move(storage), rect)
-                   : std::make_unique<transient_system>(gen, vib, cap, rect);
-    }
-    auto system =
-        storage ? std::make_unique<envelope_system>(gen, vib, std::move(storage),
-                                                    rect)
-                : std::make_unique<envelope_system>(gen, vib, cap, rect);
-    system->set_frontend(options.frontend, options.frontend_efficiency);
-    return system;
-}
-
 }  // namespace ehdse::dse

@@ -23,7 +23,6 @@
 
 namespace ehdse::harvester {
 class harvester_model;
-class microgenerator;
 class vibration_source;
 }  // namespace ehdse::harvester
 
@@ -66,16 +65,6 @@ public:
 std::unique_ptr<node_system> make_node_system(
     const spec::evaluation_options& options,
     const harvester::harvester_model& model,
-    const harvester::vibration_source& vib,
-    std::shared_ptr<const power::storage_model> storage,
-    const power::supercapacitor_params& cap,
-    const power::rectifier_params& rect);
-
-/// Pre-registry spelling: wraps `gen` in an electromagnetic backend.
-/// `gen` and `vib` must outlive the returned system.
-std::unique_ptr<node_system> make_node_system(
-    const spec::evaluation_options& options,
-    const harvester::microgenerator& gen,
     const harvester::vibration_source& vib,
     std::shared_ptr<const power::storage_model> storage,
     const power::supercapacitor_params& cap,

@@ -62,13 +62,4 @@ robustness_summary run_robustness_study(const scenario& base,
     return out;
 }
 
-robustness_summary run_robustness_study(const spec::experiment_spec& spec,
-                                        const std::string& label,
-                                        const robustness_options& options) {
-    spec.validate();
-    robustness_options opts = options;
-    opts.eval = spec.eval;
-    return run_robustness_study(spec.scn, spec.config, label, opts);
-}
-
 }  // namespace ehdse::dse

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "dse/system_evaluator.hpp"
-#include "spec/experiment_spec.hpp"
 
 namespace ehdse::exec {
 class thread_pool;
@@ -49,13 +48,6 @@ struct robustness_options {
 ///   variants = seeds  +  accel levels  +  step sizes.
 robustness_summary run_robustness_study(const scenario& base,
                                         const system_config& config,
-                                        const std::string& label,
-                                        const robustness_options& options = {});
-
-/// Spec-driven entry point: base scenario, configuration under study and
-/// the variants' base evaluation options all come from the canonical spec
-/// (spec.scn / spec.config / spec.eval); `options.eval` is ignored.
-robustness_summary run_robustness_study(const spec::experiment_spec& spec,
                                         const std::string& label,
                                         const robustness_options& options = {});
 

@@ -7,29 +7,10 @@
 #include <stdexcept>
 
 #include "dse/batch_envelope_system.hpp"
-#include "dse/batch_generic_system.hpp"
-#include "harvester/electromagnetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 
 namespace ehdse::dse {
-
-system_evaluator::system_evaluator(scenario scn,
-                                   harvester::microgenerator_params gen,
-                                   power::supercapacitor_params cap,
-                                   power::rectifier_params rect,
-                                   node::node_params node,
-                                   mcu::controller_params controller)
-    : scenario_(scn),
-      harv_{},  // default: electromagnetic
-      model_(std::make_shared<const harvester::electromagnetic_harvester>(gen)),
-      table_(*model_),
-      cap_(cap),
-      rect_(rect),
-      node_(node),
-      controller_(controller) {
-    scenario_.validate();
-}
 
 system_evaluator::system_evaluator(scenario scn, spec::harvester_spec harv,
                                    power::supercapacitor_params cap,
@@ -53,15 +34,6 @@ system_evaluator::system_evaluator(scenario scn, spec::harvester_spec harv,
     controller_.actuator.single_step_energy_j = cost.single_step_energy_j;
     controller_.actuator.multi_step_energy_j = cost.multi_step_energy_j;
     controller_.actuator.min_drive_voltage_v = cost.min_drive_voltage_v;
-}
-
-const harvester::microgenerator& system_evaluator::generator() const {
-    const auto* em =
-        dynamic_cast<const harvester::electromagnetic_harvester*>(model_.get());
-    if (em == nullptr)
-        throw std::logic_error("system_evaluator: harvester '" +
-                               model_->name() + "' has no microgenerator");
-    return em->generator();
 }
 
 namespace {
@@ -191,67 +163,6 @@ void record_batch_metrics(std::size_t lanes, bool fallback,
     reg->get_histogram("dse.batch.seconds").observe(wall_s);
 }
 
-/// One lockstep sweep over `chunk` through either batch kernel (both
-/// expose the same lane API and the scalar envelope state layout). Fills
-/// every result field except wall_time_s and batch_lanes, which the
-/// caller stamps once the sweep's wall is known.
-template <class BatchSystem>
-void run_batch_chunk(BatchSystem& system, std::span<const system_config> chunk,
-                     std::span<evaluation_result> results, const scenario& scn,
-                     const harvester::tuning_table& table,
-                     const node::node_params& node_base,
-                     const mcu::controller_params& ctrl_base,
-                     const evaluation_options& options, int start_position) {
-    const std::size_t lanes = chunk.size();
-    system.set_frontend(options.frontend, options.frontend_efficiency);
-    std::vector<double> x0 = system.initial_state(scn.v_initial, start_position);
-    sim::batch_simulator bsim(system, std::move(x0),
-                              system.suggested_ode_options());
-    system.attach(bsim);
-
-    // Digital side per lane, wired exactly as the scalar run wires its
-    // single design point (node first, then controller — the per-lane
-    // event queues preserve the scalar FIFO order).
-    std::deque<node::sensor_node> nodes;
-    std::deque<mcu::tuning_controller> controllers;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const system_config& config = chunk[l];
-        node::node_params node_params = node_base;
-        node_params.fast_interval_s = config.tx_interval_s;
-        mcu::controller_params ctrl_params = ctrl_base;
-        ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
-        ctrl_params.watchdog_period_s = config.watchdog_period_s;
-        ctrl_params.rng_seed = options.controller_seed;
-        nodes.emplace_back(bsim.lane(l), system.plant(l), node_params,
-                           /*first_wake_s=*/0.0);
-        controllers.emplace_back(bsim.lane(l), system.plant(l), table,
-                                 ctrl_params);
-    }
-    bsim.watch_range(BatchSystem::ix_voltage);
-
-    bsim.run_until(scn.duration_s);
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-        evaluation_result& r = results[l];
-        r.sim_ok = bsim.lane_ok(l);
-        r.transmissions = nodes[l].transmissions();
-        r.suppressed_wakeups = nodes[l].suppressed_wakeups();
-        r.low_band_transmissions = nodes[l].low_band_transmissions();
-        r.tuning = controllers[l].stats();
-        r.final_voltage_v = bsim.state_at(l, BatchSystem::ix_voltage);
-        r.min_voltage_v = bsim.watched_min(l);
-        r.max_voltage_v = bsim.watched_max(l);
-        r.harvested_energy_j = bsim.state_at(l, BatchSystem::ix_harvested);
-        r.sustained_load_energy_j =
-            bsim.state_at(l, BatchSystem::ix_load_energy);
-        r.ledger = system.ledger(l);
-        r.withdrawn_energy_j = r.ledger.grand_total();
-        r.ode_steps = bsim.lane_steps(l);
-        r.ode_steps_rejected = bsim.lane_rejected_steps(l);
-        r.events = bsim.lane_events(l);
-    }
-}
-
 }  // namespace
 
 std::vector<evaluation_result> system_evaluator::evaluate_batch(
@@ -260,7 +171,7 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
     std::vector<evaluation_result> out(configs.size());
     if (configs.empty()) return out;
 
-    // The batch kernels cover the hot flow path: envelope fidelity, no
+    // The batch sweep covers the hot flow path: envelope fidelity, no
     // traces. Everything else runs the scalar path per config.
     if (options.model != fidelity::envelope || options.record_traces) {
         record_batch_metrics(configs.size(), /*fallback=*/true);
@@ -268,12 +179,6 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
             out[i] = evaluate(configs[i], options);
         return out;
     }
-
-    // The hand-vectorised SoA kernel is pinned to the electromagnetic
-    // bridge algebra; every other registry entry takes the generic
-    // per-lane kernel (same scheduler, scalar envelope hook per lane).
-    const auto* em =
-        dynamic_cast<const harvester::electromagnetic_harvester*>(model_.get());
 
     for (std::size_t first = 0; first < configs.size();
          first += k_max_batch_lanes) {
@@ -295,19 +200,57 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
         std::shared_ptr<const power::storage_model> storage = storage_;
         if (!storage)
             storage = std::make_shared<power::supercapacitor>(cap_);
-        const std::span<const system_config> chunk =
-            configs.subspan(first, lanes);
-        const std::span<evaluation_result> results(out.data() + first, lanes);
-        if (em != nullptr) {
-            batch_envelope_system system(em->generator(), vib,
-                                         std::move(storage), rect_, lanes);
-            run_batch_chunk(system, chunk, results, scenario_, table_, node_,
-                            controller_, options, start_position);
-        } else {
-            batch_generic_system system(*model_, vib, std::move(storage), rect_,
-                                        lanes);
-            run_batch_chunk(system, chunk, results, scenario_, table_, node_,
-                            controller_, options, start_position);
+        batch_envelope_system system(*model_, vib, std::move(storage), rect_,
+                                     lanes);
+        system.set_frontend(options.frontend, options.frontend_efficiency);
+        std::vector<double> x0 =
+            system.initial_state(scenario_.v_initial, start_position);
+        sim::batch_simulator bsim(system, std::move(x0),
+                                  system.suggested_ode_options());
+        system.attach(bsim);
+
+        // Digital side per lane, wired exactly as the scalar run wires its
+        // single design point (node first, then controller — the per-lane
+        // event queues preserve the scalar FIFO order).
+        std::deque<node::sensor_node> nodes;
+        std::deque<mcu::tuning_controller> controllers;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const system_config& config = configs[first + l];
+            node::node_params node_params = node_;
+            node_params.fast_interval_s = config.tx_interval_s;
+            mcu::controller_params ctrl_params = controller_;
+            ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
+            ctrl_params.watchdog_period_s = config.watchdog_period_s;
+            ctrl_params.rng_seed = options.controller_seed;
+            nodes.emplace_back(bsim.lane(l), system.plant(l), node_params,
+                               /*first_wake_s=*/0.0);
+            controllers.emplace_back(bsim.lane(l), system.plant(l), table_,
+                                     ctrl_params);
+        }
+        bsim.watch_range(batch_envelope_system::ix_voltage);
+
+        bsim.run_until(scenario_.duration_s);
+
+        for (std::size_t l = 0; l < lanes; ++l) {
+            evaluation_result& r = out[first + l];
+            r.sim_ok = bsim.lane_ok(l);
+            r.transmissions = nodes[l].transmissions();
+            r.suppressed_wakeups = nodes[l].suppressed_wakeups();
+            r.low_band_transmissions = nodes[l].low_band_transmissions();
+            r.tuning = controllers[l].stats();
+            r.final_voltage_v =
+                bsim.state_at(l, batch_envelope_system::ix_voltage);
+            r.min_voltage_v = bsim.watched_min(l);
+            r.max_voltage_v = bsim.watched_max(l);
+            r.harvested_energy_j =
+                bsim.state_at(l, batch_envelope_system::ix_harvested);
+            r.sustained_load_energy_j =
+                bsim.state_at(l, batch_envelope_system::ix_load_energy);
+            r.ledger = system.ledger(l);
+            r.withdrawn_energy_j = r.ledger.grand_total();
+            r.ode_steps = bsim.lane_steps(l);
+            r.ode_steps_rejected = bsim.lane_rejected_steps(l);
+            r.events = bsim.lane_events(l);
         }
 
         // The lanes share one measured wall; each carries it whole, with

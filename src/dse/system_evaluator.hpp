@@ -72,26 +72,20 @@ struct evaluation_result {
 /// through the entire flow unchanged.
 class system_evaluator {
 public:
-    /// Throws std::invalid_argument (offending field named) when the
-    /// scenario fails spec::scenario::validate().
+    /// Build the harvester backend from the registry (`harv.model`; the
+    /// default is the paper's electromagnetic device). The controller's
+    /// actuator cost model is taken from the backend
+    /// (harvester_model::actuator()) — each device class knows its own
+    /// retune mechanism — overriding whatever `controller.actuator` held.
+    /// Throws std::invalid_argument (offending field named) for an unknown
+    /// harvester name or when the scenario fails
+    /// spec::scenario::validate().
     explicit system_evaluator(scenario scn = {},
-                              harvester::microgenerator_params gen = {},
+                              spec::harvester_spec harv = {},
                               power::supercapacitor_params cap = {},
                               power::rectifier_params rect = {},
                               node::node_params node = {},
                               mcu::controller_params controller = {});
-
-    /// Build the harvester backend from the registry (`harv.model`).
-    /// The controller's actuator cost model is taken from the backend
-    /// (harvester_model::actuator()) — each device class knows its own
-    /// retune mechanism — overriding whatever `controller.actuator` held.
-    /// Throws std::invalid_argument for an unknown harvester name or an
-    /// invalid scenario.
-    system_evaluator(scenario scn, spec::harvester_spec harv,
-                     power::supercapacitor_params cap = {},
-                     power::rectifier_params rect = {},
-                     node::node_params node = {},
-                     mcu::controller_params controller = {});
 
     virtual ~system_evaluator() = default;
 
@@ -104,11 +98,6 @@ public:
     const spec::harvester_spec& harvester_config() const noexcept {
         return harv_;
     }
-
-    /// The electromagnetic backend's microgenerator (pre-registry
-    /// accessor). Throws std::logic_error when the configured harvester is
-    /// not the electromagnetic device.
-    const harvester::microgenerator& generator() const;
 
     /// Replace the storage element for subsequent evaluations (e.g. a
     /// power::thin_film_battery); nullptr restores the default
@@ -125,11 +114,9 @@ public:
 
     /// Evaluate many configs against the same scenario/options in one
     /// call. The default implementation routes envelope-fidelity,
-    /// untraced requests through the batch kernel in chunks of at most
-    /// k_max_batch_lanes — the hand-vectorised SoA sweep
-    /// (batch_envelope_system) for the electromagnetic backend, the
-    /// generic per-lane kernel (batch_generic_system) for every other
-    /// registry entry — and falls back to per-config evaluate() for
+    /// untraced requests through the SoA sweep (batch_envelope_system,
+    /// over the backend's own make_envelope_batch hook) in chunks of at
+    /// most k_max_batch_lanes, and falls back to per-config evaluate() for
     /// transient fidelity or when traces were requested. Results are
     /// positional: out[i] corresponds to configs[i], and each lane's
     /// result is independent of which other configs share its batch.

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "harvester/electromagnetic.hpp"
-
 namespace ehdse::dse {
 
 transient_system::transient_system(const harvester::harvester_model& model,
@@ -18,32 +16,12 @@ transient_system::transient_system(
     const harvester::harvester_model& model, const harvester::vibration_source& vib,
     std::shared_ptr<const power::storage_model> storage,
     power::rectifier_params rect)
-    : model_(&model),
+    : model_(model),
       vib_(vib),
       storage_(storage ? std::move(storage)
                        : throw std::invalid_argument("transient_system: null storage")),
       rect_(rect),
-      rhs_(model_->make_transient(vib_, *storage_, loads_, rect_)) {}
-
-transient_system::transient_system(const harvester::microgenerator& gen,
-                                   const harvester::vibration_source& vib,
-                                   power::supercapacitor_params cap,
-                                   power::rectifier_params rect)
-    : transient_system(gen, vib, std::make_shared<power::supercapacitor>(cap),
-                       rect) {}
-
-transient_system::transient_system(
-    const harvester::microgenerator& gen, const harvester::vibration_source& vib,
-    std::shared_ptr<const power::storage_model> storage,
-    power::rectifier_params rect)
-    : owned_model_(std::make_unique<harvester::electromagnetic_harvester>(
-          gen.params())),
-      model_(owned_model_.get()),
-      vib_(vib),
-      storage_(storage ? std::move(storage)
-                       : throw std::invalid_argument("transient_system: null storage")),
-      rect_(rect),
-      rhs_(model_->make_transient(vib_, *storage_, loads_, rect_)) {}
+      rhs_(model_.make_transient(vib_, *storage_, loads_, rect_)) {}
 
 sim::sim_context& transient_system::sim() const {
     if (sim_ == nullptr)
@@ -107,8 +85,8 @@ double transient_system::phase_lag() const {
     // onto this response when it measures.
     const double t = sim().now();
     const double v = storage_voltage();
-    return model_->phase_lag(vib_.frequency_at(t), vib_.amplitude_at(t),
-                             rhs_->position(), v, rect_);
+    return model_.phase_lag(vib_.frequency_at(t), vib_.amplitude_at(t),
+                            rhs_->position(), v, rect_);
 }
 
 }  // namespace ehdse::dse

@@ -15,7 +15,6 @@
 
 #include "dse/node_system.hpp"
 #include "harvester/harvester_model.hpp"
-#include "harvester/microgenerator.hpp"
 #include "harvester/plant.hpp"
 #include "harvester/vibration.hpp"
 #include "power/energy_ledger.hpp"
@@ -36,17 +35,6 @@ public:
 
     /// Same, with an explicit storage element (e.g. a thin-film battery).
     transient_system(const harvester::harvester_model& model,
-                     const harvester::vibration_source& vib,
-                     std::shared_ptr<const power::storage_model> storage,
-                     power::rectifier_params rect = {});
-
-    /// Pre-registry spellings: wrap `gen` in an owned electromagnetic
-    /// backend (the microgenerator is copied by parameter set).
-    transient_system(const harvester::microgenerator& gen,
-                     const harvester::vibration_source& vib,
-                     power::supercapacitor_params cap = {},
-                     power::rectifier_params rect = {});
-    transient_system(const harvester::microgenerator& gen,
                      const harvester::vibration_source& vib,
                      std::shared_ptr<const power::storage_model> storage,
                      power::rectifier_params rect = {});
@@ -86,13 +74,12 @@ public:
     const power::energy_ledger& ledger() const noexcept override {
         return ledger_;
     }
-    const harvester::harvester_model& model() const noexcept { return *model_; }
+    const harvester::harvester_model& model() const noexcept { return model_; }
 
 private:
     sim::sim_context& sim() const;
 
-    std::unique_ptr<const harvester::harvester_model> owned_model_;
-    const harvester::harvester_model* model_;
+    const harvester::harvester_model& model_;
     const harvester::vibration_source& vib_;
     std::shared_ptr<const power::storage_model> storage_;
     power::rectifier_params rect_;

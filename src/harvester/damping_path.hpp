@@ -1,6 +1,7 @@
 // Warm start for the self-consistent damping bisection: the scalar
-// solve_envelope (envelope.hpp) and the lockstep SoA bisection in
-// dse::batch_envelope_system share this predictor.
+// solve_envelope (envelope.hpp) and the lockstep SoA bisection of the
+// electromagnetic batch kernel (electromagnetic_batch.cpp) share this
+// predictor.
 //
 // Both solvers bisect f(c) = T(c) - c on [0, c_hi], where T is the
 // equivalent damping the diode bridge presents at trial damping c. Along
@@ -37,8 +38,9 @@
 // included) or a slope that is not negative is not worth a trial — and a
 // root below 0 would make T throw — so such a path solves cold.
 //
-// A path is per-run state passed explicitly (never shared between runs
-// or threads); harvester models stay stateless.
+// A path is per-run state, passed explicitly or owned per lane by a run's
+// envelope_batch (never shared between runs or threads); harvester models
+// stay stateless.
 #pragma once
 
 namespace ehdse::harvester {

@@ -2,11 +2,13 @@
 // harvester_model — the paper's device, and the registry's default entry.
 //
 // This is a thin adapter: the physics stays in microgenerator / envelope /
-// transient_model, and every interface hook is implemented with the exact
-// expressions the envelope_system used before the registry existed, so a
-// generic system dispatching through harvester_model is bit-identical to
-// the pre-refactor hard-wired path (the testkit differential properties
-// pin this).
+// transient_model, and every scalar hook is implemented with the exact
+// expressions the envelope_system used before the registry existed, so
+// dispatching through harvester_model is bit-identical to the
+// pre-refactor hard-wired path (the testkit differential properties pin
+// this). The batch hook is the one override with code of its own: the
+// SoA damping kernel in electromagnetic_batch.cpp, which agrees with the
+// scalar hook to solver tolerance.
 #pragma once
 
 #include "harvester/harvester_model.hpp"
@@ -17,10 +19,6 @@ namespace ehdse::harvester {
 class electromagnetic_harvester final : public harvester_model {
 public:
     explicit electromagnetic_harvester(microgenerator_params params = {});
-
-    /// The wrapped physics object — the SoA batch kernel and legacy call
-    /// sites operate on it directly.
-    const microgenerator& generator() const noexcept { return gen_; }
 
     const std::string& name() const noexcept override;
     obs::json_value describe() const override;
@@ -40,6 +38,9 @@ public:
         double z_env, conditioning_kind conditioning, double efficiency,
         const power::rectifier_params& rect,
         damping_path& path) const override;
+    /// The lockstep SoA damping kernel (electromagnetic_batch.cpp).
+    std::unique_ptr<envelope_batch> make_envelope_batch(
+        std::size_t lanes) const override;
     double phase_lag(double freq_hz, double accel_amp_ms2, int position,
                      double store_v,
                      const power::rectifier_params& rect) const override;

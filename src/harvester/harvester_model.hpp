@@ -11,6 +11,9 @@
 //                             one (excitation, position, store voltage)
 //                             point — the RHS contribution the envelope
 //                             fast path integrates;
+//   * the batch envelope      make_envelope_batch(): the same RHS for
+//                             many lanes at once, for the SoA batch
+//                             kernel;
 //   * the transient RHS       make_transient(): the full per-cycle ODE
 //                             system for validation runs;
 //   * the retune energy cost  actuator(): what one tuning move costs the
@@ -30,13 +33,21 @@
 // electromagnetic entry predicts and verifies its damping bisection's
 // final cell; the bit-identity argument is in damping_path.hpp; other
 // backends ignore the path). The models themselves hold no mutable
-// state. The electromagnetic entry implements the hooks with the exact
-// code the envelope_system used before the refactor, so the generic
-// system calling through the interface stays bit-identical — the testkit
-// batch-vs-scalar and golden-value properties pin that.
+// state: per-run state lives in what make_transient and
+// make_envelope_batch return.
+//
+// The batch hook follows the same contract lane by lane. The default
+// envelope_batch calls envelope_dynamics per lane, so it is bitwise equal
+// to the scalar hook. An override (the electromagnetic entry's SoA
+// damping kernel, electromagnetic_batch.cpp) agrees with the scalar hook
+// to solver tolerance. Either way lanes stay independent — a lane's
+// rates never depend on the other lanes — so batch(B) == batch(1)
+// bitwise.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,6 +88,35 @@ struct retune_cost {
 struct envelope_rates {
     double amplitude_rate = 0.0;    ///< d z_env / dt (m/s)
     double charge_current_a = 0.0;  ///< average current into the store
+};
+
+/// Operating points of a batch's lanes, lane-contiguous and all of the
+/// batch's width. Lane l's excitation is `vib` at its own time t[l]
+/// (envelope_dynamics' freq_hz = vib.frequency_at(t[l]) and accel_amp_ms2
+/// = vib.amplitude_at(t[l])); the other arrays hold the remaining
+/// arguments.
+struct envelope_lanes {
+    const vibration_source& vib;
+    std::span<const double> t;
+    std::span<const int> position;
+    std::span<const double> store_v;
+    std::span<const double> z_env;
+};
+
+/// The envelope RHS of one batch run (see make_envelope_batch). Owns each
+/// lane's damping_path and any scratch, so an instance serves one run on
+/// one thread at a time.
+class envelope_batch {
+public:
+    virtual ~envelope_batch() = default;
+
+    /// envelope_dynamics for every lane l of `in` with lane l's own path:
+    /// fills amplitude_rate[l] and charge_current[l].
+    virtual void rates(const envelope_lanes& in,
+                       conditioning_kind conditioning, double efficiency,
+                       const power::rectifier_params& rect,
+                       std::span<double> amplitude_rate,
+                       std::span<double> charge_current) = 0;
 };
 
 /// Full transient ODE system of one harvester: mechanics + conditioning
@@ -147,6 +187,13 @@ public:
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,
         const power::rectifier_params& rect, damping_path& path) const = 0;
+
+    /// Batch form of envelope_dynamics for `lanes` independent lanes, under
+    /// the numerical contract above. The default loops envelope_dynamics
+    /// lane by lane; a backend overrides it with a kernel over all lanes.
+    /// The model must outlive the returned batch.
+    virtual std::unique_ptr<envelope_batch> make_envelope_batch(
+        std::size_t lanes) const;
 
     /// Steady-state phase lag between excitation and displacement — the
     /// measurement tap the fine-tuning controller's phase detector reads.

@@ -207,10 +207,10 @@ private:
 class faulty_evaluator : public dse::system_evaluator {
 public:
     faulty_evaluator(dse::scenario scn, fault_options faults,
-                     harvester::microgenerator_params gen = {},
+                     spec::harvester_spec harv = {},
                      power::supercapacitor_params cap = {},
                      power::rectifier_params rect = {})
-        : system_evaluator(scn, gen, cap, rect), faults_(faults) {}
+        : system_evaluator(scn, harv, cap, rect), faults_(faults) {}
 
     /// Apply ONE fixed plan to every request instead of deriving it —
     /// lets a test pin an exact fault (e.g. a full-horizon dropout) and

@@ -17,7 +17,7 @@
 #include "dse/batch_envelope_system.hpp"
 #include "dse/cached_evaluator.hpp"
 #include "dse/rsm_flow.hpp"
-#include "harvester/electromagnetic.hpp"
+#include "harvester/harvester_model.hpp"
 #include "harvester/tuning_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_manifest.hpp"
@@ -147,68 +147,77 @@ TEST(EvaluateBatch, LanesCarryTheMeasuredSweepWall) {
 }
 
 TEST(BatchEnvelopeSystem, PrimedLanesGiveAFreshSystemsDerivatives) {
-    // Each lane's damping path carried across derivatives() calls only
-    // warm-starts the bisection: a system primed at other states returns
-    // bitwise the derivatives a fresh system returns at the same state,
-    // whatever the width and whichever lanes the integrator masked off.
+    // Each lane's solver state carried across derivatives() calls only
+    // warm-starts the envelope solve: a system primed at other states
+    // returns bitwise the derivatives a fresh system returns at the same
+    // state, whatever the backend and width and whichever lanes the
+    // integrator masked off.
     namespace eh = ehdse::harvester;
-    const eh::electromagnetic_harvester em;
     const eh::vibration_source vib = fast_scenario().make_vibration();
     const auto storage = std::make_shared<ehdse::power::supercapacitor>();
-    // Most lanes sit near the 64 Hz tuning of the first 50 s, so their
-    // bridges conduct and their paths get replayed.
-    const int tuned = ehdse::harvester::tuning_table(em).lookup(64.0);
     ehdse::testkit::prng r(2012);
 
-    for (std::size_t width = 1; width <= 16; ++width) {
-        ed::batch_envelope_system primed(em.generator(), vib, storage, {}, width);
-        ed::batch_envelope_system fresh(em.generator(), vib, storage, {}, width);
-        for (std::size_t l = 0; l < width; ++l) {
-            const int pos =
-                r.chance(0.75)
-                    ? std::clamp(tuned + static_cast<int>(r.integer(-3, 3)),
-                                 0, 255)
-                    : static_cast<int>(r.integer(0, 255));
-            primed.plant(l).set_position(pos);
-            fresh.plant(l).set_position(pos);
-        }
+    for (const eh::harvester_info& info : eh::harvester_registry()) {
+        const auto model = eh::make_harvester(info.name);
+        // Most lanes sit near the 64 Hz tuning of the first 50 s, so their
+        // bridges conduct and their paths get replayed.
+        const int tuned = eh::tuning_table(*model).lookup(64.0);
 
-        // Prime along slow per-lane walks with random masks; now and then
-        // a lane jumps, so stale paths fail their check.
-        std::vector<double> t(width);
-        ehdse::sim::batch_state x(ed::batch_envelope_system::k_state_count,
-                                  width);
-        ehdse::sim::batch_state dxdt = x;
-        std::vector<std::uint8_t> active(width, 1);
-        for (std::size_t l = 0; l < width; ++l) {
-            t[l] = r.uniform(0.0, 20.0);
-            x.set(ed::batch_envelope_system::ix_voltage, l, r.uniform(0.0, 5.0));
-            x.set(ed::batch_envelope_system::ix_amplitude, l,
-                  r.uniform(0.0, 1e-3));
-        }
-        for (int call = 0; call < 40; ++call) {
+        for (std::size_t width = 1; width <= 16; ++width) {
+            ed::batch_envelope_system primed(*model, vib, storage, {}, width);
+            ed::batch_envelope_system fresh(*model, vib, storage, {}, width);
             for (std::size_t l = 0; l < width; ++l) {
-                active[l] = r.chance(0.7) ? 1 : 0;
-                const bool jump = r.chance(0.05);
-                const double v = x.at(ed::batch_envelope_system::ix_voltage, l);
-                x.set(ed::batch_envelope_system::ix_voltage, l,
-                      jump ? r.uniform(0.0, 5.0)
-                           : std::max(0.0, v + r.uniform(-1e-3, 1e-3)));
-                t[l] += r.uniform(0.0, 0.25);
+                const int pos =
+                    r.chance(0.75)
+                        ? std::clamp(tuned + static_cast<int>(r.integer(-3, 3)),
+                                     0, 255)
+                        : static_cast<int>(r.integer(0, 255));
+                primed.plant(l).set_position(pos);
+                fresh.plant(l).set_position(pos);
             }
-            primed.derivatives(t, x, dxdt, active);
-        }
 
-        for (std::size_t l = 0; l < width; ++l) active[l] = r.chance(0.7) ? 1 : 0;
-        ehdse::sim::batch_state d_primed = x, d_fresh = x;
-        primed.derivatives(t, x, d_primed, active);
-        fresh.derivatives(t, x, d_fresh, active);
-        for (std::size_t v = 0; v < ed::batch_envelope_system::k_state_count; ++v) {
+            // Prime along slow per-lane walks with random masks; now and
+            // then a lane jumps, so stale paths fail their check.
+            std::vector<double> t(width);
+            ehdse::sim::batch_state x(ed::batch_envelope_system::k_state_count,
+                                      width);
+            ehdse::sim::batch_state dxdt = x;
+            std::vector<std::uint8_t> active(width, 1);
             for (std::size_t l = 0; l < width; ++l) {
-                if (!active[l]) continue;
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(d_primed.at(v, l)),
-                          std::bit_cast<std::uint64_t>(d_fresh.at(v, l)))
-                    << "width " << width << " lane " << l << " var " << v;
+                t[l] = r.uniform(0.0, 20.0);
+                x.set(ed::batch_envelope_system::ix_voltage, l,
+                      r.uniform(0.0, 5.0));
+                x.set(ed::batch_envelope_system::ix_amplitude, l,
+                      r.uniform(0.0, 1e-3));
+            }
+            for (int call = 0; call < 40; ++call) {
+                for (std::size_t l = 0; l < width; ++l) {
+                    active[l] = r.chance(0.7) ? 1 : 0;
+                    const bool jump = r.chance(0.05);
+                    const double v =
+                        x.at(ed::batch_envelope_system::ix_voltage, l);
+                    x.set(ed::batch_envelope_system::ix_voltage, l,
+                          jump ? r.uniform(0.0, 5.0)
+                               : std::max(0.0, v + r.uniform(-1e-3, 1e-3)));
+                    t[l] += r.uniform(0.0, 0.25);
+                }
+                primed.derivatives(t, x, dxdt, active);
+            }
+
+            for (std::size_t l = 0; l < width; ++l)
+                active[l] = r.chance(0.7) ? 1 : 0;
+            ehdse::sim::batch_state d_primed = x, d_fresh = x;
+            primed.derivatives(t, x, d_primed, active);
+            fresh.derivatives(t, x, d_fresh, active);
+            for (std::size_t v = 0; v < ed::batch_envelope_system::k_state_count;
+                 ++v) {
+                for (std::size_t l = 0; l < width; ++l) {
+                    if (!active[l]) continue;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(d_primed.at(v, l)),
+                              std::bit_cast<std::uint64_t>(d_fresh.at(v, l)))
+                        << info.name << " width " << width << " lane " << l
+                        << " var " << v;
+                }
             }
         }
     }

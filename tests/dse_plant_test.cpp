@@ -8,6 +8,7 @@
 
 #include "dse/envelope_system.hpp"
 #include "dse/transient_system.hpp"
+#include "harvester/electromagnetic.hpp"
 #include "harvester/tuning_table.hpp"
 
 namespace ed = ehdse::dse;
@@ -17,14 +18,14 @@ namespace es = ehdse::sim;
 namespace {
 
 struct env_rig {
-    eh::microgenerator gen;
+    const eh::electromagnetic_harvester em;
     eh::vibration_source vib{0.060 * eh::k_gravity, 69.0};
-    ed::envelope_system system{gen, vib};
+    ed::envelope_system system{em, vib};
     es::simulator sim;
 
     env_rig()
         : sim(system, [this] {
-              eh::tuning_table table(gen);
+              eh::tuning_table table(em);
               return system.initial_state(2.8, table.lookup(69.0));
           }()) {
         system.attach(sim);
@@ -34,9 +35,9 @@ struct env_rig {
 }  // namespace
 
 TEST(EnvelopePlant, UnattachedThrows) {
-    eh::microgenerator gen;
+    const eh::electromagnetic_harvester em;
     eh::vibration_source vib(0.1, 69.0);
-    ed::envelope_system system(gen, vib);
+    ed::envelope_system system(em, vib);
     EXPECT_THROW(system.storage_voltage(), std::logic_error);
     EXPECT_THROW(system.vibration_frequency(), std::logic_error);
 }
@@ -77,7 +78,7 @@ TEST(EnvelopePlant, PositionAndMeasurementTaps) {
     EXPECT_THROW(rig.system.set_position(256), std::out_of_range);
 
     // Tuned: phase lag ~ pi/2; resonance above drive: lag < pi/2.
-    eh::tuning_table table(rig.gen);
+    eh::tuning_table table(rig.em);
     rig.system.set_position(table.lookup(69.0));
     EXPECT_NEAR(rig.system.phase_lag(), std::numbers::pi / 2.0, 0.35);
     rig.system.set_position(255);
@@ -85,17 +86,17 @@ TEST(EnvelopePlant, PositionAndMeasurementTaps) {
 }
 
 TEST(EnvelopePlant, InitialStateRejectsNegativeVoltage) {
-    eh::microgenerator gen;
+    const eh::electromagnetic_harvester em;
     eh::vibration_source vib(0.1, 69.0);
-    ed::envelope_system system(gen, vib);
+    ed::envelope_system system(em, vib);
     EXPECT_THROW(system.initial_state(-1.0, 0), std::invalid_argument);
 }
 
 TEST(TransientPlant, MirrorsEnvelopeSemantics) {
-    eh::microgenerator gen;
+    const eh::electromagnetic_harvester em;
     eh::vibration_source vib(0.060 * eh::k_gravity, 69.0);
-    ed::transient_system system(gen, vib);
-    eh::tuning_table table(gen);
+    ed::transient_system system(em, vib);
+    eh::tuning_table table(em);
     auto x0 = system.initial_state(2.8, table.lookup(69.0));
     es::ode_options ode;
     ode.max_dt = system.suggested_max_dt();
@@ -118,8 +119,8 @@ TEST(TransientPlant, MirrorsEnvelopeSemantics) {
 }
 
 TEST(TransientPlant, UnattachedThrows) {
-    eh::microgenerator gen;
+    const eh::electromagnetic_harvester em;
     eh::vibration_source vib(0.1, 69.0);
-    ed::transient_system system(gen, vib);
+    ed::transient_system system(em, vib);
     EXPECT_THROW(system.storage_voltage(), std::logic_error);
 }

@@ -160,8 +160,7 @@ TEST(Evaluator, DisabledTuningHarvestsLessAfterFrequencyStep) {
     ehdse::mcu::controller_params ctl;
     ctl.mode = ehdse::mcu::tuning_mode::disabled;
     ed::system_evaluator tuned(s);
-    ed::system_evaluator fixed(s, ehdse::harvester::microgenerator_params{}, {},
-                               {}, {}, ctl);
+    ed::system_evaluator fixed(s, {}, {}, {}, {}, ctl);
     const auto with = tuned.evaluate(ed::system_config::original());
     const auto without = fixed.evaluate(ed::system_config::original());
     EXPECT_LT(without.harvested_energy_j, 0.8 * with.harvested_energy_j);

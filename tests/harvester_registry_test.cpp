@@ -1,13 +1,19 @@
 // The harvester-backend registry contract plus the electrostatic device
 // class itself: registry listings, construction by name, the per-backend
 // invariants every entry must satisfy (ascending tuning law, tuning-table
-// compatibility, sane describe()), and the electrostatic physics — bias
+// compatibility, sane describe(), a batch hook that matches the scalar
+// one lane by lane), and the electrostatic physics — bias
 // ramp, spring softening, charge-pump extraction, and the envelope /
 // transient energy agreement the equivalent-damping construction promises.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,7 @@
 #include "harvester/vibration.hpp"
 #include "power/load_bank.hpp"
 #include "power/supercapacitor.hpp"
+#include "testkit/prng.hpp"
 
 namespace {
 
@@ -108,6 +115,102 @@ TEST(HarvesterRegistry, ActuatorCostsMatchEachMechanism) {
     EXPECT_DOUBLE_EQ(es.single_step_energy_j, 2.0e-6);
     EXPECT_DOUBLE_EQ(es.multi_step_energy_j, 1.0e-6);
     EXPECT_DOUBLE_EQ(es.min_drive_voltage_v, 1.8);
+}
+
+TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
+    // Every entry's batch hook against its scalar hook called with a fresh
+    // path, lane by lane, along slow per-lane walks with jumps — so batch
+    // lanes warm-start, and now and then a stale path fails its check.
+    // The default batch loops the scalar hook and must match it bitwise;
+    // the electromagnetic kernel's bridge solve uses a polynomial asin, so
+    // it must agree to 1e-9 relative (its mppt branch is bitwise).
+    const power::rectifier_params rect;
+    testkit::prng r(2012);
+    for (const eh::harvester_info& info : eh::harvester_registry()) {
+        const auto model = eh::make_harvester(info.name);
+        const eh::tuning_table table(*model);
+        // One stimulus whose frequency (new value every second, across the
+        // tuning band) and amplitude (18..120 mg, new every 0.7 s) vary
+        // independently along its 200 s, so a lane's time picks both.
+        std::vector<std::pair<double, double>> freqs, scales;
+        for (int k = 0; k < 200; ++k)
+            freqs.emplace_back(k, r.uniform(model->min_frequency(),
+                                            model->max_frequency()));
+        for (int k = 0; k < 286; ++k)
+            scales.emplace_back(0.7 * k, r.uniform(0.3, 2.0));
+        const eh::vibration_source vib =
+            eh::vibration_source::from_schedule(0.060 * eh::k_gravity, freqs)
+                .with_amplitude_schedule(scales);
+        for (const eh::conditioning_kind cond :
+             {eh::conditioning_kind::diode_bridge, eh::conditioning_kind::mppt}) {
+            const bool bitwise = !(info.name == "electromagnetic" &&
+                                   cond == eh::conditioning_kind::diode_bridge);
+            std::size_t lanes_checked = 0, conducting = 0, mismatches = 0;
+            for (const std::size_t width : {1u, 3u, 10u, 16u}) {
+                const auto batch = model->make_envelope_batch(width);
+                std::vector<double> t(width), v(width), z(width), rate(width),
+                    current(width);
+                std::vector<int> pos(width);
+                const auto draw = [&](std::size_t l) {
+                    t[l] = r.uniform(0.0, 199.0);
+                    const int tuned = table.lookup(vib.frequency_at(t[l]));
+                    pos[l] = r.chance(0.75)
+                                 ? std::clamp(tuned + static_cast<int>(
+                                                          r.integer(-3, 3)),
+                                              0, model->position_count() - 1)
+                                 : static_cast<int>(r.integer(
+                                       0, model->position_count() - 1));
+                    v[l] = r.uniform(0.0, 5.0);
+                    z[l] = r.uniform(0.0, 1e-3);
+                };
+                for (std::size_t l = 0; l < width; ++l) draw(l);
+
+                for (int call = 0; call < 50; ++call) {
+                    for (std::size_t l = 0; l < width; ++l) {
+                        if (r.chance(0.05)) {
+                            draw(l);
+                            continue;
+                        }
+                        t[l] += r.uniform(0.0, 0.02);
+                        v[l] = std::max(0.0, v[l] + r.uniform(-1e-3, 1e-3));
+                        z[l] = std::max(0.0, z[l] + r.uniform(-1e-6, 1e-6));
+                    }
+                    batch->rates({vib, t, pos, v, z}, cond, 0.75, rect, rate,
+                                 current);
+                    for (std::size_t l = 0; l < width; ++l) {
+                        eh::damping_path fresh;
+                        const eh::envelope_rates want = model->envelope_dynamics(
+                            vib.frequency_at(t[l]), vib.amplitude_at(t[l]),
+                            pos[l], v[l], z[l], cond, 0.75, rect, fresh);
+                        ++lanes_checked;
+                        if (want.charge_current_a > 0.0) ++conducting;
+                        const auto agree = [&](double got, double ref) {
+                            return bitwise ? std::bit_cast<std::uint64_t>(got) ==
+                                                 std::bit_cast<std::uint64_t>(ref)
+                                           : std::abs(got - ref) <=
+                                                 1e-9 * std::abs(ref);
+                        };
+                        if (agree(rate[l], want.amplitude_rate) &&
+                            agree(current[l], want.charge_current_a))
+                            continue;
+                        if (mismatches++ == 0)
+                            ADD_FAILURE()
+                                << info.name << " conditioning "
+                                << static_cast<int>(cond) << " width " << width
+                                << " call " << call << " lane " << l
+                                << ": amplitude_rate " << rate[l] << " vs "
+                                << want.amplitude_rate << ", charge_current "
+                                << current[l] << " vs "
+                                << want.charge_current_a;
+                    }
+                }
+            }
+            EXPECT_EQ(mismatches, 0u) << info.name << " of " << lanes_checked;
+            // The walks must exercise both a charging and an idle store.
+            EXPECT_GT(conducting, lanes_checked / 10) << info.name;
+            EXPECT_LT(conducting, lanes_checked) << info.name;
+        }
+    }
 }
 
 TEST(Electrostatic, BiasRampFallsAsResonanceRises) {

@@ -82,8 +82,7 @@ TEST(PaperIntegration, TwoStageTuningBeatsAlternatives) {
     auto run_mode = [](em::tuning_mode mode) {
         em::controller_params ctl;
         ctl.mode = mode;
-        ed::system_evaluator ev({}, ehdse::harvester::microgenerator_params{},
-                                {}, {}, {}, ctl);
+        ed::system_evaluator ev({}, {}, {}, {}, {}, ctl);
         ed::system_config c = ed::system_config::original();
         c.tx_interval_s = 0.05;
         return ev.evaluate(c);

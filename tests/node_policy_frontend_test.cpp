@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "dse/system_evaluator.hpp"
+#include "harvester/electromagnetic.hpp"
 #include "node/sensor_node.hpp"
 #include "sim/simulator.hpp"
 
@@ -100,9 +101,9 @@ TEST(ProportionalPolicy, SmoothsTheBandCliff) {
 }
 
 TEST(Frontend, MpptValidation) {
-    ehdse::harvester::microgenerator gen;
+    const ehdse::harvester::electromagnetic_harvester em;
     ehdse::harvester::vibration_source vib(0.1, 69.0);
-    ed::envelope_system system(gen, vib);
+    ed::envelope_system system(em, vib);
     EXPECT_THROW(system.set_frontend(ed::frontend_kind::mppt, 0.0),
                  std::invalid_argument);
     EXPECT_THROW(system.set_frontend(ed::frontend_kind::mppt, 1.5),
