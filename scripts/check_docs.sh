@@ -27,6 +27,13 @@
 # optionally behind ehdse::) must end in a name that occurs as a word
 # somewhere under src/, so a deleted or renamed class or function cannot
 # live on in the docs either.
+#
+# Manifest phases: the "phases" rows of the manifest example in
+# docs/observability.md must be exactly the phases run_rsm_flow opens, in
+# both directions: every literal obs_hook.phase("...") name in
+# src/dse/rsm_flow.cpp, plus one design-family name (from k_families in
+# src/doe/design.cpp) for the selection phase, which carries the design's
+# name.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -116,6 +123,41 @@ $(grep -oE '`[^`]+`' "$doc" 2>/dev/null | grep -oP "(?<![A-Za-z0-9_:])(ehdse::)?
 EOF
 }
 
+check_manifest_phases() {
+    local doc=docs/observability.md flow=src/dse/rsm_flow.cpp
+    local code_phases families doc_phases name designs=0
+    code_phases=$(grep -oP 'obs_hook\.phase\("\K[^"]+' "$flow" | sort -u)
+    families=$(grep -oP '\{family::\w+,\s*"\K[^"]+' src/doe/design.cpp)
+    doc_phases=$(awk '/"phases": \[/ { on = 1; next } on && /^ *\]/ { exit } on' "$doc" |
+                     grep -oP '"name":\s*"\K[^"]+')
+    if [ -z "$code_phases" ] || [ -z "$families" ] || [ -z "$doc_phases" ]; then
+        echo "check_docs: cannot read flow phases from $flow, src/doe/design.cpp and $doc" >&2
+        status=1
+        return
+    fi
+    while IFS= read -r name; do
+        checked=$((checked + 1))
+        if grep -qxF -e "$name" <<<"$families"; then
+            designs=$((designs + 1))
+        elif ! grep -qxF -e "$name" <<<"$code_phases"; then
+            echo "check_docs: $doc lists manifest phase $name, which run_rsm_flow does not open" >&2
+            status=1
+        fi
+    done <<<"$doc_phases"
+    while IFS= read -r name; do
+        checked=$((checked + 1))
+        if ! grep -qxF -e "$name" <<<"$doc_phases"; then
+            echo "check_docs: run_rsm_flow opens phase $name, which the $doc manifest example lacks" >&2
+            status=1
+        fi
+    done <<<"$code_phases"
+    checked=$((checked + 1))
+    if [ "$designs" -ne 1 ]; then
+        echo "check_docs: $doc manifest example lists $designs design-named phases, not 1" >&2
+        status=1
+    fi
+}
+
 for doc in README.md docs/*.md; do
     [ -f "$doc" ] || continue
     check_file "$doc"
@@ -123,6 +165,7 @@ for doc in README.md docs/*.md; do
     check_constants "$doc"
     check_qualified_names "$doc"
 done
+check_manifest_phases
 
 require_section docs/architecture.md '^## .*[Ee]xperiment spec'
 require_section docs/architecture.md '^## .*[Dd]eterminism'

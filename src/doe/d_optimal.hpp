@@ -11,6 +11,20 @@
 // best determinant gain until no swap improves; several random restarts
 // guard against local optima. Determinants are evaluated in log space via
 // LU to stay robust when the information matrix is ill-scaled.
+//
+// Screened exact exchange. Each pass does one LU of the current M = X'X
+// and scores every swap (selected run i -> candidate j) by Fedorov's
+// closed form, log Delta = log((1 + d_j)(1 - d_i) + d_ij^2) with
+// d_ij = x_i' M^-1 x_j (Fedorov, Theory of Optimal Experiments, 1972).
+// Only swaps whose screened gain lies within k_screen_margin (1e-6) of the
+// best screened gain — or of the 1e-10 acceptance threshold, when nothing
+// screens above it — get the exact log det of their own LU; a NaN screen
+// value is always checked. Only exact values decide, in the exhaustive
+// loop order with strict '>', so the pass picks the first swap reaching
+// the largest exact gain. Every skipped swap screens more than the margin
+// below that swap, and screened and exact gains differ by rounding only,
+// so the selection, log det and exchange count are bitwise those of the
+// exhaustive exchange (tests/doe_test.cpp keeps it as the reference).
 #pragma once
 
 #include <functional>

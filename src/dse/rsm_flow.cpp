@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -190,35 +189,6 @@ static flow_result run_flow_phases(
                      : evaluator.evaluate(config, eval);
     };
 
-    // Batched evaluation of `indices` into jobs-like (config, eval) pairs:
-    // every index in one call shares the same evaluation options. Chunks
-    // fan out over the pool; per-lane results land at their own index, so
-    // neither the chunking nor the pool changes any output.
-    const auto evaluate_indices =
-        [&](exec::thread_pool* run_pool, std::span<const std::size_t> order,
-            const auto& config_of, const auto& eval_of, auto& results) {
-            const std::size_t n = order.size();
-            std::size_t chunk = std::max<std::size_t>(options.batch_width, 1);
-            if (run_pool != nullptr && run_pool->size() > 1)
-                chunk = std::clamp((n + run_pool->size() - 1) / run_pool->size(),
-                                   std::size_t{1}, chunk);
-            const std::size_t tasks = (n + chunk - 1) / chunk;
-            exec::parallel_for(run_pool, tasks, [&](std::size_t ti) {
-                const std::size_t first = ti * chunk;
-                const std::size_t count = std::min(chunk, n - first);
-                std::vector<system_config> configs;
-                configs.reserve(count);
-                for (std::size_t j = 0; j < count; ++j)
-                    configs.push_back(config_of(order[first + j]));
-                const evaluation_options& eval = eval_of(order[first]);
-                std::vector<evaluation_result> batch =
-                    cache ? cache->evaluate_batch(configs, eval)
-                          : evaluator.evaluate_batch(configs, eval);
-                for (std::size_t j = 0; j < count; ++j)
-                    results[order[first + j]] = std::move(batch[j]);
-            });
-        };
-
     flow_result out;
     out.space = paper_design_space();
     const std::size_t k = out.space.dimension();
@@ -295,17 +265,30 @@ static flow_result run_flow_phases(
         // Jobs are laid out point-major (point p, replicate r at index
         // p * replicates + r) and replicates differ in controller seed, so
         // batch groups are built per replicate: within a group every job
-        // shares its evaluation options.
+        // shares its evaluation options. Chunks fan out over the pool;
+        // per-lane results land at their own index, so neither the
+        // chunking nor the pool changes any output.
+        const std::size_t points = jobs.size() / replicates;
+        std::size_t chunk = options.batch_width;
+        if (pool != nullptr && pool->size() > 1)
+            chunk = std::clamp((points + pool->size() - 1) / pool->size(),
+                               std::size_t{1}, chunk);
+        const std::size_t tasks = (points + chunk - 1) / chunk;
         for (std::size_t rep = 0; rep < replicates; ++rep) {
-            std::vector<std::size_t> order;
-            for (std::size_t i = rep; i < jobs.size(); i += replicates)
-                order.push_back(i);
-            evaluate_indices(
-                pool, order, [&](std::size_t i) { return jobs[i].config; },
-                [&](std::size_t i) -> const evaluation_options& {
-                    return jobs[i].eval;
-                },
-                results);
+            exec::parallel_for(pool, tasks, [&](std::size_t ti) {
+                const std::size_t first = ti * chunk;
+                const std::size_t count = std::min(chunk, points - first);
+                std::vector<system_config> configs;
+                configs.reserve(count);
+                for (std::size_t j = 0; j < count; ++j)
+                    configs.push_back(jobs[(first + j) * replicates + rep].config);
+                const evaluation_options& eval = jobs[first * replicates + rep].eval;
+                std::vector<evaluation_result> batch =
+                    cache ? cache->evaluate_batch(configs, eval)
+                          : evaluator.evaluate_batch(configs, eval);
+                for (std::size_t j = 0; j < count; ++j)
+                    results[(first + j) * replicates + rep] = std::move(batch[j]);
+            });
         }
     } else {
         exec::parallel_for(pool, jobs.size(), [&](std::size_t i) {
@@ -339,14 +322,8 @@ static flow_result run_flow_phases(
         obs_hook.note(msg.str());
     }
 
-    // Baseline for Table VI.
-    obs_hook.phase("baseline");
-    out.original_eval = evaluate(options.baseline, options.eval);
-    obs_hook.sim_run(make_run_record(
-        "baseline", 0, config_to_coded(out.space, options.baseline),
-        options.baseline, options.eval.controller_seed, out.original_eval));
-
-    // 5-6. Maximise the surface and validate each optimum by simulation.
+    // 5. Maximise the surface. The surrogate costs well under a
+    //    microsecond per point, so the optimisers run on this thread.
     std::vector<std::shared_ptr<opt::optimizer>> optimizers = options.optimizers;
     if (optimizers.empty()) {
         optimizers.push_back(std::make_shared<opt::simulated_annealing>());
@@ -361,17 +338,7 @@ static flow_result run_flow_phases(
     for (const auto& optimizer : optimizers) {
         numeric::rng rng(options.optimizer_seed);
         obs::stopwatch opt_watch;
-        // Lend the pool for batch objective evaluation, and take it back
-        // before the (possibly caller-owned) optimiser outlives it.
-        optimizer->set_execution(pool);
-        opt::opt_result best;
-        try {
-            best = optimizer->maximize(surface, bounds, rng);
-        } catch (...) {
-            optimizer->set_execution(nullptr);
-            throw;
-        }
-        optimizer->set_execution(nullptr);
+        const opt::opt_result best = optimizer->maximize(surface, bounds, rng);
 
         optimizer_outcome oc;
         oc.name = optimizer->name();
@@ -392,28 +359,33 @@ static flow_result run_flow_phases(
         out.outcomes.push_back(std::move(oc));
     }
 
-    obs_hook.phase("validate", out.outcomes.size());
-    // Fan the validating simulations out; manifest records and progress
-    // notes stay on the calling thread, in outcome order.
-    if (options.batch_width > 1 && out.outcomes.size() > 1) {
-        std::vector<std::size_t> order(out.outcomes.size());
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::vector<evaluation_result> validated(out.outcomes.size());
-        evaluate_indices(
-            pool, order,
-            [&](std::size_t i) { return out.outcomes[i].config; },
-            [&](std::size_t) -> const evaluation_options& {
-                return options.eval;
-            },
-            validated);
-        for (std::size_t i = 0; i < out.outcomes.size(); ++i)
-            out.outcomes[i].validated = std::move(validated[i]);
-    } else {
-        exec::parallel_for(pool, out.outcomes.size(), [&](std::size_t i) {
-            optimizer_outcome& oc = out.outcomes[i];
+    // 6. Validate each optimum by simulation, with the Table VI baseline
+    //    as one more task of the same fan-out (task 0). Validations run
+    //    as 1-lane batches when batching is on and there is more than one
+    //    (lanes are independent, so the lane count changes no result).
+    //    Manifest records and progress notes stay on the calling thread:
+    //    the baseline, then the validations in outcome order.
+    obs_hook.phase("validate", out.outcomes.size() + 1);
+    const bool batched = options.batch_width > 1 && out.outcomes.size() > 1;
+    exec::parallel_for(pool, out.outcomes.size() + 1, [&](std::size_t task) {
+        if (task == 0) {
+            out.original_eval = evaluate(options.baseline, options.eval);
+            return;
+        }
+        optimizer_outcome& oc = out.outcomes[task - 1];
+        if (!batched) {
             oc.validated = evaluate(oc.config, options.eval);
-        });
-    }
+            return;
+        }
+        const std::span<const system_config> lane(&oc.config, 1);
+        oc.validated = std::move(
+            (cache ? cache->evaluate_batch(lane, options.eval)
+                   : evaluator.evaluate_batch(lane, options.eval))
+                .front());
+    });
+    obs_hook.sim_run(make_run_record(
+        "baseline", 0, config_to_coded(out.space, options.baseline),
+        options.baseline, options.eval.controller_seed, out.original_eval));
     for (std::size_t i = 0; i < out.outcomes.size(); ++i) {
         optimizer_outcome& oc = out.outcomes[i];
         obs_hook.sim_run(make_run_record("validation", i, oc.coded, oc.config,

@@ -7,7 +7,8 @@
 //      least-squares quadratic, eq. 9);
 //   4. global maximisation of the fitted surface with Simulated Annealing
 //      and a Genetic Algorithm (paper Table VI);
-//   5. validation: re-simulate each optimiser's configuration.
+//   5. validation: re-simulate each optimiser's configuration, beside the
+//      original design (Table VI row 1).
 //
 // Every pipeline stage resolves through a name registry — the design via
 // doe::make_design, the surrogate via rsm::make_surrogate, the optimisers
@@ -78,17 +79,19 @@ struct flow_options {
     /// pure error / lack-of-fit can be assessed (rsm::lack_of_fit).
     std::size_t replicates = 1;
     std::uint64_t replicate_seed_base = 1;
-    /// Run the design-point simulations concurrently (one task per run).
+    /// Fan the simulate phase (batch chunks) and the validate phase (one
+    /// task per validation, plus the baseline) out over a thread pool.
     /// Results are identical to the sequential order — each run is seeded
-    /// independently — just faster on multi-core hosts.
+    /// independently and batch lanes are independent — just faster on
+    /// multi-core hosts. The optimisers always run on the calling thread.
     bool parallel = false;
     /// Worker count when the flow creates its own pool (`parallel` set and
     /// `pool` unset). 0 = one worker per hardware thread.
     std::size_t jobs = 0;
-    /// Externally owned pool. When set, the simulate / optimise / validate
-    /// phases fan out over it even without `parallel`; it must outlive the
-    /// call. When unset and `parallel` is set, the flow owns a pool of
-    /// `jobs` workers for the duration of the call.
+    /// Externally owned pool. When set, the simulate and validate phases
+    /// fan out over it even without `parallel`; it must outlive the call.
+    /// When unset and `parallel` is set, the flow owns a pool of `jobs`
+    /// workers for the duration of the call.
     exec::thread_pool* pool = nullptr;
     /// Evaluate design points through system_evaluator::evaluate_batch in
     /// groups of at most this many configs (grouping never mixes

@@ -1,8 +1,8 @@
-// Pool-or-sequential batch helpers — the one API the flow, the
-// optimisers and the robustness sweep use for fan-out, so "no pool" and
-// "pool of 1" and "pool of N" are the same call site. Results are always
-// produced in input order; with a pure body the output is identical
-// whichever path runs, which is what the determinism tests pin down.
+// Pool-or-sequential batch helpers — the one API the flow and the
+// robustness sweep use for fan-out, so "no pool", "pool of 1" and "pool
+// of N" are the same call site. Results are always produced in input
+// order; with a pure body the output is identical whichever path runs,
+// which is what the determinism tests pin down.
 #pragma once
 
 #include <functional>

@@ -47,9 +47,9 @@ opt_result genetic_algorithm::maximize(const objective_fn& f,
     opt_result out;
     out.algorithm = name();
 
-    // Draw the whole initial population first, then evaluate as one batch
-    // (through the attached pool, if any). Evaluations never touch the
-    // rng, so this is bit-identical to the evaluate-as-you-draw order.
+    // Draw the whole initial population first, then evaluate it.
+    // Evaluations never touch the rng, so this is bit-identical to the
+    // evaluate-as-you-draw order.
     std::vector<individual> pop(opt_.population);
     {
         std::vector<numeric::vec> genes(opt_.population);

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "exec/batch.hpp"
-
 namespace ehdse::opt {
 
 bool dominates(const numeric::vec& a, const numeric::vec& b) {
@@ -96,17 +94,14 @@ std::vector<pareto_point> nsga2::optimize(const multi_objective_fn& f,
     const std::size_t np = opt_.population + (opt_.population % 2);
     const std::size_t k = bounds.dimension();
 
-    // Batch objective evaluation (through the attached pool, if any).
-    // Generation stays on the calling thread, so results are identical
-    // whether or not a pool is attached.
+    // Objective values of a whole population, in input order.
     auto evaluate_batch = [&](const std::vector<numeric::vec>& xs) {
         std::vector<numeric::vec> objs(xs.size());
-        exec::parallel_for(pool_, xs.size(), [&](std::size_t i) {
-            numeric::vec o = f(xs[i]);
-            if (o.size() != objective_count)
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            objs[i] = f(xs[i]);
+            if (objs[i].size() != objective_count)
                 throw std::invalid_argument("nsga2: objective size mismatch");
-            objs[i] = std::move(o);
-        });
+        }
         return objs;
     };
 

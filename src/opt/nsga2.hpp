@@ -53,15 +53,8 @@ public:
                                        const box_bounds& bounds,
                                        numeric::rng& rng) const;
 
-    /// Attach a pool for batch objective evaluation (same contract as
-    /// optimizer::set_execution: non-owning, objective must be
-    /// thread-safe while attached; results are identical either way).
-    void set_execution(exec::thread_pool* pool) noexcept { pool_ = pool; }
-    exec::thread_pool* execution() const noexcept { return pool_; }
-
 private:
     nsga2_options opt_;
-    exec::thread_pool* pool_ = nullptr;
 };
 
 }  // namespace ehdse::opt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exec/batch.hpp"
 #include "opt/genetic_algorithm.hpp"
 #include "opt/nelder_mead.hpp"
 #include "opt/pattern_search.hpp"
@@ -82,11 +81,10 @@ std::shared_ptr<optimizer> make_optimizer(std::string_view name) {
                                 optimizer_names() + ")");
 }
 
-std::vector<double> optimizer::evaluate_all(
-    const objective_fn& f, const std::vector<numeric::vec>& xs) const {
+std::vector<double> optimizer::evaluate_all(const objective_fn& f,
+                                            const std::vector<numeric::vec>& xs) {
     std::vector<double> values(xs.size());
-    exec::parallel_for(pool_, xs.size(),
-                       [&](std::size_t i) { values[i] = f(xs[i]); });
+    for (std::size_t i = 0; i < xs.size(); ++i) values[i] = f(xs[i]);
     return values;
 }
 

@@ -15,10 +15,6 @@
 #include "numeric/matrix.hpp"
 #include "numeric/rng.hpp"
 
-namespace ehdse::exec {
-class thread_pool;
-}  // namespace ehdse::exec
-
 namespace ehdse::opt {
 
 /// Objective to maximise.
@@ -87,25 +83,10 @@ public:
     virtual opt_result maximize(const objective_fn& f, const box_bounds& bounds,
                                 numeric::rng& rng) const = 0;
 
-    /// Attach a pool that evaluate_all fans candidate batches over
-    /// (nullptr = evaluate sequentially). Non-owning — the pool must
-    /// outlive every maximize() call, and the objective must be
-    /// thread-safe while a pool is attached. Candidate GENERATION still
-    /// happens on the calling thread in a fixed order, so results are
-    /// identical with or without a pool for optimisers whose objective
-    /// evaluations never touch the rng stream (GA, NSGA-II).
-    void set_execution(exec::thread_pool* pool) noexcept { pool_ = pool; }
-    exec::thread_pool* execution() const noexcept { return pool_; }
-
 protected:
-    /// Evaluate f at each point of xs, returning values in input order.
-    /// Uses the attached pool when present, inline otherwise; either way
-    /// the first objective exception is rethrown.
-    std::vector<double> evaluate_all(const objective_fn& f,
-                                     const std::vector<numeric::vec>& xs) const;
-
-private:
-    exec::thread_pool* pool_ = nullptr;
+    /// Evaluate f at each point of xs, in input order.
+    static std::vector<double> evaluate_all(const objective_fn& f,
+                                            const std::vector<numeric::vec>& xs);
 };
 
 /// One registry entry: a constructible optimiser name plus a one-line

@@ -29,8 +29,7 @@ struct fit_result;  // rsm/quadratic_model.hpp
 
 /// A fitted response surface over the coded box: the thing the optimise
 /// phase maximises. Implementations are immutable after construction and
-/// predict() is safe to call concurrently (the parallel flow fans the
-/// optimiser's candidate batches over a pool).
+/// predict() is safe to call concurrently.
 class fitted_surface {
 public:
     virtual ~fitted_surface() = default;

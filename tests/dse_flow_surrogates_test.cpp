@@ -89,8 +89,8 @@ TEST(FlowSurrogates, BoxBehnkenDesignDrivesTheFlow) {
     for (const auto& p : manifest.phases()) names.push_back(p.name);
     EXPECT_EQ(names,
               (std::vector<std::string>{"candidates", "box_behnken", "simulate",
-                                        "fit", "baseline", "optimise",
-                                        "validate"}));
+                                        "fit", "optimise", "validate"}));
+    EXPECT_EQ(manifest.phases().back().items, r.outcomes.size() + 1);
 }
 
 // The manifest echoes the registry names and the uniform fit diagnostics.

@@ -155,14 +155,24 @@ TEST(Flow, ManifestEmitsOneRecordPerDoeRun) {
         ++i;
     }
 
-    // Every phase present, in pipeline order.
+    // Runs are recorded design points first, then the baseline, then the
+    // validations, although the baseline is simulated beside them.
+    std::vector<std::string> kinds;
+    for (const auto& run : manifest.sim_runs()) kinds.push_back(run.kind);
+    std::vector<std::string> expected_kinds(r.responses.size(), "design_point");
+    expected_kinds.push_back("baseline");
+    expected_kinds.insert(expected_kinds.end(), r.outcomes.size(), "validation");
+    EXPECT_EQ(kinds, expected_kinds);
+
+    // Every phase present, in pipeline order; the baseline is one more
+    // item of the validate phase.
     std::vector<std::string> names;
     for (const auto& p : manifest.phases()) names.push_back(p.name);
     EXPECT_EQ(names,
               (std::vector<std::string>{"candidates", "d_optimal", "simulate",
-                                        "fit", "baseline", "optimise",
-                                        "validate"}));
+                                        "fit", "optimise", "validate"}));
     for (const auto& p : manifest.phases()) EXPECT_GE(p.wall_s, 0.0) << p.name;
+    EXPECT_EQ(manifest.phases().back().items, r.outcomes.size() + 1);
 
     // One optimizer record per optimiser; SA exposes its acceptance rate.
     // (accessors snapshot by value — keep the copy alive while indexing)
