@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "doe/designs.hpp"
 #include "dse/system_evaluator.hpp"
+#include "harvester/electromagnetic.hpp"
 #include "harvester/envelope.hpp"
 #include "harvester/piezo.hpp"
 #include "harvester/tuning_table.hpp"
@@ -38,10 +39,11 @@ BENCHMARK(bm_envelope_solve);
 // envelope RHS calls of a paper-default evaluation is 13 uV, the 90th
 // percentile 36 uV), with a 1 mV transmission burst every 100 solves.
 // Solved cold (warm:0) or carrying one damping_path along (warm:1); both
-// return bit-identical operating points. The trials_per_solve counter (T
-// evaluations per solve) shows what the warm start saves: 28 cold, 4 when
-// the predicted cell holds the root, a cold solve plus the wasted trials
-// when it does not (harvester/damping_path.hpp).
+// return bit-identical operating points. The trials_per_solve counter
+// (envelope_point::iterations per solve: the trials of T plus the final
+// evaluation) shows what the warm start saves: 28 cold, 4 when the
+// predicted cell holds the root, a cold solve plus the wasted trials when
+// it does not (harvester/damping_path.hpp).
 void bm_envelope_walk(benchmark::State& state) {
     const bool warm = state.range(0) != 0;
     const harvester::microgenerator gen;
@@ -67,6 +69,33 @@ void bm_envelope_walk(benchmark::State& state) {
         static_cast<double>(trials) / static_cast<double>(solves);
 }
 BENCHMARK(bm_envelope_walk)->ArgName("warm")->Arg(0)->Arg(1);
+
+// The envelope RHS hook along bm_envelope_walk's creep, carrying one
+// path: the entry every scalar envelope evaluation calls. It solves
+// through solve_damping, whose final evaluation skips the bridge that
+// bm_envelope_walk's public solve_envelope still computes, and adds the
+// charging bridge at the envelope amplitude.
+void bm_envelope_dynamics(benchmark::State& state) {
+    const harvester::electromagnetic_harvester em;
+    const harvester::tuning_table table(em);
+    const int pos = table.lookup(69.0);
+    const double accel = 0.060 * harvester::k_gravity;
+    const double z_env = em.initial_amplitude(69.0, accel, pos, 2.8, {});
+    constexpr int k_solves = 1000;
+    for (auto _ : state) {
+        harvester::damping_path path;
+        double v = 2.8;
+        for (int i = 0; i < k_solves; ++i) {
+            v += (i % 100 == 99) ? -1e-3 : 20e-6;
+            const harvester::envelope_rates r = em.envelope_dynamics(
+                69.0, accel, pos, v, z_env,
+                harvester::conditioning_kind::diode_bridge, 1.0, {}, path);
+            benchmark::DoNotOptimize(r.charge_current_a);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * k_solves);
+}
+BENCHMARK(bm_envelope_dynamics);
 
 void bm_rk45_oscillator(benchmark::State& state) {
     const sim::functional_system sys(

@@ -78,8 +78,8 @@ obs::json_value electromagnetic_harvester::describe() const {
 double electromagnetic_harvester::initial_amplitude(
     double freq_hz, double accel_amp_ms2, int position, double store_v,
     const power::rectifier_params& rect) const {
-    const envelope_point pt = solve_envelope(gen_, position, freq_hz,
-                                             accel_amp_ms2, store_v, rect);
+    const damping_point pt = solve_damping(gen_, position, freq_hz,
+                                           accel_amp_ms2, store_v, rect);
     return pt.mech.displacement_amp_m;
 }
 
@@ -90,9 +90,9 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
     const double omega = 2.0 * std::numbers::pi * freq_hz;
     envelope_rates out;
     if (conditioning == conditioning_kind::diode_bridge) {
-        const envelope_point pt =
-            solve_envelope(gen_, position, freq_hz, accel_amp_ms2, store_v,
-                           rect, {}, &path);
+        const damping_point pt =
+            solve_damping(gen_, position, freq_hz, accel_amp_ms2, store_v,
+                          rect, {}, &path);
         // Amplitude envelope relaxes towards the steady state.
         const double tau = gen_.settling_tau(pt.c_electrical);
         out.amplitude_rate = (pt.mech.displacement_amp_m - z_env) / tau;
@@ -123,8 +123,8 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
 double electromagnetic_harvester::phase_lag(
     double freq_hz, double accel_amp_ms2, int position, double store_v,
     const power::rectifier_params& rect) const {
-    const envelope_point pt = solve_envelope(gen_, position, freq_hz,
-                                             accel_amp_ms2, store_v, rect);
+    const damping_point pt = solve_damping(gen_, position, freq_hz,
+                                           accel_amp_ms2, store_v, rect);
     const double omega = 2.0 * std::numbers::pi * freq_hz;
     const double k = gen_.effective_stiffness(position);
     const double m = gen_.params().mass_kg;

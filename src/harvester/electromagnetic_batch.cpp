@@ -18,7 +18,8 @@
 // lane carries its own damping_path, so the bisection warm-starts per lane
 // exactly like the scalar solve, bit-identical to a cold bisection: one
 // lockstep trial at every lane's previous root, one pair checking every
-// lane's predicted cell, one final trial.
+// lane's predicted cell, and a final lockstep evaluation at the converged
+// damping that runs the mechanics only (the bridge there is not read).
 //
 // The lane loops only vectorise with this file's COMPILE_OPTIONS
 // (src/harvester/CMakeLists.txt).
@@ -362,11 +363,14 @@ void em_envelope_batch::rates(const envelope_lanes& in,
             }
         }
 
-        // Final evaluation at the converged damping (0 for blocked lanes)
-        // gives the steady-state amplitude the envelope relaxes towards.
+        // Final evaluation at the converged damping (0 for blocked lanes):
+        // the mechanics alone give the steady-state amplitude the envelope
+        // relaxes towards.
         for (std::size_t l = 0; l < B; ++l)
             ce_[l] = blocked_[l] ? 0.0 : 0.5 * (lo_[l] + hi_[l]);
-        eval_damping(ce_.data(), ct_.data(), za_.data());
+        mechanics_lanes(B, c_mech, phi, gp.max_displacement_m, ce_.data(),
+                        omega_.data(), re_.data(), ma_.data(), u_.data(),
+                        za_.data(), e_.data(), vel_.data(), xx_.data());
         for (std::size_t l = 0; l < B; ++l) {
             if (blocked_[l])
                 paths_[l].forget();

@@ -8,39 +8,25 @@ namespace ehdse::harvester {
 
 namespace {
 
-/// One evaluation of the coupled pair at a trial electrical damping c_e,
-/// returning the equivalent damping the bridge actually presents there:
+/// One trial of the coupled pair at electrical damping c_e: the mechanics
+/// there and the equivalent damping the bridge then presents,
 ///     T(c_e) = 2 P_mech(c_e) / (omega^2 |Z(c_e)|^2).
 /// T is monotonically non-increasing in c_e (more damping -> smaller
 /// amplitude -> smaller emf -> less conduction), so the self-consistent
 /// operating point is the unique root of T(c) - c, found by bisection.
 struct trial_point {
     linear_response mech;
-    power::rectifier_operating_point elec;
     double c_target = 0.0;
 };
 
-trial_point evaluate_at(const microgenerator& gen, int position, double omega,
-                        double accel_amp_ms2, double store_v, double r_coil,
-                        const power::rectifier_params& rect, double c_e) {
-    trial_point tp;
-    tp.mech = gen.response(omega, accel_amp_ms2, position, c_e);
-    tp.elec = power::bridge_average(tp.mech.emf_amp_v, store_v, r_coil, rect);
-    if (tp.elec.conducting && tp.mech.velocity_amp_ms > 0.0) {
-        const double vel2 = tp.mech.velocity_amp_ms * tp.mech.velocity_amp_ms;
-        tp.c_target = 2.0 * tp.elec.p_mech_w / vel2;
-    }
-    return tp;
-}
-
 }  // namespace
 
-envelope_point solve_envelope(const microgenerator& gen, int position,
-                              double freq_hz, double accel_amp_ms2,
-                              double store_v,
-                              const power::rectifier_params& rect,
-                              const envelope_options& options,
-                              damping_path* path) {
+damping_point solve_damping(const microgenerator& gen, int position,
+                            double freq_hz, double accel_amp_ms2,
+                            double store_v,
+                            const power::rectifier_params& rect,
+                            const envelope_options& options,
+                            damping_path* path) {
     if (freq_hz <= 0.0)
         throw std::invalid_argument("solve_envelope: frequency must be > 0");
     if (accel_amp_ms2 < 0.0)
@@ -50,11 +36,22 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
     const double r_coil = gen.params().coil_resistance_ohm;
     const double tol = options.tolerance * gen.mech_damping();
 
-    envelope_point pt;
+    // The operating point every trial shares, checked once: the position
+    // (std::out_of_range) before the store voltage and coil resistance
+    // (std::invalid_argument), the order a trial's response() and
+    // bridge_average() met them in. A trial still checks its emf.
+    const drive_point drive = gen.drive(omega, accel_amp_ms2, position);
+    const power::bridge_sink sink(store_v, r_coil, rect);
+
+    damping_point pt;
     const auto trial = [&](double c_e) {
         ++pt.iterations;
-        return evaluate_at(gen, position, omega, accel_amp_ms2, store_v, r_coil,
-                           rect, c_e);
+        trial_point tp;
+        tp.mech = gen.response(drive, c_e);
+        const double vel = tp.mech.velocity_amp_ms;
+        if (sink.conducts(tp.mech.emf_amp_v) && vel > 0.0)
+            tp.c_target = 2.0 * sink.p_mech_w(tp.mech.emf_amp_v) / (vel * vel);
+        return tp;
     };
 
     // Root-bracket [0, c_hi]. The bridge can never present more equivalent
@@ -100,7 +97,6 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
             // Bridge blocked (or negligibly loaded) even at the open
             // amplitude.
             pt.mech = at_zero.mech;
-            pt.elec = at_zero.elec;
             pt.c_electrical = 0.0;
             pt.converged = true;
             run_path.forget();
@@ -130,14 +126,28 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
         }
     }
 
+    // The final evaluation needs only the mechanics. Its emf lies between
+    // the emfs of the final cell's ends, which trials checked, so the
+    // bridge's emf check could not fail here.
     const double c_e = 0.5 * (lo + hi);
-    const trial_point final_tp = trial(c_e);
-    pt.mech = final_tp.mech;
-    pt.elec = final_tp.elec;
+    ++pt.iterations;
+    pt.mech = gen.response(drive, c_e);
     pt.c_electrical = c_e;
     pt.converged = (hi - lo) <= tol;
     run_path.learn(c_e, lo, f_lo, hi, f_hi);
     return pt;
+}
+
+envelope_point solve_envelope(const microgenerator& gen, int position,
+                              double freq_hz, double accel_amp_ms2,
+                              double store_v,
+                              const power::rectifier_params& rect,
+                              const envelope_options& options,
+                              damping_path* path) {
+    const damping_point d = solve_damping(gen, position, freq_hz, accel_amp_ms2,
+                                          store_v, rect, options, path);
+    return {d, power::bridge_average(d.mech.emf_amp_v, store_v,
+                                     gen.params().coil_resistance_ohm, rect)};
 }
 
 }  // namespace ehdse::harvester

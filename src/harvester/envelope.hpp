@@ -18,6 +18,11 @@
 // bisection cell from the previous root and verifies it, with a result
 // bit-identical to the cold bisection (damping_path.hpp).
 //
+// Two entry points share one solver. solve_damping returns what the
+// envelope RHS reads, c_e and the mechanics there; its final evaluation at
+// the converged c_e runs the mechanics only. solve_envelope adds the
+// bridge's operating point, computed once from those mechanics.
+//
 // The result feeds the slow dynamics: the supercapacitor sees the averaged
 // charging current i_avg, and the mechanical amplitude relaxes towards the
 // new steady state with time constant 2m / c_total after each retune.
@@ -29,20 +34,30 @@
 
 namespace ehdse::harvester {
 
-/// Converged cycle-averaged operating point.
-struct envelope_point {
-    linear_response mech;                      ///< steady-state mechanics
-    power::rectifier_operating_point elec;     ///< averaged bridge quantities
-    double c_electrical = 0.0;                 ///< equivalent electrical damping
-    int iterations = 0;                        ///< evaluations of T(c_e) used
+/// Converged self-consistent damping and the mechanics there: what the
+/// envelope RHS reads.
+struct damping_point {
+    linear_response mech;        ///< steady-state mechanics
+    double c_electrical = 0.0;   ///< equivalent electrical damping
+    int iterations = 0;          ///< evaluations used (see envelope_options)
     bool converged = true;
 };
 
-/// Solver knobs; the bisection brackets c_e within
-/// tolerance * mech_damping in 28 cheap evaluations cold when the bridge
-/// conducts (1 when it is blocked) — 27.2 per solve over a paper-default
+/// Converged cycle-averaged operating point: the damping point plus the
+/// bridge's averaged quantities at its mechanics.
+struct envelope_point : damping_point {
+    power::rectifier_operating_point elec;
+};
+
+/// Solver knobs. `iterations` counts the trials of T(c_e), each a
+/// mechanics and a bridge evaluation, plus the final evaluation at the
+/// converged c_e, which needs the mechanics only. The bisection brackets
+/// c_e within tolerance * mech_damping in 28 cold when the bridge
+/// conducts (27 trials and the final one; 1 when it is blocked, where the
+/// trial at c_e = 0 is the result) — 27.2 per solve over a paper-default
 /// evaluation — and in 4 when a warm start's predicted cell holds the
-/// root: 3.94 per solve over that evaluation.
+/// root (the trial at the previous root, two checks, the final one):
+/// 3.94 per solve over that evaluation.
 struct envelope_options {
     double tolerance = 1e-6;   ///< on c_e, relative to mechanical damping
     int max_iterations = 200;  ///< bisection step limit
@@ -52,7 +67,17 @@ struct envelope_options {
 /// `accel_amp_ms2`, actuator position `position`, storage voltage `store_v`.
 /// A non-null `path` warm-starts the bisection from the prediction it
 /// holds (any contents) and receives this solve's; it changes only
-/// `iterations`.
+/// `iterations`. Throws std::invalid_argument for a frequency <= 0, a
+/// negative acceleration, a negative store voltage and NaN inputs, and
+/// std::out_of_range for a position outside [0, 255].
+damping_point solve_damping(const microgenerator& gen, int position,
+                            double freq_hz, double accel_amp_ms2,
+                            double store_v,
+                            const power::rectifier_params& rect = {},
+                            const envelope_options& options = {},
+                            damping_path* path = nullptr);
+
+/// solve_damping plus power::bridge_average at the converged mechanics.
 envelope_point solve_envelope(const microgenerator& gen, int position,
                               double freq_hz, double accel_amp_ms2,
                               double store_v,

@@ -68,28 +68,18 @@ double microgenerator::resonant_frequency(int position) const {
 
 linear_response microgenerator::response(double omega_rad, double accel_amp_ms2,
                                          int position, double c_electrical) const {
-    if (omega_rad <= 0.0)
-        throw std::invalid_argument("microgenerator: omega must be > 0");
     if (c_electrical < 0.0)
         throw std::invalid_argument("microgenerator: electrical damping must be >= 0");
+    return response(drive(omega_rad, accel_amp_ms2, position), c_electrical);
+}
 
-    const double k = effective_stiffness(position);
+drive_point microgenerator::drive(double omega_rad, double accel_amp_ms2,
+                                  int position) const {
+    if (omega_rad <= 0.0)
+        throw std::invalid_argument("microgenerator: omega must be > 0");
     const double m = params_.mass_kg;
-    const double c_total = c_mech_ + c_electrical;
-
-    const double re = k - m * omega_rad * omega_rad;
-    const double im = c_total * omega_rad;
-    const double denom = std::sqrt(re * re + im * im);
-
-    linear_response out;
-    out.displacement_amp_m = m * accel_amp_ms2 / denom;
-    if (out.displacement_amp_m > params_.max_displacement_m) {
-        out.displacement_amp_m = params_.max_displacement_m;
-        out.displacement_limited = true;
-    }
-    out.velocity_amp_ms = omega_rad * out.displacement_amp_m;
-    out.emf_amp_v = params_.coupling_v_per_ms * out.velocity_amp_ms;
-    return out;
+    return {omega_rad, effective_stiffness(position) - m * omega_rad * omega_rad,
+            m * accel_amp_ms2};
 }
 
 double microgenerator::quality_factor(int position, double c_electrical) const {

@@ -21,6 +21,7 @@
 // power of order 100 uW at 60 mg excitation (DESIGN.md section 5).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace ehdse::harvester {
@@ -82,6 +83,16 @@ struct linear_response {
     bool displacement_limited = false;  ///< clipped at the end stops
 };
 
+/// The operands of response() that do not depend on the electrical
+/// damping, at one excitation and actuator position: prepared once when
+/// many dampings are tried at one operating point (the envelope damping
+/// solve).
+struct drive_point {
+    double omega_rad = 0.0;
+    double detuning = 0.0;    ///< k_eff - m omega^2 (N/m)
+    double mass_accel = 0.0;  ///< m A (N)
+};
+
 /// Stateless physics of one microgenerator; all queries are pure functions
 /// of the parameter set, which keeps the model trivially usable from both
 /// the envelope and the full transient simulators.
@@ -121,6 +132,32 @@ public:
     /// The displacement is clipped to the end-stop limit.
     linear_response response(double omega_rad, double accel_amp_ms2,
                              int position, double c_electrical) const;
+
+    /// response()'s damping-independent operands, with its checks:
+    /// std::invalid_argument for omega <= 0, std::out_of_range for a
+    /// position outside [0, 255].
+    drive_point drive(double omega_rad, double accel_amp_ms2,
+                      int position) const;
+
+    /// response() at a prepared drive point, for c_electrical >= 0
+    /// (unchecked). The four-argument response() runs this formula.
+    linear_response response(const drive_point& point,
+                             double c_electrical) const noexcept {
+        const double c_total = c_mech_ + c_electrical;
+        const double im = c_total * point.omega_rad;
+        const double denom =
+            std::sqrt(point.detuning * point.detuning + im * im);
+
+        linear_response out;
+        out.displacement_amp_m = point.mass_accel / denom;
+        if (out.displacement_amp_m > params_.max_displacement_m) {
+            out.displacement_amp_m = params_.max_displacement_m;
+            out.displacement_limited = true;
+        }
+        out.velocity_amp_ms = point.omega_rad * out.displacement_amp_m;
+        out.emf_amp_v = params_.coupling_v_per_ms * out.velocity_amp_ms;
+        return out;
+    }
 
     /// Quality factor at a position with the given electrical damping.
     double quality_factor(int position, double c_electrical) const;

@@ -1,41 +1,42 @@
 #include "power/rectifier.hpp"
 
-#include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 namespace ehdse::power {
 
-rectifier_operating_point bridge_average(double emf_amp_v, double store_v,
-                                         double series_r_ohm,
-                                         const rectifier_params& params) {
-    if (!(emf_amp_v >= 0.0))
-        throw std::invalid_argument("bridge_average: emf amplitude must be >= 0");
+bridge_sink::bridge_sink(double store_v, double series_r_ohm,
+                         const rectifier_params& params)
+    : store_v_(store_v),
+      two_vd_(2.0 * params.diode_drop_v),
+      u_(store_v + two_vd_),
+      pir_(std::numbers::pi * series_r_ohm) {
     if (!(store_v >= 0.0))
         throw std::invalid_argument("bridge_average: store voltage must be >= 0");
     if (!(series_r_ohm > 0.0))
         throw std::invalid_argument("bridge_average: series resistance must be > 0");
+}
 
+rectifier_operating_point bridge_sink::average(double emf_amp_v) const {
     rectifier_operating_point op;
-    const double u = store_v + 2.0 * params.diode_drop_v;  // sink voltage
-    if (emf_amp_v <= u) return op;  // blocked: all-zero operating point
+    if (!conducts(emf_amp_v)) return op;  // blocked: all-zero operating point
 
-    constexpr double pi = std::numbers::pi;
     const double e = emf_amp_v;
-    const double r = series_r_ohm;
-    const double theta1 = std::asin(u / e);
-    const double span = pi - 2.0 * theta1;
-
+    const conduction c = conduct(e);
     op.conducting = true;
-    op.conduction_angle = span;
-    op.i_avg_a = (2.0 * e * std::cos(theta1) - u * span) / (pi * r);
-    op.p_mech_w = (e * e * (span / 2.0 + std::sin(2.0 * theta1) / 2.0) -
-                   2.0 * u * e * std::cos(theta1)) /
-                  (pi * r);
-    op.p_store_w = store_v * op.i_avg_a;
-    op.p_diode_w = 2.0 * params.diode_drop_v * op.i_avg_a;
-    op.p_coil_w = op.p_mech_w - u * op.i_avg_a;
+    op.conduction_angle = c.span;
+    op.i_avg_a = (2.0 * e * c.cos_theta1 - u_ * c.span) / pir_;
+    op.p_mech_w = c.p_mech_w;
+    op.p_store_w = store_v_ * op.i_avg_a;
+    op.p_diode_w = two_vd_ * op.i_avg_a;
+    op.p_coil_w = op.p_mech_w - u_ * op.i_avg_a;
     return op;
+}
+
+rectifier_operating_point bridge_average(double emf_amp_v, double store_v,
+                                         double series_r_ohm,
+                                         const rectifier_params& params) {
+    return bridge_sink(store_v, series_r_ohm, params).average(emf_amp_v);
 }
 
 }  // namespace ehdse::power

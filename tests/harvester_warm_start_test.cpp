@@ -9,6 +9,12 @@
 // 60 mg, every actuator position and 0-5 V of store voltage, so blocked
 // and conducting points occur, and so do points where the end stops clip
 // the trial amplitudes and flatten T (the test asserts all three do).
+// Every solve's mech and elec must also be the public response() and
+// bridge_average() at its c_e, bit for bit: the solver's prepared trial
+// and its post-solve bridge run the same formulas. The walk of the cold
+// grid, resumed from the path's stored cell, must end in the cell a walk
+// from the top reaches, over creeping, jumping, special and off-grid
+// predictions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -208,6 +214,46 @@ bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// The solve's mech and elec are response() and bridge_average() at the
+/// c_e it returned (0 for a blocked point), and solve_damping agrees with
+/// solve_envelope in everything but elec.
+void require_reference_point(const eh::envelope_point& pt, const op_point& p,
+                             eh::damping_path* path, const std::string& source) {
+    const double omega = 2.0 * std::numbers::pi * p.freq_hz;
+    const eh::linear_response mech =
+        gen().response(omega, p.accel, p.position, pt.c_electrical);
+    const ehdse::power::rectifier_operating_point elec =
+        ehdse::power::bridge_average(mech.emf_amp_v, p.store_v,
+                                     gen().params().coil_resistance_ohm);
+    const eh::damping_point d = eh::solve_damping(
+        gen(), p.position, p.freq_hz, p.accel, p.store_v, {}, {}, path);
+    const bool same =
+        same_bits(pt.mech.displacement_amp_m, mech.displacement_amp_m) &&
+        same_bits(pt.mech.velocity_amp_ms, mech.velocity_amp_ms) &&
+        same_bits(pt.mech.emf_amp_v, mech.emf_amp_v) &&
+        pt.mech.displacement_limited == mech.displacement_limited &&
+        pt.elec.conducting == elec.conducting &&
+        same_bits(pt.elec.conduction_angle, elec.conduction_angle) &&
+        same_bits(pt.elec.i_avg_a, elec.i_avg_a) &&
+        same_bits(pt.elec.p_mech_w, elec.p_mech_w) &&
+        same_bits(pt.elec.p_store_w, elec.p_store_w) &&
+        same_bits(pt.elec.p_diode_w, elec.p_diode_w) &&
+        same_bits(pt.elec.p_coil_w, elec.p_coil_w) &&
+        same_bits(d.c_electrical, pt.c_electrical) &&
+        same_bits(d.mech.displacement_amp_m, mech.displacement_amp_m) &&
+        same_bits(d.mech.velocity_amp_ms, mech.velocity_amp_ms) &&
+        same_bits(d.mech.emf_amp_v, mech.emf_amp_v) &&
+        d.mech.displacement_limited == mech.displacement_limited &&
+        d.converged == pt.converged;
+    if (same) return;
+    std::ostringstream os;
+    os << source << ": solve differs from response()/bridge_average() at "
+       << "position " << p.position << ", " << std::hexfloat << p.freq_hz
+       << " Hz, " << p.accel << " m/s^2, " << p.store_v << " V, c_e "
+       << pt.c_electrical;
+    tk::fail(os.str());
+}
+
 void require_identical(const eh::envelope_point& warm,
                        const eh::envelope_point& cold, const op_point& p,
                        const std::string& source) {
@@ -239,6 +285,7 @@ struct coverage {
     std::size_t blocked = 0;
     std::size_t conducting = 0;
     std::size_t clipped = 0;
+    std::size_t clipped_conducting = 0;  ///< clipped and loaded by the bridge
     std::size_t predicted = 0;  ///< walk solves that took four trials
     std::size_t aimed_inside = 0;
     std::size_t warm_trials = 0;
@@ -248,13 +295,17 @@ struct coverage {
 void check_case(const warm_case& c, coverage& seen) {
     // Slow walk: one path carried from each point to the next.
     eh::damping_path walk_path;
+    eh::damping_path damping_walk_path;
     for (const op_point& p : c.walk) {
         const eh::envelope_point cold = solve(p, nullptr);
         const eh::envelope_point warm = solve(p, &walk_path);
         require_identical(warm, cold, p, "random-walk path");
+        require_reference_point(warm, p, &damping_walk_path, "random-walk path");
+        const bool clipped = open_circuit_clipped(p);
         seen.blocked += cold.c_electrical == 0.0 ? 1 : 0;
         seen.conducting += cold.elec.conducting ? 1 : 0;
-        seen.clipped += open_circuit_clipped(p) ? 1 : 0;
+        seen.clipped += clipped ? 1 : 0;
+        seen.clipped_conducting += clipped && cold.c_electrical > 0.0 ? 1 : 0;
         seen.predicted += warm.iterations == 4 ? 1 : 0;
         seen.warm_trials += static_cast<std::size_t>(warm.iterations);
         seen.cold_trials += static_cast<std::size_t>(cold.iterations);
@@ -262,6 +313,7 @@ void check_case(const warm_case& c, coverage& seen) {
 
     const op_point& target = c.walk.front();
     const eh::envelope_point cold = solve(target, nullptr);
+    require_reference_point(cold, target, nullptr, "cold solve");
 
     eh::damping_path foreign;
     solve(c.unrelated, &foreign);
@@ -326,6 +378,7 @@ TEST(WarmStart, WarmSolveEqualsColdSolveBitForBit) {
     EXPECT_GT(seen.blocked, 0u);
     EXPECT_GT(seen.conducting, 0u);
     EXPECT_GT(seen.clipped, 0u);
+    EXPECT_GT(seen.clipped_conducting, 0u);
     EXPECT_GT(seen.predicted, 0u);
     EXPECT_GT(seen.aimed_inside, 0u);
     EXPECT_LT(seen.warm_trials, seen.cold_trials);
@@ -386,4 +439,194 @@ TEST(WarmStart, WalkedCellStaysInsideTheColdBracket) {
     const eh::damping_cell shallow = walk_to(0.3, 12);
     EXPECT_EQ(shallow.depth, 12);
     EXPECT_GT(shallow.hi - shallow.lo, tol);
+}
+
+TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
+    // The solver checks the position, store voltage and coil resistance
+    // once per solve and each trial's emf; what a trial of response() and
+    // bridge_average() rejected must still be rejected, cold and warm.
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    const double f = gen().resonant_frequency(128);
+    const double a = 0.060 * eh::k_gravity;
+    eh::damping_path trusted;
+    solve({128, f, a, 2.8}, &trusted);
+    ASSERT_TRUE(trusted.trusted(c_hi()));
+
+    const op_point invalid_argument[] = {
+        {128, f, a, -0.1}, {128, f, a, nan}, {128, f, nan, 2.8},
+        {128, nan, a, 2.8}};
+    for (const op_point& p : invalid_argument) {
+        for (const bool warm : {false, true}) {
+            eh::damping_path path = trusted;
+            eh::damping_path* used = warm ? &path : nullptr;
+            EXPECT_THROW(solve(p, used), std::invalid_argument);
+            EXPECT_THROW(eh::solve_damping(gen(), p.position, p.freq_hz,
+                                           p.accel, p.store_v, {}, {}, used),
+                         std::invalid_argument);
+        }
+    }
+    for (const bool warm : {false, true}) {
+        eh::damping_path path = trusted;
+        eh::damping_path* used = warm ? &path : nullptr;
+        EXPECT_THROW(solve({256, f, a, 2.8}, used), std::out_of_range);
+        EXPECT_THROW(eh::solve_damping(gen(), 256, f, a, 2.8, {}, {}, used),
+                     std::out_of_range);
+        // A bad position is reported before a bad store voltage, as the
+        // first trial's response() reported it before its bridge_average().
+        EXPECT_THROW(solve({256, f, a, -0.1}, used), std::out_of_range);
+    }
+}
+
+namespace {
+
+/// predicted_cell's walk of the grid of [0, c_hi] towards c, from the
+/// top every time: halvings while the cell is wider than tol, up to
+/// `limit` of them.
+eh::damping_cell walk_from_top(double c, double c_hi, double tol, int limit) {
+    eh::damping_cell cell{0.0, c_hi, 0, 0};
+    for (; cell.depth < limit && (cell.hi - cell.lo) > tol; ++cell.depth) {
+        const double mid = 0.5 * (cell.lo + cell.hi);
+        (c > mid ? cell.lo : cell.hi) = mid;
+    }
+    cell.halvings = cell.depth;
+    return cell;
+}
+
+/// The cell predicted_cell must return: the walk's, when usable.
+eh::damping_cell reference_cell(double c, double c_hi, double tol,
+                                int max_iterations) {
+    const eh::damping_cell cell = walk_from_top(c, c_hi, tol, max_iterations);
+    if (!(cell.lo >= 2.0 * tol && cell.hi < c_hi)) return {};
+    return cell;
+}
+
+/// One call of predicted_cell: the prediction and the grid it walks.
+struct walk_call {
+    double c = 0.0;
+    double c_hi = 0.0;
+    double tol = 0.0;
+    int max_iterations = 200;
+};
+
+/// The resume cell a path holds, as the test tracks it: the cell the
+/// last walk from the top passed at k_resume_depth, with its grid.
+struct resume_model {
+    bool set = false;
+    double lo = 0.0;
+    double hi = 0.0;
+    double c_hi = 0.0;
+    double tol = 0.0;
+
+    bool holds(const walk_call& w) const {
+        return set && w.max_iterations >= eh::damping_path::k_resume_depth &&
+               c_hi == w.c_hi && tol == w.tol && lo < w.c && w.c <= hi;
+    }
+};
+
+std::string describe(const walk_call& w) {
+    std::ostringstream os;
+    os << std::hexfloat << "c " << w.c << ", c_hi " << w.c_hi << ", tol "
+       << w.tol << ", max_iterations " << w.max_iterations;
+    return os.str();
+}
+
+}  // namespace
+
+TEST(WarmStart, ResumedWalkEndsInTheCellAWalkFromTheTopReaches) {
+    constexpr int k_depth = eh::damping_path::k_resume_depth;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    const double hi0 = c_hi();
+    const double tol0 = tol();
+    tk::prng r(0x5e5u);
+
+    std::vector<walk_call> calls;
+    const auto add = [&](double c, double grid_hi = -1.0, double grid_tol = -1.0,
+                         int max_iterations = 200) {
+        calls.push_back({c, grid_hi < 0.0 ? hi0 : grid_hi,
+                         grid_tol < 0.0 ? tol0 : grid_tol, max_iterations});
+    };
+    // Slow creep across many final cells and a few resume cells.
+    double c = 0.3 * hi0;
+    for (int i = 0; i < 400; ++i) {
+        c += r.uniform(0.0, 4.0) * tol0;
+        add(c);
+    }
+    // Jumps, and alternation between two far cells.
+    for (int i = 0; i < 100; ++i) add(r.uniform(0.0, hi0));
+    for (int i = 0; i < 40; ++i) add(i % 2 == 0 ? 0.2 * hi0 : 0.7 * hi0);
+    // Special and off-grid predictions, each after a walk that stored a
+    // cell at the grid's top or bottom.
+    for (const double special : {nan, inf, -inf, hi0, 2.0 * hi0, -1.0, 0.0}) {
+        add(std::nextafter(hi0, 0.0));
+        add(special);
+        add(3.0 * tol0);
+        add(special);
+    }
+    // Another c_hi, another tol (one that stops the walk above the resume
+    // depth), and back; predictions inside the previous grid's cell.
+    for (int i = 0; i < 20; ++i) {
+        const double aim = r.uniform(0.1, 0.9) * hi0;
+        add(aim);
+        add(aim, 1.5 * hi0);
+        add(aim);
+        add(aim, -1.0, 2.0 * tol0);
+        add(aim);
+        add(aim, -1.0, hi0 / 1024.0);
+        add(aim);
+    }
+    // Iteration limits at and below the resume depth.
+    for (int i = 0; i < 20; ++i) {
+        const double aim = r.uniform(0.1, 0.9) * hi0;
+        add(aim);
+        for (const int limit : {k_depth + 1, k_depth, k_depth - 1, 3, 0})
+            add(aim + r.uniform(-0.5, 0.5) * tol0, -1.0, -1.0, limit);
+    }
+
+    eh::damping_path path;
+    path.slope = -1.0;  // with f_root = 0 the prediction is exactly root
+    resume_model stored;
+    std::size_t resumed = 0;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+        walk_call w = calls[i];
+        if (i > 0 && stored.set && i % 9 == 0) {
+            // Aim at the stored cell's ends and one ulp either side.
+            const double ends[] = {stored.lo, stored.hi};
+            const double e = ends[(i / 9) % 2];
+            const int side = static_cast<int>((i / 18) % 3) - 1;
+            w.c = side == 0 ? e : std::nextafter(e, side < 0 ? -inf : inf);
+            w.c_hi = stored.c_hi;
+            w.tol = stored.tol;
+            w.max_iterations = 200;
+        }
+        path.root = w.c;
+        const eh::damping_cell got =
+            path.predicted_cell(0.0, w.c_hi, w.tol, w.max_iterations);
+        const eh::damping_cell want =
+            reference_cell(w.c, w.c_hi, w.tol, w.max_iterations);
+        ASSERT_TRUE(same_bits(got.lo, want.lo) && same_bits(got.hi, want.hi) &&
+                    got.depth == want.depth)
+            << "call " << i << " (" << describe(w) << "): got [" << std::hexfloat
+            << got.lo << ", " << got.hi << "] depth " << got.depth << ", want ["
+            << want.lo << ", " << want.hi << "] depth " << want.depth;
+
+        // A usable cell shows whether the walk resumed: exactly when the
+        // tracked resume cell holds the prediction.
+        const bool expect_resume = stored.holds(w);
+        if (got.depth > 0) {
+            const bool did_resume = got.halvings != got.depth;
+            EXPECT_EQ(did_resume, expect_resume) << "call " << i << " ("
+                                                 << describe(w) << ")";
+            if (did_resume) EXPECT_EQ(got.halvings, got.depth - k_depth);
+            resumed += did_resume ? 1 : 0;
+        }
+        if (!expect_resume) {
+            const eh::damping_cell passed = walk_from_top(
+                w.c, w.c_hi, w.tol, std::min(w.max_iterations, k_depth));
+            if (passed.depth == k_depth)
+                stored = {true, passed.lo, passed.hi, w.c_hi, w.tol};
+        }
+    }
+    // The creep alone resumes about 350 times.
+    EXPECT_GE(resumed, 300u);
 }
