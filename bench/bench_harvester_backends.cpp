@@ -10,8 +10,10 @@
 //     default make_envelope_batch (its scalar hook per lane) must not
 //     silently decay any more than the hand-vectorised electromagnetic
 //     kernel;
-//   * the electromagnetic batch numbers additionally ride the dedicated
-//     bench_batch_kernel gate with its 4x speedup floor.
+//   * the <name>_batch_speedup rows are informational; the
+//     electromagnetic kernel's advantage over its scalar path is gated by
+//     bench_batch_kernel's batch_speedup_x, a median over interleaved
+//     trials held to the same -15% rule against its own baseline.
 #include <algorithm>
 #include <cstdio>
 #include <string>

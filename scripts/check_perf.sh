@@ -1,21 +1,27 @@
 #!/usr/bin/env bash
 # check_perf.sh — compare a freshly produced BENCH_<name>.json against the
 # committed baseline at the repo root and fail on a throughput regression.
-# This is the perf gate behind the `perf`-labelled ctest: the batch kernel
-# must not silently decay.
+# This is the perf gate behind the `perf`-labelled ctests: the batch
+# kernel must not silently decay, neither in its own throughput nor in
+# its single-thread advantage over the scalar path.
 #
 # Usage: check_perf.sh <fresh.json> [<baseline.json>]
 #   When <baseline.json> is omitted it is looked up at the repo root by
 #   the fresh file's basename.
 #
-# Rules (per metric, matched by name):
-#   * unit "evals/s": fresh must be >= (1 - tolerance) * baseline —
-#     default tolerance 0.15 (the >15% regression gate), override with
-#     EHDSE_PERF_TOLERANCE.
-#   * metric "batch_speedup_x": fresh must also be >= the hard floor of
-#     4.0 (override with EHDSE_MIN_BATCH_SPEEDUP) — the batch kernel's
-#     contract is machine-relative, so this check is stable across hosts.
-#   * other units are informational only.
+# Rules (per metric, matched by name): a gated metric must read at least
+#   (1 - tolerance) * its baseline — default tolerance 0.15 (the >15%
+#   regression gate), override with EHDSE_PERF_TOLERANCE. Gated are
+#   * every metric in unit "evals/s";
+#   * "batch_speedup_x", bench_batch_kernel's median over interleaved
+#     trials of batch over scalar evaluations/s: two rates timed side by
+#     side, so the host's speed and its drift cancel from their ratio
+#     (the build type and the CPU still move it).
+#   Every other metric (the harvester bench's <backend>_batch_speedup
+#   rows among them) is informational only.
+#
+# Both files' "host" fingerprints (bench/bench_json.hpp) are printed above
+# the verdict ("none" for a file without one); they never change it.
 #
 # Exit codes: 0 ok, 1 regression, 2 usage/parse error,
 #   77 skipped (EHDSE_SKIP_PERF_GATE set — ctest reports SKIP).
@@ -39,52 +45,54 @@ if [ ! -f "$baseline" ]; then
 fi
 
 tolerance="${EHDSE_PERF_TOLERANCE:-0.15}"
-min_speedup="${EHDSE_MIN_BATCH_SPEEDUP:-4.0}"
 
 # The metric lines are flat (one object per line, fixed key order — see
 # bench/bench_json.hpp), so awk can read them without a JSON library.
+# Prints: name value unit trials iqr ("-" for a row without trials).
 read_metrics() {
     awk -F'"' '/"metric":/ {
         name = $4; unit = $10;
         split($0, parts, /"value": /); split(parts[2], v, /,/);
-        print name, v[1], unit;
+        trials = "-"; iqr = "-";
+        if (split($0, t, /"trials": /) > 1) { split(t[2], w, /[,}]/); trials = w[1]; }
+        if (split($0, q, /"iqr": /) > 1) { split(q[2], w, /[,}]/); iqr = w[1]; }
+        print name, v[1], unit, trials, iqr;
     }' "$1"
 }
 
+fingerprint() {
+    local host
+    host=$(sed -n 's/^ *"host": *\(.*[^,]\),*$/\1/p' "$1" | head -n 1)
+    echo "${host:-none}"
+}
+
+echo "  host fresh:    $(fingerprint "$fresh")"
+echo "  host baseline: $(fingerprint "$baseline")"
+
 status=0
 checked=0
-while read -r name value unit; do
+while read -r name value unit trials iqr; do
     base=$(read_metrics "$baseline" | awk -v n="$name" '$1 == n {print $2; exit}')
     if [ -z "$base" ]; then
         echo "  new metric $name = $value $unit (no baseline)"
         continue
     fi
-    case "$unit" in
-    evals/s)
+    case "$unit:$name" in
+    evals/s:* | *:batch_speedup_x)
         checked=$((checked + 1))
-        ok=$(awk -v f="$value" -v b="$base" -v t="$tolerance" \
-                 'BEGIN {print (f >= (1 - t) * b) ? 1 : 0}')
-        delta=$(awk -v f="$value" -v b="$base" 'BEGIN {printf "%+.1f%%", 100 * (f / b - 1)}')
+        read -r ok floor delta < <(awk -v f="$value" -v b="$base" -v t="$tolerance" \
+            'BEGIN {fl = (1 - t) * b; printf "%d %.6g %+.1f%%\n", (f >= fl), fl, 100 * (f / b - 1)}')
+        spread=""
+        [ "$trials" != "-" ] && spread=", median of $trials trials, IQR $iqr"
         if [ "$ok" = 1 ]; then
-            echo "  ok   $name: $value $unit vs baseline $base ($delta)"
+            echo "  ok   $name: $value $unit vs baseline $base ($delta$spread; floor $floor)"
         else
-            echo "  FAIL $name: $value $unit vs baseline $base ($delta, tolerance -$(awk -v t="$tolerance" 'BEGIN {printf "%.0f%%", 100*t}'))"
+            echo "  FAIL $name: $value $unit below its floor $floor = (1 - $tolerance) x baseline $base ($delta$spread)"
             status=1
         fi
         ;;
     *)
-        if [ "$name" = "batch_speedup_x" ]; then
-            checked=$((checked + 1))
-            ok=$(awk -v f="$value" -v m="$min_speedup" 'BEGIN {print (f >= m) ? 1 : 0}')
-            if [ "$ok" = 1 ]; then
-                echo "  ok   $name: ${value}x (floor ${min_speedup}x)"
-            else
-                echo "  FAIL $name: ${value}x below the ${min_speedup}x floor"
-                status=1
-            fi
-        else
-            echo "  info $name = $value $unit"
-        fi
+        echo "  info $name = $value $unit"
         ;;
     esac
 done < <(read_metrics "$fresh")
