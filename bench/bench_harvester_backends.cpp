@@ -3,6 +3,12 @@
 // path versus evaluate_batch, on one thread. Registry-driven: a new
 // backend joins this table (and the perf gate) just by registering.
 //
+// Each backend is timed by bench::interleaved_trials: a trial times a
+// scalar pass (the ten configs through evaluate()) and a batch pass (one
+// evaluate_batch of the ten) back to back, each side repeated for at
+// least bench::k_min_side_s, so a rate is the median of k_trials readings
+// well above timer and scheduler noise.
+//
 // What the gate pins (scripts/check_perf.sh, baseline
 // BENCH_harvester_backends.json at the repo root):
 //   * <name>_scalar_evals_per_s / <name>_batch_evals_per_s hold the
@@ -10,11 +16,10 @@
 //     default make_envelope_batch (its scalar hook per lane) must not
 //     silently decay any more than the hand-vectorised electromagnetic
 //     kernel;
-//   * the <name>_batch_speedup rows are informational; the
-//     electromagnetic kernel's advantage over its scalar path is gated by
-//     bench_batch_kernel's batch_speedup_x, a median over interleaved
-//     trials held to the same -15% rule against its own baseline.
-#include <algorithm>
+//   * the <name>_batch_speedup rows (medians of the per-trial ratios) are
+//     informational; the electromagnetic kernel's advantage over its
+//     scalar path is gated by bench_batch_kernel's batch_speedup_x, held
+//     to the same -15% rule against its own baseline.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,7 +30,6 @@
 #include "dse/rsm_flow.hpp"
 #include "dse/system_evaluator.hpp"
 #include "harvester/harvester_model.hpp"
-#include "obs/timing.hpp"
 #include "rsm/quadratic_model.hpp"
 
 int main() {
@@ -47,8 +51,9 @@ int main() {
     const double n = static_cast<double>(configs.size());
 
     std::printf("=== Harvester backend throughput ===\n");
-    std::printf("workload: %zu-point d-optimal, 600 s scenario, 1 thread\n\n",
-                configs.size());
+    std::printf("workload: %zu-point d-optimal, 600 s scenario, 1 thread; "
+                "medians of %d interleaved trials\n\n",
+                configs.size(), bench::k_trials);
 
     bench::json_emitter json("harvester_backends");
     for (const harvester::harvester_info& info :
@@ -59,36 +64,25 @@ int main() {
                                      std::to_string(configs.size()) +
                                      "-point d-optimal, 600 s scenario";
 
-        // Warm-up, then best-of-3 each way (regression-gated numbers).
-        (void)evaluator.evaluate(configs.front());
-        (void)evaluator.evaluate_batch(configs);
+        const bench::paired_trials trials = bench::interleaved_trials(
+            [&] {
+                for (const dse::system_config& config : configs)
+                    (void)evaluator.evaluate(config);
+            },
+            [&] { (void)evaluator.evaluate_batch(configs); }, n);
 
-        double scalar_wall = 1e300;
-        for (int rep = 0; rep < 3; ++rep) {
-            obs::stopwatch watch;
-            for (const dse::system_config& config : configs)
-                (void)evaluator.evaluate(config);
-            scalar_wall = std::min(scalar_wall, watch.seconds());
-        }
-        double batch_wall = 1e300;
-        for (int rep = 0; rep < 3; ++rep) {
-            obs::stopwatch watch;
-            (void)evaluator.evaluate_batch(configs);
-            batch_wall = std::min(batch_wall, watch.seconds());
-        }
+        std::printf("%-18s scalar %.2f evals/s (IQR %.2f), batch %.2f evals/s "
+                    "(IQR %.2f), %.2fx; %d + %d passes per trial\n",
+                    info.name.c_str(), trials.reference.median,
+                    trials.reference.iqr, trials.candidate.median,
+                    trials.candidate.iqr, trials.ratio.median,
+                    trials.reference_passes, trials.candidate_passes);
 
-        const double scalar_rate = n / scalar_wall;
-        const double batch_rate = n / batch_wall;
-        std::printf("%-18s scalar %.2f evals/s, batch %.2f evals/s (%.2fx)\n",
-                    info.name.c_str(), scalar_rate, batch_rate,
-                    batch_rate / scalar_rate);
-
-        json.record(info.name + "_scalar_evals_per_s", scalar_rate, "evals/s",
-                    workload);
-        json.record(info.name + "_batch_evals_per_s", batch_rate, "evals/s",
-                    workload);
-        json.record(info.name + "_batch_speedup", batch_rate / scalar_rate,
-                    "x", workload);
+        json.record(info.name + "_scalar_evals_per_s", trials.reference,
+                    "evals/s", workload);
+        json.record(info.name + "_batch_evals_per_s", trials.candidate,
+                    "evals/s", workload);
+        json.record(info.name + "_batch_speedup", trials.ratio, "x", workload);
     }
     json.write();
     return 0;

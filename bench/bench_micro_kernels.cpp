@@ -34,48 +34,15 @@ void bm_envelope_solve(benchmark::State& state) {
 }
 BENCHMARK(bm_envelope_solve);
 
-// The damping solves of one run as its store charges: from 2.8 V the
-// voltage creeps 20 uV per solve (the median step between consecutive
+// The envelope RHS hook along one run as its store charges: from 2.8 V
+// the voltage creeps 20 uV per call (the median step between consecutive
 // envelope RHS calls of a paper-default evaluation is 13 uV, the 90th
-// percentile 36 uV), with a 1 mV transmission burst every 100 solves.
-// Solved cold (warm:0) or carrying one damping_path along (warm:1); both
-// return bit-identical operating points. The trials_per_solve counter
-// (envelope_point::iterations per solve: the trials of T plus the final
-// evaluation) shows what the warm start saves: 28 cold, 4 when the
-// predicted cell holds the root, a cold solve plus the wasted trials when
-// it does not (harvester/damping_path.hpp).
+// percentile 36 uV), with a 1 mV transmission burst every 100 calls.
+// Each call starts cold from a fresh damping_path (warm:0) or carries one
+// path along (warm:1), as a run does; both return bit-identical rates
+// (harvester/damping_path.hpp), so the gap is what the warm start saves.
 void bm_envelope_walk(benchmark::State& state) {
     const bool warm = state.range(0) != 0;
-    const harvester::microgenerator gen;
-    const harvester::tuning_table table(gen);
-    const int pos = table.lookup(69.0);
-    const double accel = 0.060 * harvester::k_gravity;
-    constexpr int k_solves = 1000;
-    std::int64_t trials = 0;
-    for (auto _ : state) {
-        harvester::damping_path path;
-        double v = 2.8;
-        for (int i = 0; i < k_solves; ++i) {
-            v += (i % 100 == 99) ? -1e-3 : 20e-6;
-            const auto pt = harvester::solve_envelope(
-                gen, pos, 69.0, accel, v, {}, {}, warm ? &path : nullptr);
-            trials += pt.iterations;
-            benchmark::DoNotOptimize(pt.elec.p_store_w);
-        }
-    }
-    const auto solves = state.iterations() * k_solves;
-    state.SetItemsProcessed(solves);
-    state.counters["trials_per_solve"] =
-        static_cast<double>(trials) / static_cast<double>(solves);
-}
-BENCHMARK(bm_envelope_walk)->ArgName("warm")->Arg(0)->Arg(1);
-
-// The envelope RHS hook along bm_envelope_walk's creep, carrying one
-// path: the entry every scalar envelope evaluation calls. It solves
-// through solve_damping, whose final evaluation skips the bridge that
-// bm_envelope_walk's public solve_envelope still computes, and adds the
-// charging bridge at the envelope amplitude.
-void bm_envelope_dynamics(benchmark::State& state) {
     const harvester::electromagnetic_harvester em;
     const harvester::tuning_table table(em);
     const int pos = table.lookup(69.0);
@@ -83,19 +50,21 @@ void bm_envelope_dynamics(benchmark::State& state) {
     const double z_env = em.initial_amplitude(69.0, accel, pos, 2.8, {});
     constexpr int k_solves = 1000;
     for (auto _ : state) {
-        harvester::damping_path path;
+        harvester::damping_path carried;
         double v = 2.8;
         for (int i = 0; i < k_solves; ++i) {
             v += (i % 100 == 99) ? -1e-3 : 20e-6;
+            harvester::damping_path fresh;
             const harvester::envelope_rates r = em.envelope_dynamics(
                 69.0, accel, pos, v, z_env,
-                harvester::conditioning_kind::diode_bridge, 1.0, {}, path);
+                harvester::conditioning_kind::diode_bridge, 1.0, {},
+                warm ? carried : fresh);
             benchmark::DoNotOptimize(r.charge_current_a);
         }
     }
     state.SetItemsProcessed(state.iterations() * k_solves);
 }
-BENCHMARK(bm_envelope_dynamics);
+BENCHMARK(bm_envelope_walk)->ArgName("warm")->Arg(0)->Arg(1);
 
 void bm_rk45_oscillator(benchmark::State& state) {
     const sim::functional_system sys(

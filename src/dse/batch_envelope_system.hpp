@@ -7,13 +7,12 @@
 // phase-lag tap through the model's own hooks, and the storage tail. The
 // envelope RHS of all lanes comes from one harvester::envelope_batch the
 // model builds for the run (harvester_model::make_envelope_batch): the
-// electromagnetic entry's is the hand-vectorised lockstep damping kernel,
-// every other entry's calls its scalar envelope_dynamics hook per lane.
-// Under that hook's numerical contract each lane agrees with its scalar
-// envelope_system run — bitwise for the per-lane default, to solver
-// tolerance for the kernel — and batch(B) == batch(1) bitwise, which the
-// batch_vs_scalar_equivalence testkit property enforces per registered
-// harvester.
+// electromagnetic entry's is the hand-vectorised lockstep damping kernel
+// (whose one-lane run is its scalar hook), every other entry's calls its
+// scalar envelope_dynamics hook per lane. Under that hook's numerical
+// contract each lane equals its scalar envelope_system run bitwise, and
+// batch(B) == batch(1), which the batch_vs_scalar_equivalence testkit
+// property enforces per registered harvester.
 //
 // Lanes are independent: per-lane actuator position, load bank and energy
 // ledger, shared (read-only) model, vibration source and storage model.

@@ -1,9 +1,12 @@
 // Thread-safe memoising wrapper over system_evaluator. An evaluation is a
 // pure function of (system_config, evaluation_options) — the evaluator's
-// physics are fixed at construction and every stochastic stream is seeded
-// through the options — so identical requests (optimiser revisits of the
-// same design point, repeated baselines) can return the stored result
-// instead of re-integrating an hour of ODE.
+// physics are fixed at construction, every stochastic stream is seeded
+// through the options, and evaluate() and every batch lane compute the
+// same bits — so identical requests (optimiser revisits of the same
+// design point, repeated baselines) can return the stored result instead
+// of re-integrating an hour of ODE, and the stored result is the same
+// whichever entry point filled it: an answer never depends on the
+// requests that came before it.
 //
 // Keying: the key is the CANONICALIZED (system_config, evaluation_options)
 // pair of the spec layer — spec::evaluation_request_hash routes buckets

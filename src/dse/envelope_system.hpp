@@ -12,12 +12,11 @@
 // The harvester physics is dispatched through the harvester_model
 // registry interface: this system owns the slow states and the plant
 // bookkeeping, the model supplies the envelope RHS (amplitude relaxation
-// rate + store charging current) at each operating point. The
-// electromagnetic entry implements that hook with the exact pre-registry
-// expressions, so dispatching through the interface is bit-identical to
-// the old hard-wired path. batch_envelope_system runs the same model for
-// many design points at once, with the same state layout and integration
-// defaults (envelope_ode_options).
+// rate + store charging current) at each operating point.
+// batch_envelope_system runs the same model for many design points at
+// once, with the same state layout and integration defaults
+// (envelope_ode_options), and every lane computes the bits this system
+// computes for its design point.
 //
 // Digital processes interact through the harvester::plant interface:
 // instantaneous charge withdrawals (transmission bursts, MCU activity),

@@ -142,10 +142,6 @@ void echo_options(obs::run_manifest& manifest, const flow_options& options,
     manifest.set_option("replicates", obs::json_value(options.replicates));
     manifest.set_option("parallel", obs::json_value(options.parallel));
     manifest.set_option("jobs", obs::json_value(resolved_jobs));
-    // Execution detail, echoed for forensics only — deliberately absent
-    // from the experiment spec (and so from spec_hash): lanes are
-    // independent, so the width cannot change any result.
-    manifest.set_option("batch_width", obs::json_value(options.batch_width));
     manifest.set_option("cache", obs::json_value(options.cache));
     manifest.set_option("cache_capacity",
                         obs::json_value(options.cache_capacity));
@@ -260,39 +256,34 @@ static flow_result run_flow_phases(
     }
     obs_hook.set_phase_items(jobs.size());
 
+    // Jobs are laid out point-major (point p, replicate r at index
+    // p * replicates + r) and replicates differ in controller seed, so
+    // batch chunks are built per replicate: within a chunk every job
+    // shares its evaluation options. Chunks fan out over the pool; per-lane
+    // results land at their own index, and a lane's result is the one
+    // evaluate() gives its config, so neither the chunking nor the pool
+    // changes any output.
     std::vector<evaluation_result> results(jobs.size());
-    if (options.batch_width > 1 && jobs.size() > 1) {
-        // Jobs are laid out point-major (point p, replicate r at index
-        // p * replicates + r) and replicates differ in controller seed, so
-        // batch groups are built per replicate: within a group every job
-        // shares its evaluation options. Chunks fan out over the pool;
-        // per-lane results land at their own index, so neither the
-        // chunking nor the pool changes any output.
-        const std::size_t points = jobs.size() / replicates;
-        std::size_t chunk = options.batch_width;
-        if (pool != nullptr && pool->size() > 1)
-            chunk = std::clamp((points + pool->size() - 1) / pool->size(),
-                               std::size_t{1}, chunk);
-        const std::size_t tasks = (points + chunk - 1) / chunk;
-        for (std::size_t rep = 0; rep < replicates; ++rep) {
-            exec::parallel_for(pool, tasks, [&](std::size_t ti) {
-                const std::size_t first = ti * chunk;
-                const std::size_t count = std::min(chunk, points - first);
-                std::vector<system_config> configs;
-                configs.reserve(count);
-                for (std::size_t j = 0; j < count; ++j)
-                    configs.push_back(jobs[(first + j) * replicates + rep].config);
-                const evaluation_options& eval = jobs[first * replicates + rep].eval;
-                std::vector<evaluation_result> batch =
-                    cache ? cache->evaluate_batch(configs, eval)
-                          : evaluator.evaluate_batch(configs, eval);
-                for (std::size_t j = 0; j < count; ++j)
-                    results[(first + j) * replicates + rep] = std::move(batch[j]);
-            });
-        }
-    } else {
-        exec::parallel_for(pool, jobs.size(), [&](std::size_t i) {
-            results[i] = evaluate(jobs[i].config, jobs[i].eval);
+    const std::size_t points = jobs.size() / replicates;
+    std::size_t chunk = system_evaluator::k_max_batch_lanes;
+    if (pool != nullptr && pool->size() > 1)
+        chunk = std::clamp((points + pool->size() - 1) / pool->size(),
+                           std::size_t{1}, chunk);
+    const std::size_t tasks = (points + chunk - 1) / chunk;
+    for (std::size_t rep = 0; rep < replicates; ++rep) {
+        exec::parallel_for(pool, tasks, [&](std::size_t ti) {
+            const std::size_t first = ti * chunk;
+            const std::size_t count = std::min(chunk, points - first);
+            std::vector<system_config> configs;
+            configs.reserve(count);
+            for (std::size_t j = 0; j < count; ++j)
+                configs.push_back(jobs[(first + j) * replicates + rep].config);
+            const evaluation_options& eval = jobs[first * replicates + rep].eval;
+            std::vector<evaluation_result> batch =
+                cache ? cache->evaluate_batch(configs, eval)
+                      : evaluator.evaluate_batch(configs, eval);
+            for (std::size_t j = 0; j < count; ++j)
+                results[(first + j) * replicates + rep] = std::move(batch[j]);
         });
     }
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -360,28 +351,16 @@ static flow_result run_flow_phases(
     }
 
     // 6. Validate each optimum by simulation, with the Table VI baseline
-    //    as one more task of the same fan-out (task 0). Validations run
-    //    as 1-lane batches when batching is on and there is more than one
-    //    (lanes are independent, so the lane count changes no result).
-    //    Manifest records and progress notes stay on the calling thread:
-    //    the baseline, then the validations in outcome order.
+    //    as one more task of the same fan-out (task 0). Manifest records
+    //    and progress notes stay on the calling thread: the baseline, then
+    //    the validations in outcome order.
     obs_hook.phase("validate", out.outcomes.size() + 1);
-    const bool batched = options.batch_width > 1 && out.outcomes.size() > 1;
     exec::parallel_for(pool, out.outcomes.size() + 1, [&](std::size_t task) {
-        if (task == 0) {
+        if (task == 0)
             out.original_eval = evaluate(options.baseline, options.eval);
-            return;
-        }
-        optimizer_outcome& oc = out.outcomes[task - 1];
-        if (!batched) {
-            oc.validated = evaluate(oc.config, options.eval);
-            return;
-        }
-        const std::span<const system_config> lane(&oc.config, 1);
-        oc.validated = std::move(
-            (cache ? cache->evaluate_batch(lane, options.eval)
-                   : evaluator.evaluate_batch(lane, options.eval))
-                .front());
+        else
+            out.outcomes[task - 1].validated =
+                evaluate(out.outcomes[task - 1].config, options.eval);
     });
     obs_hook.sim_run(make_run_record(
         "baseline", 0, config_to_coded(out.space, options.baseline),

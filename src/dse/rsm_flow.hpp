@@ -93,14 +93,6 @@ struct flow_options {
     /// When unset and `parallel` is set, the flow owns a pool of `jobs`
     /// workers for the duration of the call.
     exec::thread_pool* pool = nullptr;
-    /// Evaluate design points through system_evaluator::evaluate_batch in
-    /// groups of at most this many configs (grouping never mixes
-    /// evaluation options, so replicates batch within a seed). Runtime
-    /// execution knob only — it is NOT part of the experiment spec, so
-    /// manifests keep the same spec_hash and per-run records regardless of
-    /// the width; results are identical because batch lanes are
-    /// independent. 0 or 1 disables batching (per-config evaluate()).
-    std::size_t batch_width = 16;
     /// Memoise evaluations for the duration of the flow: optimiser
     /// revisits of an already-simulated configuration (common — GA and SA
     /// frequently agree on a box vertex) reuse the stored result.

@@ -1,9 +1,9 @@
-// Warm start for the self-consistent damping bisection: the scalar
-// solve_damping (envelope.hpp) and the lockstep SoA bisection of the
-// electromagnetic batch kernel (electromagnetic_batch.cpp) share this
-// predictor.
+// Warm start for the self-consistent damping bisection of the
+// electromagnetic envelope kernel (electromagnetic_batch.cpp), which the
+// scalar envelope_dynamics hook runs on one lane and an envelope_batch on
+// many. The libm reference solve (solve_damping, envelope.hpp) is cold.
 //
-// Both solvers bisect f(c) = T(c) - c on [0, c_hi], where T is the
+// The kernel bisects f(c) = T(c) - c on [0, c_hi], where T is the
 // equivalent damping the diode bridge presents at trial damping c. Along
 // one simulation run consecutive solves sit at nearly the same operating
 // point, so the root moves smoothly. A damping_path keeps the previous
@@ -57,9 +57,10 @@
 // the grid, and a prediction that is NaN, infinite or beyond c_hi resumes
 // only where a walk from the top would pass anyway.
 //
-// A path is per-run state, passed explicitly or owned per lane by a run's
-// envelope_batch (never shared between runs or threads); harvester models
-// stay stateless.
+// A path is per-run state: a scalar run's envelope_system owns one and
+// passes it to the hook, a batch run's envelope_batch owns one per lane
+// (never shared between runs or threads); harvester models stay
+// stateless.
 #pragma once
 
 #include <algorithm>

@@ -83,43 +83,6 @@ double electromagnetic_harvester::initial_amplitude(
     return pt.mech.displacement_amp_m;
 }
 
-envelope_rates electromagnetic_harvester::envelope_dynamics(
-    double freq_hz, double accel_amp_ms2, int position, double store_v,
-    double z_env, conditioning_kind conditioning, double efficiency,
-    const power::rectifier_params& rect, damping_path& path) const {
-    const double omega = 2.0 * std::numbers::pi * freq_hz;
-    envelope_rates out;
-    if (conditioning == conditioning_kind::diode_bridge) {
-        const damping_point pt =
-            solve_damping(gen_, position, freq_hz, accel_amp_ms2, store_v,
-                          rect, {}, &path);
-        // Amplitude envelope relaxes towards the steady state.
-        const double tau = gen_.settling_tau(pt.c_electrical);
-        out.amplitude_rate = (pt.mech.displacement_amp_m - z_env) / tau;
-
-        // Charging from the instantaneous envelope amplitude (not the target).
-        const double emf = gen_.params().coupling_v_per_ms * omega * z_env;
-        const power::rectifier_operating_point op = power::bridge_average(
-            emf, store_v, gen_.params().coil_resistance_ohm, rect);
-        out.charge_current_a = op.i_avg_a;
-    } else {
-        // MPPT front-end: the converter holds the coil at the matched load
-        // (c_e = c_mech) regardless of the store voltage, and delivers the
-        // extracted mechanical power at the conversion efficiency.
-        const double c_match = gen_.mech_damping();
-        const linear_response mech =
-            gen_.response(omega, accel_amp_ms2, position, c_match);
-        const double tau = gen_.settling_tau(c_match);
-        out.amplitude_rate = (mech.displacement_amp_m - z_env) / tau;
-
-        const double vel_env = omega * z_env;
-        const double p_extracted = 0.5 * c_match * vel_env * vel_env;
-        out.charge_current_a =
-            store_v > 0.05 ? efficiency * p_extracted / store_v : 0.0;
-    }
-    return out;
-}
-
 double electromagnetic_harvester::phase_lag(
     double freq_hz, double accel_amp_ms2, int position, double store_v,
     const power::rectifier_params& rect) const {

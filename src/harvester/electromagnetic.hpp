@@ -1,14 +1,13 @@
 // The Southampton tunable electromagnetic cantilever as a registered
 // harvester_model — the paper's device, and the registry's default entry.
 //
-// This is a thin adapter: the physics stays in microgenerator / envelope /
-// transient_model, and every scalar hook is implemented with the exact
-// expressions the envelope_system used before the registry existed, so
-// dispatching through harvester_model is bit-identical to the
-// pre-refactor hard-wired path (the testkit differential properties pin
-// this). The batch hook is the one override with code of its own: the
-// SoA damping kernel in electromagnetic_batch.cpp, which agrees with the
-// scalar hook to solver tolerance.
+// A thin adapter: the physics stays in microgenerator / envelope /
+// transient_model. The envelope RHS is the one part with code of its
+// own: envelope_dynamics and make_envelope_batch both run the lockstep
+// damping kernel of electromagnetic_batch.cpp (one lane and B lanes), so
+// the scalar hook and every batch lane give the same bits.
+// initial_amplitude and phase_lag are cold libm solves (solve_damping),
+// which both the scalar and the batch systems call.
 #pragma once
 
 #include "harvester/harvester_model.hpp"
@@ -33,12 +32,14 @@ public:
     double initial_amplitude(double freq_hz, double accel_amp_ms2,
                              int position, double store_v,
                              const power::rectifier_params& rect) const override;
+    /// The lockstep damping kernel on one lane, warm-started from `path`
+    /// (electromagnetic_batch.cpp).
     envelope_rates envelope_dynamics(
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,
         const power::rectifier_params& rect,
         damping_path& path) const override;
-    /// The lockstep SoA damping kernel (electromagnetic_batch.cpp).
+    /// The same kernel on `lanes` lanes (electromagnetic_batch.cpp).
     std::unique_ptr<envelope_batch> make_envelope_batch(
         std::size_t lanes) const override;
     double phase_lag(double freq_hz, double accel_amp_ms2, int position,

@@ -1,25 +1,26 @@
-// SoA batch form of the electromagnetic envelope RHS
-// (electromagnetic_harvester::make_envelope_batch): B lanes' operating
-// points advance through one lockstep damping solve.
+// The electromagnetic envelope RHS: one lockstep damping kernel that
+// electromagnetic_harvester::envelope_dynamics runs on one lane and
+// make_envelope_batch on B lanes, so a scalar evaluation and a batch lane
+// of the same operating point compute the same bits.
 //
-// The scalar hook spends most of its time inside solve_envelope — a
-// bisection on the self-consistent electrical damping whose every trial
+// Most of the RHS's time is the damping solve: a bisection on the
+// self-consistent electrical damping (envelope.hpp) whose every trial
 // evaluates the mechanical response and the averaged diode bridge. Here
-// that bisection runs across all lanes at once: each trial is three flat
-// loops over lanes (mechanics / asin–cos / bridge power + bracket update)
-// written branch-free with value selects so GCC auto-vectorises them, and
-// libm calls are replaced by a fitted polynomial asin plus the exact
-// identities cos(asin x) = sqrt(1 - x^2) and sin(2 asin x) = 2 x sqrt(1 -
-// x^2). Per-lane brackets update under masks, so lanes converge exactly as
-// their scalar counterparts would (same iteration count, same semantics);
-// results agree with the scalar hook to solver tolerance, enforced per
-// lane by HarvesterRegistry.EnvelopeBatchMatchesTheScalarHookPerLane and
-// end to end by the batch_vs_scalar_equivalence testkit property. Each
-// lane carries its own damping_path, so the bisection warm-starts per lane
-// exactly like the scalar solve, bit-identical to a cold bisection: one
-// lockstep trial at every lane's previous root, one pair checking every
-// lane's predicted cell, and a final lockstep evaluation at the converged
-// damping that runs the mechanics only (the bridge there is not read).
+// each trial is three flat loops over lanes (mechanics / asin-cos /
+// bridge power + bracket update) written branch-free with value selects
+// so GCC auto-vectorises them, and libm calls are replaced by a fitted
+// polynomial asin plus the exact identities cos(asin x) = sqrt(1 - x^2)
+// and sin(2 asin x) = 2 x sqrt(1 - x^2). Per-lane brackets update under
+// masks, so a lane's answer never depends on which other lanes share the
+// run: batch(B) == batch(1) == the scalar hook, bitwise. The kernel agrees
+// with the libm reference solve (solve_envelope) to solver tolerance.
+//
+// Each lane carries its own damping_path, so the bisection warm-starts per
+// lane, bit-identical to the kernel's cold bisection
+// (harvester/damping_path.hpp): one lockstep trial at every lane's
+// previous root, one pair checking every lane's predicted cell, and a
+// final lockstep evaluation at the converged damping that runs the
+// mechanics only (the bridge there is not read).
 //
 // The lane loops only vectorise with this file's COMPILE_OPTIONS
 // (src/harvester/CMakeLists.txt).
@@ -29,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "harvester/envelope.hpp"
@@ -46,8 +48,9 @@ constexpr double k_half_pi = 0.5 * std::numbers::pi;
 // reduction
 //     x <= 0.5 : asin(x) = x * P(x^2)
 //     x  > 0.5 : asin(x) = pi/2 - 2 * sqrt(z) * P(z),  z = (1 - x) / 2
-// Max abs error 3.3e-16 over [0, 1) — at libm rounding level, so the batch
-// bridge matches the scalar std::asin path to solver tolerance.
+// Max abs error 3.3e-16 over [0, 1) — at libm rounding level, so the
+// kernel's bridge matches the std::asin of power/rectifier.hpp to solver
+// tolerance.
 constexpr double k_asin_c[16] = {
     0.999999999999999999892,   0.166666666666666696405,
     0.0749999999999929945523,  0.0446428571436258050417,
@@ -85,7 +88,7 @@ inline double asin_poly_eval(double z) {
 // __restrict__: GCC only assigns no-alias cliques to restrict *parameters*
 // (never to restrict locals), and without them these loops reference more
 // arrays than the vectoriser's runtime alias-check budget covers and
-// silently stay scalar. All call sites pass distinct scratch vectors.
+// silently stay scalar. All call sites pass distinct lane arrays.
 
 // Mechanics: linear response at the trial damping (displacement limiter
 // as a value select — no control flow in the loop).
@@ -163,99 +166,87 @@ inline void bridge_damping_lanes(std::size_t B, double inv_pir,
     }
 }
 
-class em_envelope_batch final : public envelope_batch {
-public:
-    em_envelope_batch(const microgenerator& gen, std::size_t lanes)
-        : gen_(gen),
-          lanes_(lanes),
-          omega_(lanes), re_(lanes), ma_(lanes), u_(lanes),
-          lo_(lanes), hi_(lanes), ce_(lanes), ct_(lanes), za_(lanes),
-          e_(lanes), vel_(lanes), xx_(lanes), th1_(lanes), cth_(lanes),
-          ct_lo_(lanes), f_lo_(lanes), f_hi_(lanes), blocked_(lanes, 0),
-          refine_(lanes, 0), warm_(lanes, 0), it_(lanes, 0), paths_(lanes) {}
+/// The lane arrays one run of the kernel reads and writes, `count` lanes
+/// each: the operating point its caller fills, the kernel's scratch, and
+/// each lane's damping_path. em_envelope_batch lays them over storage it
+/// keeps for its run; the scalar hook over one lane of stack storage.
+struct kernel_lanes {
+    /// Rows of doubles and of flags that lay_out() carves.
+    static constexpr std::size_t k_double_rows = 17;
+    static constexpr std::size_t k_flag_rows = 3;
 
-    void rates(const envelope_lanes& in, conditioning_kind conditioning,
-               double efficiency, const power::rectifier_params& rect,
-               std::span<double> amplitude_rate,
-               std::span<double> charge_current) override;
-
-private:
-    /// One lockstep trial of the damping fixed point: given per-lane trial
-    /// damping ce[], fill c_target[] (the damping the bridge presents
-    /// there) and za[] (the steady-state displacement amplitude). Reads
-    /// the per-call scratch (omega/re/ma/u) prepared by rates().
-    void eval_damping(const double* ce, double* c_target, double* za);
-
-    const microgenerator& gen_;
-    std::size_t lanes_;
-
-    // Per-call scratch, lane-contiguous.
-    std::vector<double> omega_, re_, ma_, u_;
-    std::vector<double> lo_, hi_, ce_, ct_, za_;
-    std::vector<double> e_, vel_, xx_, th1_, cth_, ct_lo_;
-    std::vector<double> f_lo_, f_hi_;  ///< T - c at lo_ / hi_
-    std::vector<std::uint8_t> blocked_, refine_, warm_;
-    std::vector<int> it_;  ///< per-lane bisection decisions
-
-    // Per-lane damping-solve warm start, carried across rates() calls
-    // (harvester/damping_path.hpp); changes only speed.
-    std::vector<damping_path> paths_;
+    std::size_t count;
+    // Operating point: omega, k_eff - m omega^2, m A, and the bridge's
+    // sink voltage V + 2 Vd.
+    double *omega, *re, *ma, *u;
+    // Damping-solve and charging-bridge scratch.
+    double *lo, *hi, *ce, *ct, *ct_lo, *za, *e, *vel, *xx, *th1, *cth;
+    double *f_lo, *f_hi;  ///< T - c at lo / hi
+    std::uint8_t *blocked, *refine, *warm;
+    int* it;  ///< per-lane bisection decisions
+    damping_path* paths;
 };
 
-void em_envelope_batch::eval_damping(const double* ce, double* c_target,
-                                     double* za) {
-    const std::size_t B = lanes_;
-    const auto& gp = gen_.params();
-    const double c_mech = gen_.mech_damping();
-    const double phi = gp.coupling_v_per_ms;
-    const double xmax = gp.max_displacement_m;
-    const double inv_pir = 1.0 / (k_pi * gp.coil_resistance_ohm);
-
-    mechanics_lanes(B, c_mech, phi, xmax, ce, omega_.data(), re_.data(),
-                    ma_.data(), u_.data(), za, e_.data(), vel_.data(),
-                    xx_.data());
-    conduction_angle_lanes(B, xx_.data(), th1_.data(), cth_.data());
-    bridge_damping_lanes(B, inv_pir, e_.data(), u_.data(), vel_.data(),
-                         xx_.data(), th1_.data(), cth_.data(), c_target);
+/// kernel_lanes for `count` lanes over k_double_rows * count doubles,
+/// k_flag_rows * count flags, `count` ints and `count` paths.
+kernel_lanes lay_out(std::size_t count, double* doubles, std::uint8_t* flags,
+                     int* it, damping_path* paths) {
+    kernel_lanes k{};
+    k.count = count;
+    double** const rows[kernel_lanes::k_double_rows] = {
+        &k.omega, &k.re,  &k.ma, &k.u,  &k.lo, &k.hi,  &k.ce,
+        &k.ct,    &k.ct_lo, &k.za, &k.e, &k.vel, &k.xx, &k.th1,
+        &k.cth,   &k.f_lo, &k.f_hi};
+    for (std::size_t r = 0; r < kernel_lanes::k_double_rows; ++r)
+        *rows[r] = doubles + r * count;
+    k.blocked = flags;
+    k.refine = flags + count;
+    k.warm = flags + 2 * count;
+    k.it = it;
+    k.paths = paths;
+    return k;
 }
 
-void em_envelope_batch::rates(const envelope_lanes& in,
-                              conditioning_kind conditioning,
-                              double efficiency,
-                              const power::rectifier_params& rect,
-                              std::span<double> amplitude_rate,
-                              std::span<double> charge_current) {
-    // Full-width, branch-free-per-lane computation: lanes the integrator
-    // masked out get (ignored) values computed too — cheaper than breaking
-    // the vector loops up.
-    const std::size_t B = lanes_;
-    const auto& gp = gen_.params();
+/// One lockstep trial of the damping fixed point over the first B lanes:
+/// given per-lane trial damping ce[], fill c_target[] (the damping the
+/// bridge presents there) and za[] (the steady-state displacement
+/// amplitude). Reads the operating point rows of `k`.
+inline void eval_damping(std::size_t B, const microgenerator& gen,
+                         const kernel_lanes& k, const double* ce,
+                         double* c_target, double* za) {
+    const auto& gp = gen.params();
+    mechanics_lanes(B, gen.mech_damping(), gp.coupling_v_per_ms,
+                    gp.max_displacement_m, ce, k.omega, k.re, k.ma, k.u, za,
+                    k.e, k.vel, k.xx);
+    conduction_angle_lanes(B, k.xx, k.th1, k.cth);
+    bridge_damping_lanes(B, 1.0 / (k_pi * gp.coil_resistance_ohm), k.e, k.u,
+                         k.vel, k.xx, k.th1, k.cth, c_target);
+}
+
+/// The envelope RHS of every lane of `k` at its operating point, store
+/// voltage v_in[l] and envelope z_in[l]: the amplitude rate into dz[l] and
+/// the charging current into ich[l]. Every lane is computed in full width
+/// and branch-free: lanes the integrator masked out get (ignored) values
+/// too, which is cheaper than breaking the vector loops up. `Lanes` fixes
+/// the lane count at compile time (the scalar hook's one lane, whose loops
+/// then fold away); 0 reads it from `k`. The arithmetic is the same.
+template <std::size_t Lanes>
+void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
+                  const double* v_in, const double* z_in,
+                  conditioning_kind conditioning, double efficiency,
+                  double* dz, double* ich) {
+    const std::size_t B = Lanes != 0 ? Lanes : k.count;
+    const auto& gp = gen.params();
     const double m = gp.mass_kg;
-    const double c_mech = gen_.mech_damping();
+    const double c_mech = gen.mech_damping();
     const double phi = gp.coupling_v_per_ms;
     const double inv_pir = 1.0 / (k_pi * gp.coil_resistance_ohm);
-    const double two_vd = 2.0 * rect.diode_drop_v;
-
-    const double* v_in = in.store_v.data();
-    const double* z_in = in.z_env.data();
-    double* dz = amplitude_rate.data();
-    double* ich = charge_current.data();
-
-    // Per-lane stimulus and coefficients. The schedule and stiffness
-    // lookups are scalar per lane (the schedules piecewise-constant, a
-    // handful of segments) — negligible next to the damping solve below.
-    for (std::size_t l = 0; l < B; ++l) {
-        const double omega = 2.0 * k_pi * in.vib.frequency_at(in.t[l]);
-        omega_[l] = omega;
-        re_[l] = gen_.effective_stiffness(in.position[l]) - m * omega * omega;
-        ma_[l] = m * in.vib.amplitude_at(in.t[l]);
-        u_[l] = v_in[l] + two_vd;
-    }
 
     if (conditioning == conditioning_kind::diode_bridge) {
         // --- Lockstep bisection for the self-consistent electrical damping,
-        // mirroring solve_envelope lane-for-lane (same tolerance, same
-        // bracket, same warm start, same expansion and stop rules). ---
+        // the bisection of solve_damping lane for lane (same tolerance,
+        // same bracket, same expansion and stop rules) plus the warm
+        // start. ---
         const double tol = envelope_options{}.tolerance * c_mech;
         const double c_hi_limit =
             phi * phi / gp.coil_resistance_ohm + c_mech;
@@ -269,27 +260,27 @@ void em_envelope_batch::rates(const envelope_lanes& in,
         // trials.
         bool any_trusted = false;
         for (std::size_t l = 0; l < B; ++l) {
-            const bool trusted = paths_[l].trusted(c_hi_limit);
-            warm_[l] = trusted ? 1 : 0;
-            ce_[l] = trusted ? paths_[l].root : 0.0;
+            const bool trusted = k.paths[l].trusted(c_hi_limit);
+            k.warm[l] = trusted ? 1 : 0;
+            k.ce[l] = trusted ? k.paths[l].root : 0.0;
             any_trusted = any_trusted || trusted;
         }
-        if (any_trusted) eval_damping(ce_.data(), ct_.data(), za_.data());
+        if (any_trusted) eval_damping(B, gen, k, k.ce, k.ct, k.za);
         for (std::size_t l = 0; l < B; ++l) {
             const damping_cell cell =
-                warm_[l] ? paths_[l].predicted_cell(ct_[l] - ce_[l],
-                                                    c_hi_limit, tol,
-                                                    max_iterations)
-                         : damping_cell{};
+                k.warm[l] ? k.paths[l].predicted_cell(k.ct[l] - k.ce[l],
+                                                      c_hi_limit, tol,
+                                                      max_iterations)
+                          : damping_cell{};
             const bool warm = cell.depth > 0;
-            warm_[l] = warm ? 1 : 0;
-            lo_[l] = warm ? cell.lo : 0.0;
-            hi_[l] = warm ? cell.hi : c_hi_limit;
-            it_[l] = cell.depth;
+            k.warm[l] = warm ? 1 : 0;
+            k.lo[l] = warm ? cell.lo : 0.0;
+            k.hi[l] = warm ? cell.hi : c_hi_limit;
+            k.it[l] = cell.depth;
         }
         const auto probe_ends = [&] {
-            eval_damping(lo_.data(), ct_lo_.data(), za_.data());
-            eval_damping(hi_.data(), ct_.data(), za_.data());
+            eval_damping(B, gen, k, k.lo, k.ct_lo, k.za);
+            eval_damping(B, gen, k, k.hi, k.ct, k.za);
         };
         probe_ends();
 
@@ -298,11 +289,11 @@ void em_envelope_batch::rates(const envelope_lanes& in,
         // values, so one extra pair serves every failing lane.
         bool any_failed = false;
         for (std::size_t l = 0; l < B; ++l) {
-            if (warm_[l] && !(ct_lo_[l] > lo_[l] && !(ct_[l] > hi_[l]))) {
-                warm_[l] = 0;
-                lo_[l] = 0.0;
-                hi_[l] = c_hi_limit;
-                it_[l] = 0;
+            if (k.warm[l] && !(k.ct_lo[l] > k.lo[l] && !(k.ct[l] > k.hi[l]))) {
+                k.warm[l] = 0;
+                k.lo[l] = 0.0;
+                k.hi[l] = c_hi_limit;
+                k.it[l] = 0;
                 any_failed = true;
             }
         }
@@ -311,55 +302,55 @@ void em_envelope_batch::rates(const envelope_lanes& in,
         // Cold lanes: a trial at c_e = 0 that the bridge does not load
         // means blocked — they take the open-circuit amplitude.
         for (std::size_t l = 0; l < B; ++l)
-            blocked_[l] = !warm_[l] && ct_lo_[l] <= tol ? 1 : 0;
+            k.blocked[l] = !k.warm[l] && k.ct_lo[l] <= tol ? 1 : 0;
 
         // Cold bracket [0, c_hi]; the displacement limiter can distort T,
-        // so expand defensively (masked, <= 8 doublings — as the scalar
-        // does). A warm lane's check already implies T(c_hi) <= c_hi.
+        // so expand defensively (masked, <= 8 doublings). A warm lane's
+        // check already implies T(c_hi) <= c_hi.
         for (int expand = 0; expand < 8; ++expand) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
-                const bool need = !warm_[l] && !blocked_[l] && ct_[l] > hi_[l];
-                refine_[l] = need ? 1 : 0;
+                const bool need =
+                    !k.warm[l] && !k.blocked[l] && k.ct[l] > k.hi[l];
+                k.refine[l] = need ? 1 : 0;
                 any = any || need;
             }
             if (!any) break;
             for (std::size_t l = 0; l < B; ++l)
-                if (refine_[l]) hi_[l] *= 2.0;
-            eval_damping(hi_.data(), ct_.data(), za_.data());
+                if (k.refine[l]) k.hi[l] *= 2.0;
+            eval_damping(B, gen, k, k.hi, k.ct, k.za);
         }
 
         // f = T - c at every lane's bracket ends, for its next prediction.
         for (std::size_t l = 0; l < B; ++l) {
-            f_lo_[l] = ct_lo_[l] - lo_[l];
-            f_hi_[l] = ct_[l] - hi_[l];
+            k.f_lo[l] = k.ct_lo[l] - k.lo[l];
+            k.f_hi[l] = k.ct[l] - k.hi[l];
         }
 
         // Masked bisection with per-lane iteration counters (a warm lane's
         // walked depth counts, so it is already done): a converged lane's
-        // bracket stops moving, so every lane lands exactly where its
-        // scalar run would.
+        // bracket stops moving, so every lane lands where it would alone.
         for (;;) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
-                const bool r = !blocked_[l] && (hi_[l] - lo_[l]) > tol &&
-                               it_[l] < max_iterations;
-                refine_[l] = r ? 1 : 0;
-                it_[l] += r ? 1 : 0;
+                const bool r = !k.blocked[l] && (k.hi[l] - k.lo[l]) > tol &&
+                               k.it[l] < max_iterations;
+                k.refine[l] = r ? 1 : 0;
+                k.it[l] += r ? 1 : 0;
                 any = any || r;
             }
             if (!any) break;
             for (std::size_t l = 0; l < B; ++l)
-                ce_[l] = 0.5 * (lo_[l] + hi_[l]);
-            eval_damping(ce_.data(), ct_.data(), za_.data());
+                k.ce[l] = 0.5 * (k.lo[l] + k.hi[l]);
+            eval_damping(B, gen, k, k.ce, k.ct, k.za);
             for (std::size_t l = 0; l < B; ++l) {
-                const bool r = refine_[l] != 0;
-                const bool up = ct_[l] > ce_[l];
-                const double f = ct_[l] - ce_[l];
-                lo_[l] = (r && up) ? ce_[l] : lo_[l];
-                f_lo_[l] = (r && up) ? f : f_lo_[l];
-                hi_[l] = (r && !up) ? ce_[l] : hi_[l];
-                f_hi_[l] = (r && !up) ? f : f_hi_[l];
+                const bool r = k.refine[l] != 0;
+                const bool up = k.ct[l] > k.ce[l];
+                const double f = k.ct[l] - k.ce[l];
+                k.lo[l] = (r && up) ? k.ce[l] : k.lo[l];
+                k.f_lo[l] = (r && up) ? f : k.f_lo[l];
+                k.hi[l] = (r && !up) ? k.ce[l] : k.hi[l];
+                k.f_hi[l] = (r && !up) ? f : k.f_hi[l];
             }
         }
 
@@ -367,35 +358,35 @@ void em_envelope_batch::rates(const envelope_lanes& in,
         // the mechanics alone give the steady-state amplitude the envelope
         // relaxes towards.
         for (std::size_t l = 0; l < B; ++l)
-            ce_[l] = blocked_[l] ? 0.0 : 0.5 * (lo_[l] + hi_[l]);
-        mechanics_lanes(B, c_mech, phi, gp.max_displacement_m, ce_.data(),
-                        omega_.data(), re_.data(), ma_.data(), u_.data(),
-                        za_.data(), e_.data(), vel_.data(), xx_.data());
+            k.ce[l] = k.blocked[l] ? 0.0 : 0.5 * (k.lo[l] + k.hi[l]);
+        mechanics_lanes(B, c_mech, phi, gp.max_displacement_m, k.ce, k.omega,
+                        k.re, k.ma, k.u, k.za, k.e, k.vel, k.xx);
         for (std::size_t l = 0; l < B; ++l) {
-            if (blocked_[l])
-                paths_[l].forget();
+            if (k.blocked[l])
+                k.paths[l].forget();
             else
-                paths_[l].learn(ce_[l], lo_[l], f_lo_[l], hi_[l], f_hi_[l]);
+                k.paths[l].learn(k.ce[l], k.lo[l], k.f_lo[l], k.hi[l],
+                                 k.f_hi[l]);
         }
 
         for (std::size_t l = 0; l < B; ++l) {
-            const double tau = 2.0 * m / (c_mech + ce_[l]);
-            dz[l] = (za_[l] - z_in[l]) / tau;
+            const double tau = 2.0 * m / (c_mech + k.ce[l]);
+            dz[l] = (k.za[l] - z_in[l]) / tau;
         }
 
         // Charging from the instantaneous envelope amplitude (not the
         // target): one more bridge evaluation at emf = phi * omega * z.
         for (std::size_t l = 0; l < B; ++l) {
-            e_[l] = phi * omega_[l] * z_in[l];
-            xx_[l] = std::min(u_[l] / e_[l], 1.0);
+            k.e[l] = phi * k.omega[l] * z_in[l];
+            k.xx[l] = std::min(k.u[l] / k.e[l], 1.0);
         }
-        conduction_angle_lanes(B, xx_.data(), th1_.data(), cth_.data());
+        conduction_angle_lanes(B, k.xx, k.th1, k.cth);
         for (std::size_t l = 0; l < B; ++l) {
-            const double ee = e_[l];
-            const double span = k_pi - 2.0 * th1_[l];
+            const double ee = k.e[l];
+            const double span = k_pi - 2.0 * k.th1[l];
             const double i_avg =
-                (2.0 * ee * cth_[l] - u_[l] * span) * inv_pir;
-            ich[l] = ee > u_[l] ? i_avg : 0.0;
+                (2.0 * ee * k.cth[l] - k.u[l] * span) * inv_pir;
+            ich[l] = ee > k.u[l] ? i_avg : 0.0;
         }
     } else {
         // MPPT front-end: matched load c_e = c_mech independent of the
@@ -405,12 +396,12 @@ void em_envelope_batch::rates(const envelope_lanes& in,
         const double tau = 2.0 * m / c_total;
         const double xmax = gp.max_displacement_m;
         for (std::size_t l = 0; l < B; ++l) {
-            const double im = c_total * omega_[l];
-            const double denom = std::sqrt(re_[l] * re_[l] + im * im);
-            double amp = ma_[l] / denom;
+            const double im = c_total * k.omega[l];
+            const double denom = std::sqrt(k.re[l] * k.re[l] + im * im);
+            double amp = k.ma[l] / denom;
             amp = std::min(amp, xmax);
             dz[l] = (amp - z_in[l]) / tau;
-            const double vel_env = omega_[l] * z_in[l];
+            const double vel_env = k.omega[l] * z_in[l];
             const double p_extracted = 0.5 * c_match * vel_env * vel_env;
             const double i = efficiency * p_extracted / v_in[l];
             ich[l] = v_in[l] > 0.05 ? i : 0.0;
@@ -418,7 +409,95 @@ void em_envelope_batch::rates(const envelope_lanes& in,
     }
 }
 
+class em_envelope_batch final : public envelope_batch {
+public:
+    em_envelope_batch(const microgenerator& gen, std::size_t lanes)
+        : gen_(gen),
+          doubles_(kernel_lanes::k_double_rows * lanes),
+          flags_(kernel_lanes::k_flag_rows * lanes),
+          it_(lanes),
+          paths_(lanes),
+          lanes_(lay_out(lanes, doubles_.data(), flags_.data(), it_.data(),
+                         paths_.data())) {}
+
+    void rates(const envelope_lanes& in, conditioning_kind conditioning,
+               double efficiency, const power::rectifier_params& rect,
+               std::span<double> amplitude_rate,
+               std::span<double> charge_current) override {
+        // Per-lane operating point. The schedule and stiffness lookups are
+        // scalar per lane (the schedules piecewise-constant, a handful of
+        // segments) — negligible next to the damping solve.
+        const double m = gen_.params().mass_kg;
+        const double two_vd = 2.0 * rect.diode_drop_v;
+        for (std::size_t l = 0; l < lanes_.count; ++l) {
+            const double omega = 2.0 * k_pi * in.vib.frequency_at(in.t[l]);
+            lanes_.omega[l] = omega;
+            lanes_.re[l] =
+                gen_.effective_stiffness(in.position[l]) - m * omega * omega;
+            lanes_.ma[l] = m * in.vib.amplitude_at(in.t[l]);
+            lanes_.u[l] = in.store_v[l] + two_vd;
+        }
+        kernel_rates<0>(gen_, lanes_, in.store_v.data(), in.z_env.data(),
+                        conditioning, efficiency, amplitude_rate.data(),
+                        charge_current.data());
+    }
+
+private:
+    const microgenerator& gen_;
+    // The run's lane arrays (lanes_ points into these) and each lane's
+    // damping-solve warm start, carried across rates() calls.
+    std::vector<double> doubles_;
+    std::vector<std::uint8_t> flags_;
+    std::vector<int> it_;
+    std::vector<damping_path> paths_;
+    kernel_lanes lanes_;
+};
+
 }  // namespace
+
+envelope_rates electromagnetic_harvester::envelope_dynamics(
+    double freq_hz, double accel_amp_ms2, int position, double store_v,
+    double z_env, conditioning_kind conditioning, double efficiency,
+    const power::rectifier_params& rect, damping_path& path) const {
+    const bool bridge = conditioning == conditioning_kind::diode_bridge;
+    // The operating point's checks, with the exceptions of the libm solve
+    // (solve_damping) for the bridge and of response() for the mppt
+    // front-end, in their order: frequency and acceleration, then omega
+    // and position (drive), then store voltage and coil resistance.
+    if (bridge && freq_hz <= 0.0)
+        throw std::invalid_argument("envelope_dynamics: frequency must be > 0");
+    if (bridge && accel_amp_ms2 < 0.0)
+        throw std::invalid_argument("envelope_dynamics: negative acceleration");
+    const drive_point drive =
+        gen_.drive(2.0 * k_pi * freq_hz, accel_amp_ms2, position);
+    if (bridge)
+        (void)power::bridge_sink(store_v, gen_.params().coil_resistance_ohm,
+                                 rect);
+
+    // One lane of kernel storage on the stack. The kernel writes every
+    // row before it reads it; zero-filling the rows first measured 1-20%
+    // slower per call (bm_envelope_walk/warm:1).
+    double doubles[kernel_lanes::k_double_rows];
+    std::uint8_t flags[kernel_lanes::k_flag_rows];
+    int it = 0;
+    const kernel_lanes lane = lay_out(1, doubles, flags, &it, &path);
+    lane.omega[0] = drive.omega_rad;
+    lane.re[0] = drive.detuning;
+    lane.ma[0] = drive.mass_accel;
+    lane.u[0] = store_v + 2.0 * rect.diode_drop_v;
+
+    envelope_rates out;
+    kernel_rates<1>(gen_, lane, &store_v, &z_env, conditioning, efficiency,
+                    &out.amplitude_rate, &out.charge_current_a);
+    // The libm solve's emf checks: a stimulus whose trial emf is not a
+    // number (the trials share it, so the final mechanics' velocity
+    // stands for all of them), and a charging emf phi omega z_env that is
+    // negative or not a number.
+    if (bridge && !(lane.vel[0] >= 0.0 && lane.e[0] >= 0.0))
+        throw std::invalid_argument(
+            "envelope_dynamics: emf amplitude must be >= 0");
+    return out;
+}
 
 std::unique_ptr<envelope_batch> electromagnetic_harvester::make_envelope_batch(
     std::size_t lanes) const {

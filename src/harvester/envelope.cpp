@@ -25,8 +25,7 @@ damping_point solve_damping(const microgenerator& gen, int position,
                             double freq_hz, double accel_amp_ms2,
                             double store_v,
                             const power::rectifier_params& rect,
-                            const envelope_options& options,
-                            damping_path* path) {
+                            const envelope_options& options) {
     if (freq_hz <= 0.0)
         throw std::invalid_argument("solve_envelope: frequency must be > 0");
     if (accel_amp_ms2 < 0.0)
@@ -45,7 +44,6 @@ damping_point solve_damping(const microgenerator& gen, int position,
 
     damping_point pt;
     const auto trial = [&](double c_e) {
-        ++pt.iterations;
         trial_point tp;
         tp.mech = gen.response(drive, c_e);
         const double vel = tp.mech.velocity_amp_ms;
@@ -62,79 +60,36 @@ damping_point solve_damping(const microgenerator& gen, int position,
 
     double lo = 0.0;
     double hi = c_hi_limit;
-    double f_lo = 0.0;  // f(c) = T(c) - c at the bracket ends
-    double f_hi = 0.0;
-    int it = 0;  // bisection decisions so far, walked ones included
 
-    // Warm start: one trial at the previous root and a Newton step pick a
-    // final-depth cell of the cold grid; two trials check it holds the
-    // root (damping_path.hpp). A caller without a path solves cold.
-    damping_path no_path;
-    damping_path& run_path = path != nullptr ? *path : no_path;
-    damping_cell cell;
-    if (run_path.trusted(c_hi_limit)) {
-        const double root = run_path.root;
-        cell = run_path.predicted_cell(trial(root).c_target - root, c_hi_limit,
-                                       tol, options.max_iterations);
-    }
-    bool warm = false;
-    if (cell.depth > 0) {
-        const double t_lo = trial(cell.lo).c_target;
-        const double t_hi = trial(cell.hi).c_target;
-        warm = t_lo > cell.lo && !(t_hi > cell.hi);
-        if (warm) {
-            lo = cell.lo;
-            hi = cell.hi;
-            f_lo = t_lo - lo;
-            f_hi = t_hi - hi;
-            it = cell.depth;
-        }
+    const trial_point at_zero = trial(0.0);
+    if (at_zero.c_target <= tol) {
+        // Bridge blocked (or negligibly loaded) even at the open amplitude.
+        pt.mech = at_zero.mech;
+        pt.c_electrical = 0.0;
+        pt.converged = true;
+        return pt;
     }
 
-    if (!warm) {
-        const trial_point at_zero = trial(0.0);
-        if (at_zero.c_target <= tol) {
-            // Bridge blocked (or negligibly loaded) even at the open
-            // amplitude.
-            pt.mech = at_zero.mech;
-            pt.c_electrical = 0.0;
-            pt.converged = true;
-            run_path.forget();
-            return pt;
-        }
-        f_lo = at_zero.c_target;
+    // Ensure T(hi) - hi < 0 (guaranteed by the physical bound, but the
+    // displacement limiter can distort T; expand defensively).
+    for (int expand = 0; trial(hi).c_target > hi && expand < 8; ++expand)
+        hi *= 2.0;
 
-        // Ensure T(hi) - hi < 0 (guaranteed by the physical bound, but the
-        // displacement limiter can distort T; expand defensively).
-        trial_point at_hi = trial(hi);
-        for (int expand = 0; at_hi.c_target > hi && expand < 8; ++expand) {
-            hi *= 2.0;
-            at_hi = trial(hi);
-        }
-        f_hi = at_hi.c_target - hi;
-    }
-
-    for (; it < options.max_iterations && (hi - lo) > tol; ++it) {
+    for (int it = 0; it < options.max_iterations && (hi - lo) > tol; ++it) {
         const double mid = 0.5 * (lo + hi);
-        const double t_mid = trial(mid).c_target;
-        if (t_mid > mid) {
+        if (trial(mid).c_target > mid)
             lo = mid;
-            f_lo = t_mid - mid;
-        } else {
+        else
             hi = mid;
-            f_hi = t_mid - mid;
-        }
     }
 
     // The final evaluation needs only the mechanics. Its emf lies between
     // the emfs of the final cell's ends, which trials checked, so the
     // bridge's emf check could not fail here.
     const double c_e = 0.5 * (lo + hi);
-    ++pt.iterations;
     pt.mech = gen.response(drive, c_e);
     pt.c_electrical = c_e;
     pt.converged = (hi - lo) <= tol;
-    run_path.learn(c_e, lo, f_lo, hi, f_hi);
     return pt;
 }
 
@@ -142,10 +97,9 @@ envelope_point solve_envelope(const microgenerator& gen, int position,
                               double freq_hz, double accel_amp_ms2,
                               double store_v,
                               const power::rectifier_params& rect,
-                              const envelope_options& options,
-                              damping_path* path) {
+                              const envelope_options& options) {
     const damping_point d = solve_damping(gen, position, freq_hz, accel_amp_ms2,
-                                          store_v, rect, options, path);
+                                          store_v, rect, options);
     return {d, power::bridge_average(d.mech.emf_amp_v, store_v,
                                      gen.params().coil_resistance_ohm, rect)};
 }

@@ -13,33 +13,32 @@
 // non-increasing in c_e, so the self-consistent point is the unique root of
 // T(c) - c, found by bisection — unconditionally convergent, unlike the
 // naive fixed-point iteration which cycles between the bridge's blocked and
-// saturated regimes at strong coupling. A caller that solves repeatedly
-// along one run passes a damping_path, which predicts each solve's final
-// bisection cell from the previous root and verifies it, with a result
-// bit-identical to the cold bisection (damping_path.hpp).
+// saturated regimes at strong coupling.
 //
-// Two entry points share one solver. solve_damping returns what the
-// envelope RHS reads, c_e and the mechanics there; its final evaluation at
-// the converged c_e runs the mechanics only. solve_envelope adds the
-// bridge's operating point, computed once from those mechanics.
+// This is the reference solve, cold and with libm's asin/cos/sin: the
+// electromagnetic harvester's initial_amplitude and phase_lag taps use it,
+// and tests hold the envelope RHS (the lockstep kernel of
+// electromagnetic_batch.cpp, which bisects the same fixed point with a
+// polynomial asin and a warm start) to it within solver tolerance. Two
+// entry points share one solver. solve_damping returns c_e and the
+// mechanics there; its final evaluation at the converged c_e runs the
+// mechanics only. solve_envelope adds the bridge's operating point,
+// computed once from those mechanics.
 //
 // The result feeds the slow dynamics: the supercapacitor sees the averaged
 // charging current i_avg, and the mechanical amplitude relaxes towards the
 // new steady state with time constant 2m / c_total after each retune.
 #pragma once
 
-#include "harvester/damping_path.hpp"
 #include "harvester/microgenerator.hpp"
 #include "power/rectifier.hpp"
 
 namespace ehdse::harvester {
 
-/// Converged self-consistent damping and the mechanics there: what the
-/// envelope RHS reads.
+/// Converged self-consistent damping and the mechanics there.
 struct damping_point {
     linear_response mech;        ///< steady-state mechanics
     double c_electrical = 0.0;   ///< equivalent electrical damping
-    int iterations = 0;          ///< evaluations used (see envelope_options)
     bool converged = true;
 };
 
@@ -49,15 +48,12 @@ struct envelope_point : damping_point {
     power::rectifier_operating_point elec;
 };
 
-/// Solver knobs. `iterations` counts the trials of T(c_e), each a
-/// mechanics and a bridge evaluation, plus the final evaluation at the
-/// converged c_e, which needs the mechanics only. The bisection brackets
-/// c_e within tolerance * mech_damping in 28 cold when the bridge
-/// conducts (27 trials and the final one; 1 when it is blocked, where the
-/// trial at c_e = 0 is the result) — 27.2 per solve over a paper-default
-/// evaluation — and in 4 when a warm start's predicted cell holds the
-/// root (the trial at the previous root, two checks, the final one):
-/// 3.94 per solve over that evaluation.
+/// Solver knobs. The bisection brackets c_e within tolerance *
+/// mech_damping in 27 trials of T(c_e), each a mechanics and a bridge
+/// evaluation, plus a final evaluation of the mechanics at the converged
+/// c_e when the bridge conducts, and in one trial when it is blocked,
+/// where the trial at c_e = 0 is the result. The envelope RHS kernel uses
+/// the same tolerance and iteration limit.
 struct envelope_options {
     double tolerance = 1e-6;   ///< on c_e, relative to mechanical damping
     int max_iterations = 200;  ///< bisection step limit
@@ -65,24 +61,20 @@ struct envelope_options {
 
 /// Solve the coupled steady state at excitation `freq_hz` / amplitude
 /// `accel_amp_ms2`, actuator position `position`, storage voltage `store_v`.
-/// A non-null `path` warm-starts the bisection from the prediction it
-/// holds (any contents) and receives this solve's; it changes only
-/// `iterations`. Throws std::invalid_argument for a frequency <= 0, a
-/// negative acceleration, a negative store voltage and NaN inputs, and
+/// Throws std::invalid_argument for a frequency <= 0, a negative
+/// acceleration, a negative store voltage and NaN inputs, and
 /// std::out_of_range for a position outside [0, 255].
 damping_point solve_damping(const microgenerator& gen, int position,
                             double freq_hz, double accel_amp_ms2,
                             double store_v,
                             const power::rectifier_params& rect = {},
-                            const envelope_options& options = {},
-                            damping_path* path = nullptr);
+                            const envelope_options& options = {});
 
 /// solve_damping plus power::bridge_average at the converged mechanics.
 envelope_point solve_envelope(const microgenerator& gen, int position,
                               double freq_hz, double accel_amp_ms2,
                               double store_v,
                               const power::rectifier_params& rect = {},
-                              const envelope_options& options = {},
-                              damping_path* path = nullptr);
+                              const envelope_options& options = {});
 
 }  // namespace ehdse::harvester

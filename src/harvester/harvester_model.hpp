@@ -37,13 +37,14 @@
 // state: per-run state lives in what make_transient and
 // make_envelope_batch return.
 //
-// The batch hook follows the same contract lane by lane. The default
-// envelope_batch calls envelope_dynamics per lane, so it is bitwise equal
-// to the scalar hook. An override (the electromagnetic entry's SoA
-// damping kernel, electromagnetic_batch.cpp) agrees with the scalar hook
-// to solver tolerance. Either way lanes stay independent — a lane's
-// rates never depend on the other lanes — so batch(B) == batch(1)
-// bitwise.
+// The batch hook follows the same contract lane by lane, and every lane
+// equals the scalar hook bitwise at the same arguments: the default
+// envelope_batch calls envelope_dynamics per lane, and an override runs
+// the very computation its scalar hook runs (the electromagnetic entry's
+// hook is its lockstep damping kernel on one lane,
+// electromagnetic_batch.cpp). Lanes stay independent — a lane's rates
+// never depend on the other lanes — so a scalar evaluation and any batch
+// lane of the same request give the same result.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,9 @@
 #include "sim/batch_ode.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "sim/cash_karp.hpp"
 
 namespace ehdse::sim {
 
@@ -17,30 +18,6 @@ std::vector<double> batch_state::lane_state(std::size_t lane) const {
     for (std::size_t v = 0; v < vars_; ++v) x[v] = var(v)[lane];
     return x;
 }
-
-namespace {
-// Cash–Karp tableau — identical to the scalar integrator (ode.cpp); the
-// batch_vs_scalar differential property depends on the two staying in sync.
-constexpr double a2 = 1.0 / 5.0;
-constexpr double a3 = 3.0 / 10.0;
-constexpr double a4 = 3.0 / 5.0;
-constexpr double a5 = 1.0;
-constexpr double a6 = 7.0 / 8.0;
-
-constexpr double b21 = 1.0 / 5.0;
-constexpr double b31 = 3.0 / 40.0, b32 = 9.0 / 40.0;
-constexpr double b41 = 3.0 / 10.0, b42 = -9.0 / 10.0, b43 = 6.0 / 5.0;
-constexpr double b51 = -11.0 / 54.0, b52 = 5.0 / 2.0, b53 = -70.0 / 27.0,
-                 b54 = 35.0 / 27.0;
-constexpr double b61 = 1631.0 / 55296.0, b62 = 175.0 / 512.0,
-                 b63 = 575.0 / 13824.0, b64 = 44275.0 / 110592.0,
-                 b65 = 253.0 / 4096.0;
-
-constexpr double c1 = 37.0 / 378.0, c3 = 250.0 / 621.0, c4 = 125.0 / 594.0,
-                 c6 = 512.0 / 1771.0;
-constexpr double d1 = 2825.0 / 27648.0, d3 = 18575.0 / 48384.0,
-                 d4 = 13525.0 / 55296.0, d5 = 277.0 / 14336.0, d6 = 1.0 / 4.0;
-}  // namespace
 
 batch_rk45_integrator::batch_rk45_integrator(std::size_t vars,
                                              std::size_t lanes,
@@ -108,38 +85,36 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
     };
 
     // Six Cash–Karp stages, each a flat var-major loop over lanes.
+    namespace ck = cash_karp;
+    const double* h = dt_try_.data();
     stage(x, 0.0, k1_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
         double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
         for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b21 * k1v[l]);
+            tv[l] = ck::stage2(xv[l], h[l], k1v[l]);
     }
-    stage(xtmp_, a2, k2_);
+    stage(xtmp_, ck::a2, k2_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
         const double* k2v = k2_.var(v);
         double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
         for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b31 * k1v[l] + b32 * k2v[l]);
+            tv[l] = ck::stage3(xv[l], h[l], k1v[l], k2v[l]);
     }
-    stage(xtmp_, a3, k3_);
+    stage(xtmp_, ck::a3, k3_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
         const double* k2v = k2_.var(v);
         const double* k3v = k3_.var(v);
         double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
         for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] +
-                    dt[l] * (b41 * k1v[l] + b42 * k2v[l] + b43 * k3v[l]);
+            tv[l] = ck::stage4(xv[l], h[l], k1v[l], k2v[l], k3v[l]);
     }
-    stage(xtmp_, a4, k4_);
+    stage(xtmp_, ck::a4, k4_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -147,12 +122,10 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         const double* k3v = k3_.var(v);
         const double* k4v = k4_.var(v);
         double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
         for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b51 * k1v[l] + b52 * k2v[l] +
-                                     b53 * k3v[l] + b54 * k4v[l]);
+            tv[l] = ck::stage5(xv[l], h[l], k1v[l], k2v[l], k3v[l], k4v[l]);
     }
-    stage(xtmp_, a5, k5_);
+    stage(xtmp_, ck::a5, k5_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -161,13 +134,11 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         const double* k4v = k4_.var(v);
         const double* k5v = k5_.var(v);
         double* tv = xtmp_.var(v);
-        const double* dt = dt_try_.data();
         for (std::size_t l = 0; l < B; ++l)
-            tv[l] = xv[l] + dt[l] * (b61 * k1v[l] + b62 * k2v[l] +
-                                     b63 * k3v[l] + b64 * k4v[l] +
-                                     b65 * k5v[l]);
+            tv[l] = ck::stage6(xv[l], h[l], k1v[l], k2v[l], k3v[l], k4v[l],
+                               k5v[l]);
     }
-    stage(xtmp_, a6, k6_);
+    stage(xtmp_, ck::a6, k6_);
 
     // Embedded 4th/5th-order error estimate, per lane (max over variables).
     for (std::size_t l = 0; l < B; ++l) err_[l] = 0.0;
@@ -179,19 +150,16 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         const double* k5v = k5_.var(v);
         const double* k6v = k6_.var(v);
         double* x5v = x5_.var(v);
-        const double* dt = dt_try_.data();
         double* err = err_.data();
         for (std::size_t l = 0; l < B; ++l) {
-            const double x5 = xv[l] + dt[l] * (c1 * k1v[l] + c3 * k3v[l] +
-                                               c4 * k4v[l] + c6 * k6v[l]);
-            const double x4 =
-                xv[l] + dt[l] * (d1 * k1v[l] + d3 * k3v[l] + d4 * k4v[l] +
-                                 d5 * k5v[l] + d6 * k6v[l]);
+            const double x5 =
+                ck::fifth_order(xv[l], h[l], k1v[l], k3v[l], k4v[l], k6v[l]);
+            const double x4 = ck::fourth_order(xv[l], h[l], k1v[l], k3v[l],
+                                               k4v[l], k5v[l], k6v[l]);
             x5v[l] = x5;
-            const double sc =
-                opt_.abs_tol +
-                opt_.rel_tol * std::max(std::abs(xv[l]), std::abs(x5));
-            err[l] = std::max(err[l], std::abs(x5 - x4) / sc);
+            err[l] = std::max(err[l], ck::error_ratio(xv[l], x5, x4,
+                                                      opt_.abs_tol,
+                                                      opt_.rel_tol));
         }
     }
 
@@ -213,13 +181,10 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
                 x.var(v)[l] = x5_.var(v)[l];
             ++steps_taken_[l];
             outcome[l] = lane_step::advanced;
-            const double grow =
-                err_ratio > 1e-10 ? 0.9 * std::pow(err_ratio, -0.2) : 5.0;
-            dt_hint_[l] = std::min(dt * std::min(grow, 5.0), opt_.max_dt);
+            dt_hint_[l] = cash_karp::grown_dt(dt, err_ratio, opt_.max_dt);
         } else {
             ++steps_rejected_[l];
-            const double shrunk =
-                dt * std::max(0.9 * std::pow(err_ratio, -0.25), 0.1);
+            const double shrunk = cash_karp::shrunk_dt(dt, err_ratio);
             dt_hint_[l] = shrunk;
             if (shrunk < opt_.min_dt) {
                 failed_[l] = 1;

@@ -11,9 +11,9 @@
 // batch, and an idle lane (sitting at its event horizon) is simply
 // excluded from the sweep.
 //
-// The tableau and step-control formulas are copied verbatim from the
-// scalar `rk45_integrator` (ode.cpp) — the differential testkit property
-// `batch_vs_scalar_equivalence` holds the two implementations together.
+// A lane's step is the scalar `rk45_integrator`'s (ode.cpp): both build
+// it from the same per-element expressions (cash_karp.hpp), so a lane
+// advances its state to the bits a scalar run would.
 #pragma once
 
 #include <cstddef>

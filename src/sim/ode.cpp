@@ -1,53 +1,17 @@
 #include "sim/ode.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-namespace ehdse::sim {
+#include "sim/cash_karp.hpp"
 
-void rk4_step(const analog_system& sys, double t, double dt, std::vector<double>& x) {
-    const std::size_t n = x.size();
-    std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-    sys.derivatives(t, x, k1);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * dt * k1[i];
-    sys.derivatives(t + 0.5 * dt, tmp, k2);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * dt * k2[i];
-    sys.derivatives(t + 0.5 * dt, tmp, k3);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + dt * k3[i];
-    sys.derivatives(t + dt, tmp, k4);
-    for (std::size_t i = 0; i < n; ++i)
-        x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-}
+namespace ehdse::sim {
 
 void rk45_integrator::resize_buffers(std::size_t n) {
     if (k1_.size() == n) return;
     k1_.resize(n); k2_.resize(n); k3_.resize(n); k4_.resize(n);
-    k5_.resize(n); k6_.resize(n); xtmp_.resize(n); xerr_.resize(n); x5_.resize(n);
+    k5_.resize(n); k6_.resize(n); xtmp_.resize(n); x5_.resize(n);
 }
-
-namespace {
-// Cash–Karp tableau.
-constexpr double a2 = 1.0 / 5.0;
-constexpr double a3 = 3.0 / 10.0;
-constexpr double a4 = 3.0 / 5.0;
-constexpr double a5 = 1.0;
-constexpr double a6 = 7.0 / 8.0;
-
-constexpr double b21 = 1.0 / 5.0;
-constexpr double b31 = 3.0 / 40.0, b32 = 9.0 / 40.0;
-constexpr double b41 = 3.0 / 10.0, b42 = -9.0 / 10.0, b43 = 6.0 / 5.0;
-constexpr double b51 = -11.0 / 54.0, b52 = 5.0 / 2.0, b53 = -70.0 / 27.0,
-                 b54 = 35.0 / 27.0;
-constexpr double b61 = 1631.0 / 55296.0, b62 = 175.0 / 512.0,
-                 b63 = 575.0 / 13824.0, b64 = 44275.0 / 110592.0,
-                 b65 = 253.0 / 4096.0;
-
-constexpr double c1 = 37.0 / 378.0, c3 = 250.0 / 621.0, c4 = 125.0 / 594.0,
-                 c6 = 512.0 / 1771.0;
-constexpr double d1 = 2825.0 / 27648.0, d3 = 18575.0 / 48384.0,
-                 d4 = 13525.0 / 55296.0, d5 = 277.0 / 14336.0, d6 = 1.0 / 4.0;
-}  // namespace
 
 ode_status rk45_integrator::integrate(
     const analog_system& sys, double t0, double t1, std::vector<double>& x,
@@ -85,33 +49,35 @@ ode_status rk45_integrator::integrate_loop(const analog_system& sys, double t0,
 
         // Six Cash–Karp stages.
         sys.derivatives(t, x, k1_);
-        for (std::size_t i = 0; i < n; ++i) xtmp_[i] = x[i] + dt * b21 * k1_[i];
-        sys.derivatives(t + a2 * dt, xtmp_, k2_);
         for (std::size_t i = 0; i < n; ++i)
-            xtmp_[i] = x[i] + dt * (b31 * k1_[i] + b32 * k2_[i]);
-        sys.derivatives(t + a3 * dt, xtmp_, k3_);
+            xtmp_[i] = cash_karp::stage2(x[i], dt, k1_[i]);
+        sys.derivatives(t + cash_karp::a2 * dt, xtmp_, k2_);
         for (std::size_t i = 0; i < n; ++i)
-            xtmp_[i] = x[i] + dt * (b41 * k1_[i] + b42 * k2_[i] + b43 * k3_[i]);
-        sys.derivatives(t + a4 * dt, xtmp_, k4_);
+            xtmp_[i] = cash_karp::stage3(x[i], dt, k1_[i], k2_[i]);
+        sys.derivatives(t + cash_karp::a3 * dt, xtmp_, k3_);
         for (std::size_t i = 0; i < n; ++i)
-            xtmp_[i] = x[i] + dt * (b51 * k1_[i] + b52 * k2_[i] + b53 * k3_[i] +
-                                    b54 * k4_[i]);
-        sys.derivatives(t + a5 * dt, xtmp_, k5_);
+            xtmp_[i] = cash_karp::stage4(x[i], dt, k1_[i], k2_[i], k3_[i]);
+        sys.derivatives(t + cash_karp::a4 * dt, xtmp_, k4_);
         for (std::size_t i = 0; i < n; ++i)
-            xtmp_[i] = x[i] + dt * (b61 * k1_[i] + b62 * k2_[i] + b63 * k3_[i] +
-                                    b64 * k4_[i] + b65 * k5_[i]);
-        sys.derivatives(t + a6 * dt, xtmp_, k6_);
+            xtmp_[i] =
+                cash_karp::stage5(x[i], dt, k1_[i], k2_[i], k3_[i], k4_[i]);
+        sys.derivatives(t + cash_karp::a5 * dt, xtmp_, k5_);
+        for (std::size_t i = 0; i < n; ++i)
+            xtmp_[i] = cash_karp::stage6(x[i], dt, k1_[i], k2_[i], k3_[i],
+                                         k4_[i], k5_[i]);
+        sys.derivatives(t + cash_karp::a6 * dt, xtmp_, k6_);
 
         double err_ratio = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            const double x5 = x[i] + dt * (c1 * k1_[i] + c3 * k3_[i] +
-                                           c4 * k4_[i] + c6 * k6_[i]);
-            const double x4 = x[i] + dt * (d1 * k1_[i] + d3 * k3_[i] +
-                                           d4 * k4_[i] + d5 * k5_[i] + d6 * k6_[i]);
+            const double x5 = cash_karp::fifth_order(x[i], dt, k1_[i], k3_[i],
+                                                     k4_[i], k6_[i]);
+            const double x4 = cash_karp::fourth_order(x[i], dt, k1_[i], k3_[i],
+                                                      k4_[i], k5_[i], k6_[i]);
             x5_[i] = x5;
-            const double sc = opt_.abs_tol +
-                              opt_.rel_tol * std::max(std::abs(x[i]), std::abs(x5));
-            err_ratio = std::max(err_ratio, std::abs(x5 - x4) / sc);
+            err_ratio = std::max(err_ratio,
+                                 cash_karp::error_ratio(x[i], x5, x4,
+                                                        opt_.abs_tol,
+                                                        opt_.rel_tol));
         }
 
         if (err_ratio <= 1.0) {
@@ -119,13 +85,10 @@ ode_status rk45_integrator::integrate_loop(const analog_system& sys, double t0,
             x.swap(x5_);
             ++status.steps_taken;
             observer(t, x);
-            // Grow step (bounded) for the next attempt.
-            const double grow =
-                err_ratio > 1e-10 ? 0.9 * std::pow(err_ratio, -0.2) : 5.0;
-            dt = std::min({dt * std::min(grow, 5.0), opt_.max_dt});
+            dt = cash_karp::grown_dt(dt, err_ratio, opt_.max_dt);
         } else {
             ++status.steps_rejected;
-            dt *= std::max(0.9 * std::pow(err_ratio, -0.25), 0.1);
+            dt = cash_karp::shrunk_dt(dt, err_ratio);
             if (dt < opt_.min_dt) {
                 status.ok = false;
                 break;
@@ -135,19 +98,6 @@ ode_status rk45_integrator::integrate_loop(const analog_system& sys, double t0,
     status.last_dt = dt;
     dt_hint_ = dt;
     return status;
-}
-
-void integrate_fixed(const analog_system& sys, double t0, double t1, double dt,
-                     std::vector<double>& x,
-                     const std::function<void(double, std::span<const double>)>& observer) {
-    if (dt <= 0.0) throw std::invalid_argument("integrate_fixed: dt must be > 0");
-    double t = t0;
-    while (t < t1) {
-        const double step = std::min(dt, t1 - t);
-        rk4_step(sys, t, step, x);
-        t += step;
-        if (observer) observer(t, x);
-    }
 }
 
 }  // namespace ehdse::sim

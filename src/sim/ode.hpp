@@ -2,8 +2,9 @@
 //
 // SystemC-A couples an analogue equation set solved by a variable-step
 // integrator with digital processes. Here the analogue side is an explicit
-// ODE system dx/dt = f(t, x) advanced by either a fixed-step RK4 or an
-// adaptive Cash–Karp RK45 integrator. The simulator (simulator.hpp)
+// ODE system dx/dt = f(t, x) advanced by an adaptive Cash–Karp RK45
+// integrator (the step itself is in cash_karp.hpp, shared with the batch
+// integrator of batch_ode.hpp). The simulator (simulator.hpp)
 // guarantees integration is always stopped exactly at digital event times,
 // so digital processes observe and perturb a consistent analogue state.
 #pragma once
@@ -71,9 +72,6 @@ struct ode_status {
     double last_dt = 0.0;         ///< final accepted step size (resume hint)
 };
 
-/// One classic fixed-step RK4 step: advances x from t by dt in place.
-void rk4_step(const analog_system& sys, double t, double dt, std::vector<double>& x);
-
 /// Adaptive Cash–Karp RK45 integrator with PI-free step control.
 ///
 /// Keeps its stage buffers between calls, so a long simulation made of many
@@ -103,12 +101,7 @@ private:
 
     ode_options opt_;
     double dt_hint_ = 0.0;  ///< carry step size across segments
-    std::vector<double> k1_, k2_, k3_, k4_, k5_, k6_, xtmp_, xerr_, x5_;
+    std::vector<double> k1_, k2_, k3_, k4_, k5_, k6_, xtmp_, x5_;
 };
-
-/// Fixed-step RK4 driver over [t0, t1] with the given dt (last step clipped).
-void integrate_fixed(const analog_system& sys, double t0, double t1, double dt,
-                     std::vector<double>& x,
-                     const std::function<void(double, std::span<const double>)>& observer = {});
 
 }  // namespace ehdse::sim

@@ -1,8 +1,8 @@
 // Batch evaluation path: system_evaluator::evaluate_batch (positional
-// results, lane independence, scalar fallbacks), the memoising
-// cached_evaluator::evaluate_batch (hit/miss accounting, duplicates,
-// exception recovery), and run_rsm_flow equivalence with batching on
-// vs off.
+// results, lane independence, bitwise equality with evaluate(), scalar
+// fallbacks), the memoising cached_evaluator::evaluate_batch (hit/miss
+// accounting, duplicates, exception recovery), and run_rsm_flow's batched
+// design points against per-config evaluate().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,11 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/batch_envelope_system.hpp"
@@ -49,62 +52,58 @@ std::vector<ed::system_config> spread_configs(std::size_t n) {
     return configs;
 }
 
-/// Exact equality of the deterministic fields (wall_time_s excluded).
+/// Exact equality of every deterministic field (wall_time_s and
+/// batch_lanes describe the run, not its result).
 void expect_results_equal(const ed::evaluation_result& a,
                           const ed::evaluation_result& b,
                           const std::string& what) {
     EXPECT_EQ(a.transmissions, b.transmissions) << what;
     EXPECT_EQ(a.suppressed_wakeups, b.suppressed_wakeups) << what;
+    EXPECT_EQ(a.low_band_transmissions, b.low_band_transmissions) << what;
+    EXPECT_EQ(a.tuning.wakeups, b.tuning.wakeups) << what;
+    EXPECT_EQ(a.tuning.low_energy_skips, b.tuning.low_energy_skips) << what;
+    EXPECT_EQ(a.tuning.measurements, b.tuning.measurements) << what;
+    EXPECT_EQ(a.tuning.position_matches, b.tuning.position_matches) << what;
+    EXPECT_EQ(a.tuning.coarse_tunings, b.tuning.coarse_tunings) << what;
+    EXPECT_EQ(a.tuning.coarse_steps, b.tuning.coarse_steps) << what;
+    EXPECT_EQ(a.tuning.fine_iterations, b.tuning.fine_iterations) << what;
+    EXPECT_EQ(a.tuning.fine_steps, b.tuning.fine_steps) << what;
+    EXPECT_EQ(a.tuning.fine_converged, b.tuning.fine_converged) << what;
     EXPECT_EQ(a.events, b.events) << what;
     EXPECT_EQ(a.ode_steps, b.ode_steps) << what;
+    EXPECT_EQ(a.ode_steps_rejected, b.ode_steps_rejected) << what;
     EXPECT_EQ(a.final_voltage_v, b.final_voltage_v) << what;
     EXPECT_EQ(a.min_voltage_v, b.min_voltage_v) << what;
     EXPECT_EQ(a.max_voltage_v, b.max_voltage_v) << what;
     EXPECT_EQ(a.harvested_energy_j, b.harvested_energy_j) << what;
+    EXPECT_EQ(a.sustained_load_energy_j, b.sustained_load_energy_j) << what;
+    EXPECT_EQ(a.withdrawn_energy_j, b.withdrawn_energy_j) << what;
+    EXPECT_EQ(a.ledger.accounts(), b.ledger.accounts()) << what;
     EXPECT_EQ(a.sim_ok, b.sim_ok) << what;
-}
-
-/// Cross-kernel equality: integer objectives exact, continuous fields to
-/// solver tolerance (the batch kernel's polynomial asin differs from
-/// libm at ~1e-9 relative).
-void expect_results_close(const ed::evaluation_result& a,
-                          const ed::evaluation_result& b,
-                          const std::string& what) {
-    const auto near = [&](double x, double y, const char* field) {
-        EXPECT_NEAR(x, y, 1e-12 + 1e-6 * std::abs(y)) << what << ": " << field;
-    };
-    EXPECT_EQ(a.transmissions, b.transmissions) << what;
-    EXPECT_EQ(a.suppressed_wakeups, b.suppressed_wakeups) << what;
-    EXPECT_EQ(a.sim_ok, b.sim_ok) << what;
-    near(a.final_voltage_v, b.final_voltage_v, "final_voltage_v");
-    near(a.min_voltage_v, b.min_voltage_v, "min_voltage_v");
-    near(a.max_voltage_v, b.max_voltage_v, "max_voltage_v");
-    near(a.harvested_energy_j, b.harvested_energy_j, "harvested_energy_j");
 }
 
 }  // namespace
 
-TEST(EvaluateBatch, MatchesScalarWithinKernelTolerance) {
-    const ed::system_evaluator evaluator(fast_scenario());
-    const auto configs = spread_configs(5);
-
-    const auto batch = evaluator.evaluate_batch(configs);
-    ASSERT_EQ(batch.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto scalar = evaluator.evaluate(configs[i]);
-        // The batch kernel solves the same envelope fixed point with a
-        // polynomial asin, so continuous fields agree to solver tolerance
-        // and event counts to a step or two, not bit for bit.
-        EXPECT_NEAR(static_cast<double>(batch[i].transmissions),
-                    static_cast<double>(scalar.transmissions), 2.0)
-            << "lane " << i;
-        EXPECT_NEAR(batch[i].final_voltage_v, scalar.final_voltage_v,
-                    1e-6 + 1e-3 * std::abs(scalar.final_voltage_v))
-            << "lane " << i;
-        EXPECT_NEAR(batch[i].harvested_energy_j, scalar.harvested_energy_j,
-                    1e-6 + 1e-3 * std::abs(scalar.harvested_energy_j))
-            << "lane " << i;
-        EXPECT_EQ(batch[i].sim_ok, scalar.sim_ok) << "lane " << i;
+TEST(EvaluateBatch, MatchesScalarBitForBit) {
+    // Every lane of a batch is the scalar evaluate() of its config, for
+    // both registered backends and both envelope front-ends.
+    for (const char* harvester : {"electromagnetic", "electrostatic"}) {
+        const ed::system_evaluator evaluator(
+            fast_scenario(), ehdse::spec::harvester_spec{harvester});
+        const auto configs = spread_configs(5);
+        for (const ed::frontend_kind frontend :
+             {ed::frontend_kind::diode_bridge, ed::frontend_kind::mppt}) {
+            ed::evaluation_options eval;
+            eval.frontend = frontend;
+            const auto batch = evaluator.evaluate_batch(configs, eval);
+            ASSERT_EQ(batch.size(), configs.size());
+            for (std::size_t i = 0; i < configs.size(); ++i)
+                expect_results_equal(
+                    batch[i], evaluator.evaluate(configs[i], eval),
+                    std::string(harvester) + " front-end " +
+                        std::to_string(static_cast<int>(frontend)) + " lane " +
+                        std::to_string(i));
+        }
     }
 }
 
@@ -371,43 +370,65 @@ TEST(CachedEvaluatorBatch, ExceptionEvictsEntriesAndRetrySucceeds) {
     EXPECT_EQ(cache.stats().entries, 3u);
 }
 
-TEST(FlowBatch, BatchingOnAndOffProduceTheSameFlow) {
-    const ed::system_evaluator evaluator(fast_scenario());
+namespace {
 
-    const auto run = [&](std::size_t width, ehdse::obs::run_manifest* m) {
-        ed::flow_options opts;
-        opts.doe_runs = 10;
-        opts.batch_width = width;
-        opts.manifest = m;
-        return ed::run_rsm_flow(evaluator, opts);
-    };
+/// Keeps every result the flow's simulate phase gets from evaluate_batch,
+/// by config, to hold them against per-config evaluate().
+class recording_evaluator final : public ed::system_evaluator {
+public:
+    using ed::system_evaluator::system_evaluator;
 
-    ehdse::obs::run_manifest with_m, without_m;
-    const auto with = run(16, &with_m);
-    const auto without = run(0, &without_m);
-
-    // Same design, same responses, same optimum: batch_width is a runtime
-    // execution knob, invisible in every recorded objective.
-    ASSERT_EQ(with.responses.size(), without.responses.size());
-    for (std::size_t i = 0; i < with.responses.size(); ++i)
-        EXPECT_EQ(with.responses[i], without.responses[i]) << "point " << i;
-    expect_results_close(with.original_eval, without.original_eval,
-                         "baseline");
-    ASSERT_EQ(with.outcomes.size(), without.outcomes.size());
-    for (std::size_t i = 0; i < with.outcomes.size(); ++i) {
-        EXPECT_EQ(with.outcomes[i].name, without.outcomes[i].name);
-        expect_results_close(with.outcomes[i].validated,
-                             without.outcomes[i].validated,
-                             "outcome " + with.outcomes[i].name);
+    std::vector<ed::evaluation_result> evaluate_batch(
+        std::span<const ed::system_config> configs,
+        const ed::evaluation_options& options = {}) const override {
+        std::vector<ed::evaluation_result> results =
+            ed::system_evaluator::evaluate_batch(configs, options);
+        const std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            lanes_.emplace_back(configs[i], results[i]);
+        return results;
     }
 
-    // The manifests key the same experiment: batch_width is absent from
-    // the canonical spec, so both runs stamp the identical spec_hash.
-    const auto hash_of = [](const ehdse::obs::run_manifest& m) {
-        const std::string dump = m.to_json().dump();
-        const auto pos = dump.find("\"spec_hash\"");
-        EXPECT_NE(pos, std::string::npos);
-        return dump.substr(pos, 40);
-    };
-    EXPECT_EQ(hash_of(with_m), hash_of(without_m));
+    std::vector<std::pair<ed::system_config, ed::evaluation_result>> lanes()
+        const {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return lanes_;
+    }
+
+private:
+    mutable std::mutex mutex_;
+    mutable std::vector<std::pair<ed::system_config, ed::evaluation_result>>
+        lanes_;
+};
+
+}  // namespace
+
+TEST(FlowBatch, BatchingOnAndOffProduceTheSameFlow) {
+    // The simulate phase runs its design points as batch lanes (chunked
+    // over a 3-worker pool here); each lane's result, and so each
+    // response the surface is fitted to, is the per-config evaluate() of
+    // that design point (the flow without batching), bit for bit.
+    const recording_evaluator evaluator(fast_scenario());
+    ed::flow_options opts;
+    opts.doe_runs = 10;
+    opts.parallel = true;
+    opts.jobs = 3;
+    const ed::flow_result flow = ed::run_rsm_flow(evaluator, opts);
+
+    const auto lanes = evaluator.lanes();
+    ASSERT_EQ(lanes.size(), flow.design_configs.size());
+    const ed::system_evaluator plain(fast_scenario());
+    for (std::size_t i = 0; i < flow.design_configs.size(); ++i) {
+        const ed::system_config& config = flow.design_configs[i];
+        const auto lane = std::find_if(
+            lanes.begin(), lanes.end(),
+            [&](const auto& entry) { return entry.first == config; });
+        ASSERT_NE(lane, lanes.end()) << "design point " << i;
+        const ed::evaluation_result alone = plain.evaluate(config);
+        expect_results_equal(lane->second, alone,
+                             "design point " + std::to_string(i));
+        EXPECT_EQ(flow.responses[i],
+                  static_cast<double>(alone.transmissions))
+            << "design point " << i;
+    }
 }

@@ -1,13 +1,18 @@
 // Envelope solver: convergence, self-consistency, energy bounds,
-// and physical monotonicities across the operating space.
+// physical monotonicities across the operating space, and the envelope
+// RHS kernel held to this libm solve.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
+#include "harvester/electromagnetic.hpp"
 #include "harvester/envelope.hpp"
 #include "harvester/vibration.hpp"
 #include "harvester/tuning_table.hpp"
+#include "power/rectifier.hpp"
+#include "testkit/prng.hpp"
 
 namespace eh = ehdse::harvester;
 
@@ -117,4 +122,60 @@ TEST(Envelope, PowerFallsWithDetuneMagnitude) {
         ASSERT_LE(pt.elec.p_store_w, last * (1.0 + 1e-9)) << "detune " << d;
         last = pt.elec.p_store_w;
     }
+}
+
+// The envelope RHS the integrators call is the electromagnetic kernel
+// (polynomial asin, warm-started bisection); solve_envelope is its
+// independent libm reference. Along slow walks of operating points, one
+// path carried per walk as a run carries it, the hook's rates equal the
+// rates built from the reference's c_e to solver tolerance: the kernel's
+// c_e lies within one bisection tolerance of the reference's, and the
+// charging bridge differs only by the asin rounding.
+TEST(Envelope, KernelRatesMatchTheLibmSolveToSolverTolerance) {
+    const eh::electromagnetic_harvester model;
+    const double tol = eh::envelope_options{}.tolerance * gen().mech_damping();
+    const double phi = gen().params().coupling_v_per_ms;
+    const double pir = std::numbers::pi * gen().params().coil_resistance_ohm;
+    const double two_m = 2.0 * gen().params().mass_kg;
+    ehdse::testkit::prng r(2012);
+    std::size_t checked = 0, conducting = 0;
+    for (int walk = 0; walk < 40; ++walk) {
+        const int pos = static_cast<int>(r.integer(0, 255));
+        const double f =
+            r.chance(0.5) ? gen().resonant_frequency(pos) + r.uniform(-0.3, 0.3)
+                          : r.uniform(gen().min_frequency(), gen().max_frequency());
+        const double a = r.uniform(0.2, 2.0) * k_accel_60mg;
+        double v = r.uniform(0.0, 5.0);
+        double z = r.uniform(0.0, 1.5e-3);
+        eh::damping_path path;
+        for (int i = 0; i < 50; ++i) {
+            v = std::clamp(v + r.uniform(-1e-3, 1e-3), 0.0, 5.0);
+            z = std::clamp(z + r.uniform(-1e-6, 1e-6), 0.0, 1.5e-3);
+            const eh::envelope_rates got = model.envelope_dynamics(
+                f, a, pos, v, z, eh::conditioning_kind::diode_bridge, 1.0, {},
+                path);
+
+            const eh::envelope_point ref = eh::solve_envelope(gen(), pos, f, a, v);
+            const double za = ref.mech.displacement_amp_m;
+            const double rate = (za - z) / gen().settling_tau(ref.c_electrical);
+            // |d rate / d c_e| <= (2 za + z) / 2m: the target amplitude and
+            // 1 / tau each move by at most dc / c_total relative.
+            EXPECT_NEAR(got.amplitude_rate, rate,
+                        tol * (2.0 * za + z) / two_m + 1e-18)
+                << "walk " << walk << " call " << i;
+
+            const double emf = phi * 2.0 * std::numbers::pi * f * z;
+            const ehdse::power::rectifier_operating_point elec =
+                ehdse::power::bridge_average(emf, v,
+                                             gen().params().coil_resistance_ohm);
+            EXPECT_NEAR(got.charge_current_a, elec.i_avg_a,
+                        1e-12 * (emf + v + 1.0) / pir)
+                << "walk " << walk << " call " << i;
+            ++checked;
+            conducting += elec.conducting ? 1 : 0;
+        }
+    }
+    // The walks exercise both a charging and an idle store.
+    EXPECT_GT(conducting, checked / 10);
+    EXPECT_LT(conducting, checked);
 }

@@ -2,7 +2,7 @@
 // class itself: registry listings, construction by name, the per-backend
 // invariants every entry must satisfy (ascending tuning law, tuning-table
 // compatibility, sane describe(), a batch hook that matches the scalar
-// one lane by lane), and the electrostatic physics — bias
+// one lane by lane, bit for bit), and the electrostatic physics — bias
 // ramp, spring softening, charge-pump extraction, and the envelope /
 // transient energy agreement the equivalent-damping construction promises.
 #include <algorithm>
@@ -119,11 +119,10 @@ TEST(HarvesterRegistry, ActuatorCostsMatchEachMechanism) {
 
 TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
     // Every entry's batch hook against its scalar hook called with a fresh
-    // path, lane by lane, along slow per-lane walks with jumps — so batch
-    // lanes warm-start, and now and then a stale path fails its check.
-    // The default batch loops the scalar hook and must match it bitwise;
-    // the electromagnetic kernel's bridge solve uses a polynomial asin, so
-    // it must agree to 1e-9 relative (its mppt branch is bitwise).
+    // path, lane by lane and bitwise, along slow per-lane walks with jumps
+    // — so batch lanes warm-start, and now and then a stale path fails its
+    // check. The default batch loops the scalar hook; the electromagnetic
+    // entry's hook is its batch kernel on one lane.
     const power::rectifier_params rect;
     testkit::prng r(2012);
     for (const eh::harvester_info& info : eh::harvester_registry()) {
@@ -143,8 +142,6 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
                 .with_amplitude_schedule(scales);
         for (const eh::conditioning_kind cond :
              {eh::conditioning_kind::diode_bridge, eh::conditioning_kind::mppt}) {
-            const bool bitwise = !(info.name == "electromagnetic" &&
-                                   cond == eh::conditioning_kind::diode_bridge);
             std::size_t lanes_checked = 0, conducting = 0, mismatches = 0;
             for (const std::size_t width : {1u, 3u, 10u, 16u}) {
                 const auto batch = model->make_envelope_batch(width);
@@ -184,11 +181,9 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
                             pos[l], v[l], z[l], cond, 0.75, rect, fresh);
                         ++lanes_checked;
                         if (want.charge_current_a > 0.0) ++conducting;
-                        const auto agree = [&](double got, double ref) {
-                            return bitwise ? std::bit_cast<std::uint64_t>(got) ==
-                                                 std::bit_cast<std::uint64_t>(ref)
-                                           : std::abs(got - ref) <=
-                                                 1e-9 * std::abs(ref);
+                        const auto agree = [](double got, double ref) {
+                            return std::bit_cast<std::uint64_t>(got) ==
+                                   std::bit_cast<std::uint64_t>(ref);
                         };
                         if (agree(rate[l], want.amplitude_rate) &&
                             agree(current[l], want.charge_current_a))

@@ -1,20 +1,22 @@
-// Warm-started damping solve (harvester/damping_path.hpp): for any
-// operating point and any predictor state, solve_envelope warm-started
-// from that state equals a fresh cold solve bit for bit in c_electrical,
-// mech, elec and converged. States come from the previous point of a
+// Warm start of the electromagnetic envelope kernel
+// (harvester/damping_path.hpp), through the scalar hook that runs it on
+// one lane: for any operating point and any predictor state, a call with
+// a primed path equals a call with a fresh path bit for bit, in both rates
+// and in the path it leaves. States come from the previous point of a
 // slow random walk, from an unrelated point, from random special and
 // out-of-range values, from a root beyond c_hi, and from predictions
-// aimed at, just inside and just outside the ends of the cold solve's
+// aimed at, just inside and just outside the ends of the kernel's cold
 // final cell. Operating points span the tuning range, 0-2x the paper's
 // 60 mg, every actuator position and 0-5 V of store voltage, so blocked
 // and conducting points occur, and so do points where the end stops clip
-// the trial amplitudes and flatten T (the test asserts all three do).
-// Every solve's mech and elec must also be the public response() and
-// bridge_average() at its c_e, bit for bit: the solver's prepared trial
-// and its post-solve bridge run the same formulas. The walk of the cold
-// grid, resumed from the path's stored cell, must end in the cell a walk
-// from the top reaches, over creeping, jumping, special and off-grid
-// predictions.
+// the trial amplitudes and flatten T (the test asserts all three do). A
+// blocked call clears the path; a conducting one leaves a path whose own
+// prediction is the final cell it converged in — the cell the next call
+// at that point checks first. The libm reference solve's mech and elec
+// must be the public response() and bridge_average() at its c_e, bit for
+// bit. The walk of the cold grid, resumed from the path's stored cell,
+// must end in the cell a walk from the top reaches, over creeping,
+// jumping, special and off-grid predictions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "harvester/electromagnetic.hpp"
 #include "harvester/envelope.hpp"
 #include "harvester/vibration.hpp"
 #include "power/rectifier.hpp"
@@ -40,13 +43,19 @@ namespace {
 
 constexpr double k_accel_max = 2.0 * 0.060 * eh::k_gravity;
 constexpr double k_store_max_v = 5.0;
+constexpr double k_z_max_m = 1.5e-3;
 
 const eh::microgenerator& gen() {
     static const eh::microgenerator g;
     return g;
 }
 
-/// The solver's unexpanded bracket end and bisection tolerance.
+const eh::electromagnetic_harvester& model() {
+    static const eh::electromagnetic_harvester m;
+    return m;
+}
+
+/// The kernel's unexpanded bracket end and bisection tolerance.
 double c_hi() {
     const double phi = gen().params().coupling_v_per_ms;
     return phi * phi / gen().params().coil_resistance_ohm +
@@ -62,6 +71,7 @@ struct op_point {
     double freq_hz = 0.0;
     double accel = 0.0;
     double store_v = 0.0;
+    double z_env = 0.0;
 };
 
 struct warm_case {
@@ -74,6 +84,7 @@ struct warm_case {
 op_point draw_point(tk::prng& r) {
     op_point p;
     p.store_v = r.uniform(0.0, k_store_max_v);
+    p.z_env = r.uniform(0.0, k_z_max_m);
     if (r.chance(0.125)) {
         // End-stop draw: full drive at the exact resonance of a low
         // position clips the open-circuit amplitude.
@@ -100,12 +111,13 @@ bool open_circuit_clipped(const op_point& p) {
 }
 
 /// Consecutive envelope RHS calls of one run: the store voltage creeps
-/// (log-uniform steps, 1e-7..1e-2 V) and now and then the actuator or
-/// the excitation moves.
+/// (log-uniform steps, 1e-7..1e-2 V), the envelope drifts, and now and
+/// then the actuator or the excitation moves.
 op_point step(tk::prng& r, op_point p) {
     const double dv = r.log_uniform(1e-7, 1e-2);
     p.store_v = std::clamp(p.store_v + (r.chance(0.5) ? dv : -dv), 0.0,
                            k_store_max_v);
+    p.z_env = std::clamp(p.z_env + r.uniform(-1e-6, 1e-6), 0.0, k_z_max_m);
     if (r.chance(0.02))
         p.position = std::clamp(p.position + static_cast<int>(r.integer(-3, 3)),
                                 0, 255);
@@ -151,7 +163,7 @@ eh::damping_path draw_garbage(tk::prng& r) {
 }
 
 /// The state a solve on a doubled bracket [0, 2 c_hi] would leave if its
-/// root lay beyond c_hi. No physical T makes solve_envelope expand
+/// root lay beyond c_hi. No physical T makes the kernel expand
 /// (T <= phi^2 / R < c_hi), so the test builds the state directly.
 eh::damping_path beyond_c_hi_path(tk::prng& r) {
     eh::damping_path path;
@@ -173,32 +185,17 @@ warm_case draw_case(tk::prng& r) {
     return c;
 }
 
-eh::envelope_point solve(const op_point& p, eh::damping_path* path) {
-    return eh::solve_envelope(gen(), p.position, p.freq_hz, p.accel, p.store_v,
-                              {}, {}, path);
+/// The diode-bridge envelope RHS at `p`, warm-started from `path`.
+eh::envelope_rates rates(const op_point& p, eh::damping_path& path) {
+    return model().envelope_dynamics(p.freq_hz, p.accel, p.position,
+                                     p.store_v, p.z_env,
+                                     eh::conditioning_kind::diode_bridge, 1.0,
+                                     {}, path);
 }
 
-/// The damping the bridge presents at trial damping c (the T(c) of
-/// envelope.cpp), for the reference bisection below.
-double presented_damping(const op_point& p, double c) {
-    const double omega = 2.0 * std::numbers::pi * p.freq_hz;
-    const eh::linear_response mech = gen().response(omega, p.accel, p.position, c);
-    const ehdse::power::rectifier_operating_point elec = ehdse::power::bridge_average(
-        mech.emf_amp_v, p.store_v, gen().params().coil_resistance_ohm);
-    if (!elec.conducting || !(mech.velocity_amp_ms > 0.0)) return 0.0;
-    return 2.0 * elec.p_mech_w / (mech.velocity_amp_ms * mech.velocity_amp_ms);
-}
-
-/// The final cell of a cold bisection of a conducting point, bisected
-/// here independently of solve_envelope.
-eh::damping_cell cold_cell(const op_point& p) {
-    eh::damping_cell cell{0.0, c_hi(), 0};
-    while (cell.hi - cell.lo > tol()) {
-        const double mid = 0.5 * (cell.lo + cell.hi);
-        (presented_damping(p, mid) > mid ? cell.lo : cell.hi) = mid;
-        ++cell.depth;
-    }
-    return cell;
+/// The libm reference solve at `p`.
+eh::envelope_point solve(const op_point& p) {
+    return eh::solve_envelope(gen(), p.position, p.freq_hz, p.accel, p.store_v);
 }
 
 /// A trusted state whose prediction is exactly `target`: the slope is so
@@ -214,19 +211,31 @@ bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The solve's mech and elec are response() and bridge_average() at the
-/// c_e it returned (0 for a blocked point), and solve_damping agrees with
-/// solve_envelope in everything but elec.
-void require_reference_point(const eh::envelope_point& pt, const op_point& p,
-                             eh::damping_path* path, const std::string& source) {
+/// The final cell a conducting call converged in, read off the path it
+/// left: its root is the cell's midpoint, so the walk of the cold grid
+/// towards that root ends in the cell. Depth 0 when the cell is not one a
+/// prediction may use (lo < 2 tol or hi = c_hi).
+eh::damping_cell final_cell(eh::damping_path path) {
+    const eh::damping_cell cell = path.predicted_cell(
+        0.0, c_hi(), tol(), eh::envelope_options{}.max_iterations);
+    if (cell.depth > 0 && !same_bits(0.5 * (cell.lo + cell.hi), path.root))
+        tk::fail("the path's root is not the midpoint of its own cell");
+    return cell;
+}
+
+/// The libm solve's mech and elec are response() and bridge_average() at
+/// the c_e it returned (0 for a blocked point), and solve_damping agrees
+/// with solve_envelope in everything but elec.
+void require_reference_point(const op_point& p) {
+    const eh::envelope_point pt = solve(p);
     const double omega = 2.0 * std::numbers::pi * p.freq_hz;
     const eh::linear_response mech =
         gen().response(omega, p.accel, p.position, pt.c_electrical);
     const ehdse::power::rectifier_operating_point elec =
         ehdse::power::bridge_average(mech.emf_amp_v, p.store_v,
                                      gen().params().coil_resistance_ohm);
-    const eh::damping_point d = eh::solve_damping(
-        gen(), p.position, p.freq_hz, p.accel, p.store_v, {}, {}, path);
+    const eh::damping_point d =
+        eh::solve_damping(gen(), p.position, p.freq_hz, p.accel, p.store_v);
     const bool same =
         same_bits(pt.mech.displacement_amp_m, mech.displacement_amp_m) &&
         same_bits(pt.mech.velocity_amp_ms, mech.velocity_amp_ms) &&
@@ -247,95 +256,83 @@ void require_reference_point(const eh::envelope_point& pt, const op_point& p,
         d.converged == pt.converged;
     if (same) return;
     std::ostringstream os;
-    os << source << ": solve differs from response()/bridge_average() at "
-       << "position " << p.position << ", " << std::hexfloat << p.freq_hz
-       << " Hz, " << p.accel << " m/s^2, " << p.store_v << " V, c_e "
-       << pt.c_electrical;
+    os << "libm solve differs from response()/bridge_average() at position "
+       << p.position << ", " << std::hexfloat << p.freq_hz << " Hz, "
+       << p.accel << " m/s^2, " << p.store_v << " V, c_e " << pt.c_electrical;
     tk::fail(os.str());
 }
 
-void require_identical(const eh::envelope_point& warm,
-                       const eh::envelope_point& cold, const op_point& p,
-                       const std::string& source) {
-    const bool same =
-        same_bits(warm.c_electrical, cold.c_electrical) &&
-        same_bits(warm.mech.displacement_amp_m, cold.mech.displacement_amp_m) &&
-        same_bits(warm.mech.velocity_amp_ms, cold.mech.velocity_amp_ms) &&
-        same_bits(warm.mech.emf_amp_v, cold.mech.emf_amp_v) &&
-        warm.mech.displacement_limited == cold.mech.displacement_limited &&
-        warm.elec.conducting == cold.elec.conducting &&
-        same_bits(warm.elec.conduction_angle, cold.elec.conduction_angle) &&
-        same_bits(warm.elec.i_avg_a, cold.elec.i_avg_a) &&
-        same_bits(warm.elec.p_mech_w, cold.elec.p_mech_w) &&
-        same_bits(warm.elec.p_store_w, cold.elec.p_store_w) &&
-        same_bits(warm.elec.p_diode_w, cold.elec.p_diode_w) &&
-        same_bits(warm.elec.p_coil_w, cold.elec.p_coil_w) &&
-        warm.converged == cold.converged;
-    if (same) return;
+/// A call from `path` equals the call from a fresh path in both rates and
+/// in the path it leaves; returns the fresh call's path.
+eh::damping_path require_identical(const op_point& p, eh::damping_path& path,
+                                   const std::string& source) {
+    eh::damping_path fresh;
+    const eh::envelope_rates cold = rates(p, fresh);
+    const eh::envelope_rates warm = rates(p, path);
+    const bool same = same_bits(warm.amplitude_rate, cold.amplitude_rate) &&
+                      same_bits(warm.charge_current_a, cold.charge_current_a) &&
+                      same_bits(path.root, fresh.root) &&
+                      same_bits(path.slope, fresh.slope);
+    if (same) return fresh;
     std::ostringstream os;
-    os << source << ": warm solve differs from cold at position " << p.position
+    os << source << ": warm call differs from cold at position " << p.position
        << ", " << std::hexfloat << p.freq_hz << " Hz, " << p.accel
-       << " m/s^2, " << p.store_v << " V: c_e " << warm.c_electrical
-       << " vs " << cold.c_electrical;
+       << " m/s^2, " << p.store_v << " V, z " << p.z_env << ": rates "
+       << warm.amplitude_rate << ", " << warm.charge_current_a << " vs "
+       << cold.amplitude_rate << ", " << cold.charge_current_a << "; root "
+       << path.root << " vs " << fresh.root;
     tk::fail(os.str());
+    return fresh;
 }
 
 /// What the generated cases covered, summed over the run.
 struct coverage {
-    std::size_t blocked = 0;
-    std::size_t conducting = 0;
+    std::size_t blocked = 0;     ///< calls that left no prediction
+    std::size_t conducting = 0;  ///< calls that left a trusted path
     std::size_t clipped = 0;
     std::size_t clipped_conducting = 0;  ///< clipped and loaded by the bridge
-    std::size_t predicted = 0;  ///< walk solves that took four trials
+    std::size_t trusted_in = 0;  ///< walk calls entering with a trusted path
+    std::size_t predicted = 0;   ///< walk calls whose path predicts its cell
     std::size_t aimed_inside = 0;
-    std::size_t warm_trials = 0;
-    std::size_t cold_trials = 0;
 };
 
 void check_case(const warm_case& c, coverage& seen) {
     // Slow walk: one path carried from each point to the next.
     eh::damping_path walk_path;
-    eh::damping_path damping_walk_path;
     for (const op_point& p : c.walk) {
-        const eh::envelope_point cold = solve(p, nullptr);
-        const eh::envelope_point warm = solve(p, &walk_path);
-        require_identical(warm, cold, p, "random-walk path");
-        require_reference_point(warm, p, &damping_walk_path, "random-walk path");
+        seen.trusted_in += walk_path.trusted(c_hi()) ? 1 : 0;
+        const eh::damping_path left =
+            require_identical(p, walk_path, "random-walk path");
+        require_reference_point(p);
         const bool clipped = open_circuit_clipped(p);
-        seen.blocked += cold.c_electrical == 0.0 ? 1 : 0;
-        seen.conducting += cold.elec.conducting ? 1 : 0;
+        const bool conducting = left.trusted(c_hi());
+        seen.blocked += conducting ? 0 : 1;
+        seen.conducting += conducting ? 1 : 0;
         seen.clipped += clipped ? 1 : 0;
-        seen.clipped_conducting += clipped && cold.c_electrical > 0.0 ? 1 : 0;
-        seen.predicted += warm.iterations == 4 ? 1 : 0;
-        seen.warm_trials += static_cast<std::size_t>(warm.iterations);
-        seen.cold_trials += static_cast<std::size_t>(cold.iterations);
+        seen.clipped_conducting += clipped && conducting ? 1 : 0;
+        if (conducting && final_cell(left).depth > 0) ++seen.predicted;
     }
 
     const op_point& target = c.walk.front();
-    const eh::envelope_point cold = solve(target, nullptr);
-    require_reference_point(cold, target, nullptr, "cold solve");
-
     eh::damping_path foreign;
-    solve(c.unrelated, &foreign);
-    require_identical(solve(target, &foreign), cold, target, "unrelated path");
+    rates(c.unrelated, foreign);
+    const eh::damping_path cold = require_identical(target, foreign,
+                                                    "unrelated path");
 
     for (eh::damping_path garbage : c.garbage)
-        require_identical(solve(target, &garbage), cold, target,
-                          "special-value path");
+        require_identical(target, garbage, "special-value path");
 
     eh::damping_path beyond = c.beyond;
-    require_identical(solve(target, &beyond), cold, target,
-                      "beyond-c_hi path");
+    require_identical(target, beyond, "beyond-c_hi path");
 
     // Predictions at, just inside and just outside the ends of the cold
     // final cell (width in (tol / 2, tol], so c_e +- tol / 4 lies inside
-    // and c_e +- tol / 2 on or beyond an end). Only a prediction inside
-    // the cell may take the four-trial path.
-    if (cold.c_electrical == 0.0) return;  // blocked: no cell
-    const eh::damping_cell ref = cold_cell(target);
-    if (!same_bits(0.5 * (ref.lo + ref.hi), cold.c_electrical))
-        tk::fail("reference bisection disagrees with the cold solve");
-    const double ce = cold.c_electrical;
+    // and c_e +- tol / 2 on or beyond an end). The walk of an aim inside
+    // the cell ends in it; whatever the aim, the result is the cold one.
+    if (!cold.trusted(c_hi())) return;  // blocked: no cell
+    const eh::damping_cell ref = final_cell(cold);
+    if (ref.depth == 0) return;  // at the bracket's edge: never predicted
+    const double ce = cold.root;
     const double q = 0.25 * tol();
     const double inf = std::numeric_limits<double>::infinity();
     const double aims[] = {ce,
@@ -351,12 +348,15 @@ void check_case(const warm_case& c, coverage& seen) {
                            std::nextafter(ref.hi, inf)};
     for (const double aim : aims) {
         eh::damping_path path = aimed_at(aim);
-        const eh::envelope_point warm = solve(target, &path);
-        require_identical(warm, cold, target, "aimed path");
+        const eh::damping_cell walked = eh::damping_path(path).predicted_cell(
+            0.0, c_hi(), tol(), eh::envelope_options{}.max_iterations);
         const bool inside = aim > ref.lo && aim <= ref.hi;
-        if (warm.iterations == 4 && !inside)
-            tk::fail("a prediction outside the cold cell took the warm path");
-        seen.aimed_inside += warm.iterations == 4 ? 1 : 0;
+        const bool reaches = walked.depth > 0 && same_bits(walked.lo, ref.lo) &&
+                             same_bits(walked.hi, ref.hi);
+        if (reaches != inside)
+            tk::fail("an aimed prediction's walk disagrees with the cold cell");
+        seen.aimed_inside += inside ? 1 : 0;
+        require_identical(target, path, "aimed path");
     }
 }
 
@@ -374,35 +374,40 @@ TEST(WarmStart, WarmSolveEqualsColdSolveBitForBit) {
     EXPECT_TRUE(result.ok) << result.report();
 
     // The draws reach every regime of the bridge, and the walk really
-    // runs warm: fewer trials of T than cold solving.
+    // runs warm: calls enter with a trusted path, and conducting calls
+    // leave a path that predicts the cell they converged in.
     EXPECT_GT(seen.blocked, 0u);
     EXPECT_GT(seen.conducting, 0u);
     EXPECT_GT(seen.clipped, 0u);
     EXPECT_GT(seen.clipped_conducting, 0u);
+    EXPECT_GT(seen.trusted_in, 0u);
     EXPECT_GT(seen.predicted, 0u);
     EXPECT_GT(seen.aimed_inside, 0u);
-    EXPECT_LT(seen.warm_trials, seen.cold_trials);
 }
 
 TEST(WarmStart, ConductingSolveLeavesAPathBlockedSolveClearsIt) {
     const op_point conducting{128, gen().resonant_frequency(128),
-                              0.060 * eh::k_gravity, 2.8};
+                              0.060 * eh::k_gravity, 2.8, 5e-4};
     eh::damping_path path;
-    const eh::envelope_point first = solve(conducting, &path);
-    ASSERT_TRUE(first.elec.conducting);
-    EXPECT_TRUE(path.trusted(c_hi()));
-    EXPECT_EQ(path.root, first.c_electrical);
+    const eh::envelope_rates first = rates(conducting, path);
+    EXPECT_GT(first.charge_current_a, 0.0);
+    ASSERT_TRUE(path.trusted(c_hi()));
+    // The kernel's root is the libm solve's to solver tolerance.
+    EXPECT_NEAR(path.root, solve(conducting).c_electrical, tol());
 
-    // Re-solving the same point takes the predicted cell: the trial at
-    // the previous root, the two end checks, the final evaluation.
-    const eh::envelope_point again = solve(conducting, &path);
-    EXPECT_EQ(again.iterations, 4);
-    EXPECT_EQ(again.c_electrical, first.c_electrical);
+    // The path predicts the cell its call converged in, so re-solving the
+    // same point checks that cell first; the result does not move.
+    const double root = path.root;
+    EXPECT_GT(final_cell(path).depth, 0);
+    const eh::envelope_rates again = rates(conducting, path);
+    EXPECT_TRUE(same_bits(again.amplitude_rate, first.amplitude_rate));
+    EXPECT_TRUE(same_bits(again.charge_current_a, first.charge_current_a));
+    EXPECT_TRUE(same_bits(path.root, root));
 
     op_point blocked = conducting;
     blocked.store_v = 50.0;
-    const eh::envelope_point b = solve(blocked, &path);
-    EXPECT_EQ(b.c_electrical, 0.0);
+    const eh::envelope_rates b = rates(blocked, path);
+    EXPECT_EQ(b.charge_current_a, 0.0);
     EXPECT_FALSE(path.trusted(c_hi()));
 }
 
@@ -442,38 +447,43 @@ TEST(WarmStart, WalkedCellStaysInsideTheColdBracket) {
 }
 
 TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
-    // The solver checks the position, store voltage and coil resistance
-    // once per solve and each trial's emf; what a trial of response() and
-    // bridge_average() rejected must still be rejected, cold and warm.
+    // The kernel's hook rejects what the libm solve rejects, with the same
+    // exception, from a fresh path and a trusted one: a bad position before
+    // a bad store voltage, as the first trial's response() reported it
+    // before its bridge_average(); NaN stimulus and store voltage; a
+    // frequency <= 0; a negative acceleration. The hook also rejects a
+    // negative or NaN envelope, whose charging emf bridge_average rejects.
     constexpr double nan = std::numeric_limits<double>::quiet_NaN();
     const double f = gen().resonant_frequency(128);
     const double a = 0.060 * eh::k_gravity;
     eh::damping_path trusted;
-    solve({128, f, a, 2.8}, &trusted);
+    rates({128, f, a, 2.8, 5e-4}, trusted);
     ASSERT_TRUE(trusted.trusted(c_hi()));
 
     const op_point invalid_argument[] = {
-        {128, f, a, -0.1}, {128, f, a, nan}, {128, f, nan, 2.8},
-        {128, nan, a, 2.8}};
+        {128, f, a, -0.1, 5e-4}, {128, f, a, nan, 5e-4},
+        {128, f, nan, 2.8, 5e-4}, {128, nan, a, 2.8, 5e-4},
+        {128, 0.0, a, 2.8, 5e-4}, {128, f, -1.0, 2.8, 5e-4}};
     for (const op_point& p : invalid_argument) {
+        EXPECT_THROW(solve(p), std::invalid_argument);
+        EXPECT_THROW(eh::solve_damping(gen(), p.position, p.freq_hz, p.accel,
+                                       p.store_v),
+                     std::invalid_argument);
         for (const bool warm : {false, true}) {
-            eh::damping_path path = trusted;
-            eh::damping_path* used = warm ? &path : nullptr;
-            EXPECT_THROW(solve(p, used), std::invalid_argument);
-            EXPECT_THROW(eh::solve_damping(gen(), p.position, p.freq_hz,
-                                           p.accel, p.store_v, {}, {}, used),
-                         std::invalid_argument);
+            eh::damping_path path = warm ? trusted : eh::damping_path{};
+            EXPECT_THROW(rates(p, path), std::invalid_argument);
         }
     }
-    for (const bool warm : {false, true}) {
+    for (const double z : {-1e-6, nan}) {
         eh::damping_path path = trusted;
-        eh::damping_path* used = warm ? &path : nullptr;
-        EXPECT_THROW(solve({256, f, a, 2.8}, used), std::out_of_range);
-        EXPECT_THROW(eh::solve_damping(gen(), 256, f, a, 2.8, {}, {}, used),
-                     std::out_of_range);
-        // A bad position is reported before a bad store voltage, as the
-        // first trial's response() reported it before its bridge_average().
-        EXPECT_THROW(solve({256, f, a, -0.1}, used), std::out_of_range);
+        EXPECT_THROW(rates({128, f, a, 2.8, z}, path), std::invalid_argument);
+    }
+    EXPECT_THROW(solve({256, f, a, 2.8, 5e-4}), std::out_of_range);
+    EXPECT_THROW(solve({256, f, a, -0.1, 5e-4}), std::out_of_range);
+    for (const bool warm : {false, true}) {
+        eh::damping_path path = warm ? trusted : eh::damping_path{};
+        EXPECT_THROW(rates({256, f, a, 2.8, 5e-4}, path), std::out_of_range);
+        EXPECT_THROW(rates({256, f, a, -0.1, 5e-4}, path), std::out_of_range);
     }
 }
 

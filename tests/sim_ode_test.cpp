@@ -29,35 +29,6 @@ es::functional_system oscillator(double w) {
 
 }  // namespace
 
-TEST(Rk4, ExponentialDecaySingleStepOrder) {
-    const auto sys = exp_decay(1.0);
-    // Error of one RK4 step scales as dt^5.
-    double prev_err = 0.0;
-    for (int i = 0; i < 2; ++i) {
-        const double dt = i == 0 ? 0.1 : 0.05;
-        std::vector<double> x{1.0};
-        es::rk4_step(sys, 0.0, dt, x);
-        const double err = std::abs(x[0] - std::exp(-dt));
-        if (i == 0)
-            prev_err = err;
-        else
-            EXPECT_LT(err, prev_err / 16.0);  // at least 4th-order convergence
-    }
-}
-
-TEST(FixedIntegration, MatchesClosedForm) {
-    const auto sys = exp_decay(2.0);
-    std::vector<double> x{3.0};
-    es::integrate_fixed(sys, 0.0, 1.0, 1e-3, x);
-    EXPECT_NEAR(x[0], 3.0 * std::exp(-2.0), 1e-8);
-}
-
-TEST(FixedIntegration, BadDtThrows) {
-    const auto sys = exp_decay(1.0);
-    std::vector<double> x{1.0};
-    EXPECT_THROW(es::integrate_fixed(sys, 0.0, 1.0, 0.0, x), std::invalid_argument);
-}
-
 TEST(Rk45, ExponentialDecayWithinTolerance) {
     const auto sys = exp_decay(1.0);
     es::ode_options opt;

@@ -122,6 +122,52 @@ TEST(SvcServer, SubmitFlowStreamsProgressAndOutcomes) {
     EXPECT_GE(result.at("manifest").at("optimizers").size(), 2u);
 }
 
+TEST(SvcServer, SimulateOfAFlowDesignPointMatchesAFreshServer) {
+    // A finished flow leaves its design points in the shared cache, stored
+    // from the batch lanes that simulated them. A simulate of one of them
+    // hits that entry and must answer with the numbers a server that never
+    // ran the flow computes: an answer depends on the request alone, not
+    // on what ran before it.
+    server_fixture used;
+    const spec::experiment_spec flow_request = fast_spec();
+    test_client client(used.path);
+    client.send(svc::make_submit("flow", svc::workload::flow, flow_request));
+    const obs::json_value flow = client.read_until("result", 120000);
+    ASSERT_EQ(flow.at("status").as_string(), "ok");
+
+    spec::experiment_spec point = flow_request;
+    bool found = false;
+    for (const obs::json_value& run : flow.at("manifest").at("runs").as_array()) {
+        if (run.at("kind").as_string() != "design_point") continue;
+        const obs::json_value& config = run.at("config");
+        point.config.mcu_clock_hz = config.at("mcu_clock_hz").as_number();
+        point.config.watchdog_period_s =
+            config.at("watchdog_period_s").as_number();
+        point.config.tx_interval_s = config.at("tx_interval_s").as_number();
+        found = true;
+        break;
+    }
+    ASSERT_TRUE(found);
+
+    const auto simulate_on = [&](const std::string& path) {
+        test_client c(path);
+        c.send(svc::make_submit("point", svc::workload::simulate, point));
+        const obs::json_value result = c.read_until("result");
+        EXPECT_EQ(result.at("status").as_string(), "ok");
+        return result.at("response");
+    };
+    const auto cache_hits = [&] {
+        client.send(svc::make_stats_request());
+        return client.read_until("stats").at("cache").at("hits").as_number();
+    };
+    const double hits_before = cache_hits();
+    const obs::json_value from_cache = simulate_on(used.path);
+    EXPECT_EQ(cache_hits(), hits_before + 1.0);
+
+    server_fixture fresh;
+    EXPECT_EQ(from_cache.dump(), simulate_on(fresh.path).dump());
+}
+
 TEST(SvcServer, MalformedFrameKeepsConnectionUsable) {
     server_fixture fixture;
     test_client client(fixture.path);

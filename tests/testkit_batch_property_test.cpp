@@ -1,9 +1,10 @@
 // Differential property: the SoA batch kernel is an implementation
 // detail. For any valid spec, evaluating a config inside a batch equals
-// evaluating it alone (bitwise — lane independence), and both agree with
-// the scalar evaluate() path to solver tolerance. Batch width (1..16)
-// and the extra lane configs derive from the spec hash, so a shrunk
-// counterexample pins the whole batch, not just one lane.
+// evaluating it alone (lane independence) and equals the scalar
+// evaluate() of that config (path independence), bitwise in every
+// deterministic field. Batch width (1..16) and the extra lane configs
+// derive from the spec hash, so a shrunk counterexample pins the whole
+// batch, not just one lane.
 #include <gtest/gtest.h>
 
 #include "testkit_oracles.hpp"
