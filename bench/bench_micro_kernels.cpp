@@ -10,13 +10,13 @@
 #include "dse/system_evaluator.hpp"
 #include "harvester/electromagnetic.hpp"
 #include "harvester/envelope.hpp"
-#include "harvester/piezo.hpp"
 #include "harvester/tuning_table.hpp"
 #include "numeric/decomp.hpp"
 #include "opt/nsga2.hpp"
 #include "rsm/kriging.hpp"
 #include "rsm/quadratic_model.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/ode.hpp"
 
 namespace {
 
@@ -66,12 +66,18 @@ void bm_envelope_walk(benchmark::State& state) {
 }
 BENCHMARK(bm_envelope_walk)->ArgName("warm")->Arg(0)->Arg(1);
 
+/// Harmonic oscillator x'' = -400 x as a 2-state system.
+struct oscillator final : sim::analog_system {
+    std::size_t state_size() const override { return 2; }
+    void derivatives(double, std::span<const double> x,
+                     std::span<double> d) const override {
+        d[0] = x[1];
+        d[1] = -400.0 * x[0];
+    }
+};
+
 void bm_rk45_oscillator(benchmark::State& state) {
-    const sim::functional_system sys(
-        2, [](double, std::span<const double> x, std::span<double> d) {
-            d[0] = x[1];
-            d[1] = -400.0 * x[0];
-        });
+    const oscillator sys;
     sim::rk45_integrator integ;
     for (auto _ : state) {
         std::vector<double> x{1.0, 0.0};
@@ -129,18 +135,6 @@ void bm_event_queue_schedule_pop(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(bm_event_queue_schedule_pop);
-
-void bm_piezo_solve(benchmark::State& state) {
-    const harvester::piezo_microgenerator gen;
-    const harvester::tuning_table table(gen.mechanics());
-    const int pos = table.lookup(69.0);
-    const double accel = 0.060 * harvester::k_gravity;
-    for (auto _ : state) {
-        auto pt = gen.solve(pos, 69.0, accel, 2.8);
-        benchmark::DoNotOptimize(pt.p_store_w);
-    }
-}
-BENCHMARK(bm_piezo_solve);
 
 void bm_gp_fit_16(benchmark::State& state) {
     const auto candidates = doe::full_factorial(3, 3);

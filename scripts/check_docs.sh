@@ -28,6 +28,13 @@
 # somewhere under src/, so a deleted or renamed class or function cannot
 # live on in the docs either.
 #
+# Bench names: every bench_<name> word in README.md, DESIGN.md,
+# EXPERIMENTS.md or docs/*.md must name a file under bench/ (bench/<word>.*),
+# so a deleted bench cannot live on in the docs; and every bench target of
+# bench/CMakeLists.txt (the EHDSE_BENCH_TARGETS list plus each bench_...
+# add_executable) must appear in README.md's bench listing, the code block
+# under its "## Benchmarks" heading.
+#
 # Manifest phases: the "phases" rows of the manifest example in
 # docs/observability.md must be exactly the phases run_rsm_flow opens, in
 # both directions: every literal obs_hook.phase("...") name in
@@ -123,6 +130,42 @@ $(grep -oE '`[^`]+`' "$doc" 2>/dev/null | grep -oP "(?<![A-Za-z0-9_:])(ehdse::)?
 EOF
 }
 
+check_bench_names() {
+    local doc="$1" name
+    while IFS= read -r name; do
+        [ -z "$name" ] && continue
+        checked=$((checked + 1))
+        if ! compgen -G "bench/$name.*" >/dev/null; then
+            echo "check_docs: $doc names $name, which is no file under bench/" >&2
+            status=1
+        fi
+    done <<EOF
+$(grep -oP '(?<![A-Za-z0-9_])bench_[A-Za-z0-9_]+' "$doc" 2>/dev/null | sort -u)
+EOF
+}
+
+check_bench_listing() {
+    local cmake=bench/CMakeLists.txt listing targets name
+    listing=$(awk '/^## Benchmarks/ { on = 1; next }
+                   on && /^```/ { if (fence++) exit; next }
+                   on && fence' README.md)
+    targets=$({ awk '/set\(EHDSE_BENCH_TARGETS/ { on = 1; next } on { print } on && /\)/ { exit }' "$cmake"
+                grep -oP 'add_executable\(\Kbench_\w+' "$cmake"; } |
+                  grep -oE 'bench_[A-Za-z0-9_]+' | sort -u)
+    if [ -z "$listing" ] || [ -z "$targets" ]; then
+        echo "check_docs: cannot read the bench targets from $cmake and README.md's bench listing" >&2
+        status=1
+        return
+    fi
+    while IFS= read -r name; do
+        checked=$((checked + 1))
+        if ! grep -qw -e "$name" <<<"$listing"; then
+            echo "check_docs: README.md's bench listing lacks $name, which $cmake builds" >&2
+            status=1
+        fi
+    done <<<"$targets"
+}
+
 check_manifest_phases() {
     local doc=docs/observability.md flow=src/dse/rsm_flow.cpp
     local code_phases families doc_phases name designs=0
@@ -165,6 +208,10 @@ for doc in README.md docs/*.md; do
     check_constants "$doc"
     check_qualified_names "$doc"
 done
+for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md; do
+    [ -f "$doc" ] && check_bench_names "$doc"
+done
+check_bench_listing
 check_manifest_phases
 
 require_section docs/architecture.md '^## .*[Ee]xperiment spec'

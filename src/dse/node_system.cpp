@@ -10,18 +10,12 @@ std::unique_ptr<node_system> make_node_system(
     const harvester::harvester_model& model,
     const harvester::vibration_source& vib,
     std::shared_ptr<const power::storage_model> storage,
-    const power::supercapacitor_params& cap,
     const power::rectifier_params& rect) {
-    if (options.model == spec::fidelity::transient) {
-        return storage
-                   ? std::make_unique<transient_system>(model, vib,
-                                                        std::move(storage), rect)
-                   : std::make_unique<transient_system>(model, vib, cap, rect);
-    }
+    if (options.model == spec::fidelity::transient)
+        return std::make_unique<transient_system>(model, vib, std::move(storage),
+                                                  rect);
     auto system =
-        storage ? std::make_unique<envelope_system>(model, vib, std::move(storage),
-                                                    rect)
-                : std::make_unique<envelope_system>(model, vib, cap, rect);
+        std::make_unique<envelope_system>(model, vib, std::move(storage), rect);
     system->set_frontend(options.frontend, options.frontend_efficiency);
     return system;
 }

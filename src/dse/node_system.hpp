@@ -15,8 +15,6 @@
 #include "power/energy_ledger.hpp"
 #include "power/rectifier.hpp"
 #include "power/storage.hpp"
-#include "power/supercapacitor.hpp"
-#include "sim/ode.hpp"
 #include "sim/context.hpp"
 #include "sim/ode.hpp"
 #include "spec/experiment_spec.hpp"
@@ -59,15 +57,13 @@ public:
 };
 
 /// Build the analogue system `options` asks for: the envelope fast path
-/// (with its front-end applied) or the full transient model. `storage`
-/// overrides the default supercapacitor built from `cap` when non-null.
-/// `model` and `vib` must outlive the returned system.
+/// (with its front-end applied) or the full transient model, over the
+/// (non-null) `storage`. `model` and `vib` must outlive the returned system.
 std::unique_ptr<node_system> make_node_system(
     const spec::evaluation_options& options,
     const harvester::harvester_model& model,
     const harvester::vibration_source& vib,
     std::shared_ptr<const power::storage_model> storage,
-    const power::supercapacitor_params& cap,
     const power::rectifier_params& rect);
 
 }  // namespace ehdse::dse

@@ -11,9 +11,8 @@ namespace ehdse::dse {
 
 namespace {
 
-void write_header(std::ostream& os, const flow_result& flow,
-                  const report_options& options) {
-    os << "# " << options.title << "\n\n";
+void write_header(std::ostream& os, const flow_result& flow) {
+    os << "# Response-surface design-space exploration report\n\n";
     os << "* design space: ";
     for (std::size_t i = 0; i < flow.space.dimension(); ++i) {
         const auto& p = flow.space.parameter(i);
@@ -127,20 +126,18 @@ void write_outcomes(std::ostream& os, const flow_result& flow) {
 
 }  // namespace
 
-void write_report(std::ostream& os, const flow_result& flow,
-                  const report_options& options) {
-    write_header(os, flow, options);
-    if (options.include_design_table) write_design_table(os, flow);
-    if (options.include_fit) write_fit(os, flow);
-    if (options.include_anova) write_anova_section(os, flow);
-    if (options.include_sensitivity) write_sensitivity(os, flow);
-    if (options.include_outcomes) write_outcomes(os, flow);
+void write_report(std::ostream& os, const flow_result& flow) {
+    write_header(os, flow);
+    write_design_table(os, flow);
+    write_fit(os, flow);
+    write_anova_section(os, flow);
+    write_sensitivity(os, flow);
+    write_outcomes(os, flow);
 }
 
-std::string report_to_string(const flow_result& flow,
-                             const report_options& options) {
+std::string report_to_string(const flow_result& flow) {
     std::ostringstream os;
-    write_report(os, flow, options);
+    write_report(os, flow);
     return os.str();
 }
 

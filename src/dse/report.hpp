@@ -11,21 +11,10 @@
 
 namespace ehdse::dse {
 
-struct report_options {
-    std::string title = "Response-surface design-space exploration report";
-    bool include_design_table = true;
-    bool include_fit = true;
-    bool include_anova = true;       ///< only rendered when n > terms
-    bool include_sensitivity = true;
-    bool include_outcomes = true;
-};
-
 /// Render the flow result as a Markdown document.
-void write_report(std::ostream& os, const flow_result& flow,
-                  const report_options& options = {});
+void write_report(std::ostream& os, const flow_result& flow);
 
 /// Convenience: render to a string.
-std::string report_to_string(const flow_result& flow,
-                             const report_options& options = {});
+std::string report_to_string(const flow_result& flow);
 
 }  // namespace ehdse::dse

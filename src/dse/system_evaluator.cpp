@@ -22,10 +22,17 @@ system_evaluator::system_evaluator(scenario scn, spec::harvester_spec harv,
       model_((harv_.validate(), harvester::make_harvester(harv_.model))),
       table_(*model_),
       cap_(cap),
+      storage_(std::make_shared<power::supercapacitor>(cap_)),
       rect_(rect),
       node_(node),
       controller_(controller) {
     scenario_.validate();
+    const double f_start = scenario_.frequency_schedule.empty()
+                               ? scenario_.f_start_hz
+                               : scenario_.frequency_schedule.front().second;
+    start_position_ = scenario_.initial_position >= 0
+                          ? scenario_.initial_position
+                          : table_.lookup(f_start);
     // Each device class knows its own retune mechanism: the EM cantilever
     // moves a magnet with a stepper, the electrostatic device programs a
     // bias DAC. The controller charges whatever the backend quotes.
@@ -34,6 +41,24 @@ system_evaluator::system_evaluator(scenario scn, spec::harvester_spec harv,
     controller_.actuator.single_step_energy_j = cost.single_step_energy_j;
     controller_.actuator.multi_step_energy_j = cost.multi_step_energy_j;
     controller_.actuator.min_drive_voltage_v = cost.min_drive_voltage_v;
+}
+
+void system_evaluator::set_storage(
+    std::shared_ptr<const power::storage_model> storage) {
+    storage_ = storage ? std::move(storage)
+                       : std::make_shared<power::supercapacitor>(cap_);
+}
+
+std::pair<node::node_params, mcu::controller_params>
+system_evaluator::digital_params(const system_config& config,
+                                 const evaluation_options& options) const {
+    node::node_params node_params = node_;
+    node_params.fast_interval_s = config.tx_interval_s;
+    mcu::controller_params ctrl_params = controller_;
+    ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
+    ctrl_params.watchdog_period_s = config.watchdog_period_s;
+    ctrl_params.rng_seed = options.controller_seed;
+    return {node_params, ctrl_params};
 }
 
 namespace {
@@ -116,26 +141,13 @@ evaluation_result system_evaluator::evaluate(const system_config& config,
 
     // Per-run stimulus — evaluations are independent experiments.
     const harvester::vibration_source vib = scenario_.make_vibration();
-    const double f_start = scenario_.frequency_schedule.empty()
-                               ? scenario_.f_start_hz
-                               : scenario_.frequency_schedule.front().second;
-    const int start_position = scenario_.initial_position >= 0
-                                   ? scenario_.initial_position
-                                   : table_.lookup(f_start);
-
-    // Digital side: configure per the design point.
-    node::node_params node_params = node_;
-    node_params.fast_interval_s = config.tx_interval_s;
-    mcu::controller_params ctrl_params = controller_;
-    ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
-    ctrl_params.watchdog_period_s = config.watchdog_period_s;
-    ctrl_params.rng_seed = options.controller_seed;
+    const auto [node_params, ctrl_params] = digital_params(config, options);
 
     const std::unique_ptr<node_system> system =
         build_system(config, options, vib);
     evaluation_result out = run_simulation(*system, scenario_, table_,
                                            node_params, ctrl_params, options,
-                                           start_position);
+                                           start_position_);
     out.wall_time_s = watch.seconds();
     record_run_metrics(out);
     return out;
@@ -144,7 +156,7 @@ evaluation_result system_evaluator::evaluate(const system_config& config,
 std::unique_ptr<node_system> system_evaluator::build_system(
     const system_config& /*config*/, const evaluation_options& options,
     const harvester::vibration_source& vib) const {
-    return make_node_system(options, *model_, vib, storage_, cap_, rect_);
+    return make_node_system(options, *model_, vib, storage_, rect_);
 }
 
 namespace {
@@ -190,21 +202,10 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
         // Per-batch stimulus — same scenario for every lane, so one
         // vibration source is shared read-only across lanes.
         const harvester::vibration_source vib = scenario_.make_vibration();
-        const double f_start = scenario_.frequency_schedule.empty()
-                                   ? scenario_.f_start_hz
-                                   : scenario_.frequency_schedule.front().second;
-        const int start_position = scenario_.initial_position >= 0
-                                       ? scenario_.initial_position
-                                       : table_.lookup(f_start);
-
-        std::shared_ptr<const power::storage_model> storage = storage_;
-        if (!storage)
-            storage = std::make_shared<power::supercapacitor>(cap_);
-        batch_envelope_system system(*model_, vib, std::move(storage), rect_,
-                                     lanes);
+        batch_envelope_system system(*model_, vib, storage_, rect_, lanes);
         system.set_frontend(options.frontend, options.frontend_efficiency);
         std::vector<double> x0 =
-            system.initial_state(scenario_.v_initial, start_position);
+            system.initial_state(scenario_.v_initial, start_position_);
         sim::batch_simulator bsim(system, std::move(x0),
                                   system.suggested_ode_options());
         system.attach(bsim);
@@ -215,13 +216,8 @@ std::vector<evaluation_result> system_evaluator::evaluate_batch(
         std::deque<node::sensor_node> nodes;
         std::deque<mcu::tuning_controller> controllers;
         for (std::size_t l = 0; l < lanes; ++l) {
-            const system_config& config = configs[first + l];
-            node::node_params node_params = node_;
-            node_params.fast_interval_s = config.tx_interval_s;
-            mcu::controller_params ctrl_params = controller_;
-            ctrl_params.mcu.clock_hz = config.mcu_clock_hz;
-            ctrl_params.watchdog_period_s = config.watchdog_period_s;
-            ctrl_params.rng_seed = options.controller_seed;
+            const auto [node_params, ctrl_params] =
+                digital_params(configs[first + l], options);
             nodes.emplace_back(bsim.lane(l), system.plant(l), node_params,
                                /*first_wake_s=*/0.0);
             controllers.emplace_back(bsim.lane(l), system.plant(l), table_,

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dse/envelope_system.hpp"
@@ -102,9 +103,7 @@ public:
     /// Replace the storage element for subsequent evaluations (e.g. a
     /// power::thin_film_battery); nullptr restores the default
     /// supercapacitor built from the constructor's parameters.
-    void set_storage(std::shared_ptr<const power::storage_model> storage) {
-        storage_ = std::move(storage);
-    }
+    void set_storage(std::shared_ptr<const power::storage_model> storage);
 
     /// Run the full mixed-signal simulation for `config`. The analogue
     /// model is chosen by options.model via make_node_system().
@@ -152,12 +151,17 @@ protected:
         const harvester::vibration_source& vib) const;
 
 private:
+    /// The node and controller parameters of one design point.
+    std::pair<node::node_params, mcu::controller_params> digital_params(
+        const system_config& config, const evaluation_options& options) const;
+
     scenario scenario_;
     spec::harvester_spec harv_;
     std::shared_ptr<const harvester::harvester_model> model_;
     harvester::tuning_table table_;
+    int start_position_ = 0;  ///< actuator position at t = 0, from scenario_
     power::supercapacitor_params cap_;
-    std::shared_ptr<const power::storage_model> storage_;  ///< optional override
+    std::shared_ptr<const power::storage_model> storage_;  ///< never null
     power::rectifier_params rect_;
     node::node_params node_;
     mcu::controller_params controller_;

@@ -35,25 +35,6 @@ public:
                              std::span<double> dxdt) const = 0;
 };
 
-/// Adapter turning a lambda into an analog_system.
-class functional_system final : public analog_system {
-public:
-    using rhs_fn = std::function<void(double, std::span<const double>, std::span<double>)>;
-
-    functional_system(std::size_t n, rhs_fn rhs)
-        : n_(n), rhs_(std::move(rhs)) {}
-
-    std::size_t state_size() const override { return n_; }
-    void derivatives(double t, std::span<const double> x,
-                     std::span<double> dxdt) const override {
-        rhs_(t, x, dxdt);
-    }
-
-private:
-    std::size_t n_;
-    rhs_fn rhs_;
-};
-
 /// Integrator tuning knobs.
 struct ode_options {
     double abs_tol = 1e-9;     ///< absolute error tolerance per step (RK45)

@@ -44,18 +44,6 @@ TEST(Report, SaturatedDesignExplainsMissingAnova) {
     EXPECT_EQ(text.find("ANOVA\n"), std::string::npos);
 }
 
-TEST(Report, SectionsToggle) {
-    ed::report_options opts;
-    opts.include_design_table = false;
-    opts.include_sensitivity = false;
-    opts.title = "Custom title";
-    const std::string text = ed::report_to_string(shared_flow(false), opts);
-    EXPECT_NE(text.find("# Custom title"), std::string::npos);
-    EXPECT_EQ(text.find("## Design points and responses"), std::string::npos);
-    EXPECT_EQ(text.find("## Sensitivity"), std::string::npos);
-    EXPECT_NE(text.find("## Optimisation outcomes"), std::string::npos);
-}
-
 TEST(Report, RowCountsMatchFlow) {
     const auto& flow = shared_flow(false);
     const std::string text = ed::report_to_string(flow);

@@ -11,26 +11,32 @@ namespace es = ehdse::sim;
 namespace {
 
 /// dx/dt = -k x, solution x(t) = x0 exp(-k t).
-es::functional_system exp_decay(double k) {
-    return es::functional_system(
-        1, [k](double, std::span<const double> x, std::span<double> dxdt) {
-            dxdt[0] = -k * x[0];
-        });
-}
+struct exp_decay final : es::analog_system {
+    explicit exp_decay(double rate) : k(rate) {}
+    std::size_t state_size() const override { return 1; }
+    void derivatives(double, std::span<const double> x,
+                     std::span<double> dxdt) const override {
+        dxdt[0] = -k * x[0];
+    }
+    double k;
+};
 
 /// Harmonic oscillator x'' = -w^2 x as a 2-state system.
-es::functional_system oscillator(double w) {
-    return es::functional_system(
-        2, [w](double, std::span<const double> x, std::span<double> dxdt) {
-            dxdt[0] = x[1];
-            dxdt[1] = -w * w * x[0];
-        });
-}
+struct oscillator final : es::analog_system {
+    explicit oscillator(double omega) : w(omega) {}
+    std::size_t state_size() const override { return 2; }
+    void derivatives(double, std::span<const double> x,
+                     std::span<double> dxdt) const override {
+        dxdt[0] = x[1];
+        dxdt[1] = -w * w * x[0];
+    }
+    double w;
+};
 
 }  // namespace
 
 TEST(Rk45, ExponentialDecayWithinTolerance) {
-    const auto sys = exp_decay(1.0);
+    const exp_decay sys(1.0);
     es::ode_options opt;
     opt.abs_tol = 1e-10;
     opt.rel_tol = 1e-8;
@@ -43,7 +49,7 @@ TEST(Rk45, ExponentialDecayWithinTolerance) {
 
 TEST(Rk45, OscillatorEnergyConserved) {
     const double w = 2.0 * std::numbers::pi;
-    const auto sys = oscillator(w);
+    const oscillator sys(w);
     es::ode_options opt;
     opt.abs_tol = 1e-11;
     opt.rel_tol = 1e-9;
@@ -55,7 +61,7 @@ TEST(Rk45, OscillatorEnergyConserved) {
 }
 
 TEST(Rk45, ObserverSeesMonotoneTime) {
-    const auto sys = exp_decay(1.0);
+    const exp_decay sys(1.0);
     es::rk45_integrator integ;
     std::vector<double> x{1.0};
     double last_t = 0.0;
@@ -73,7 +79,7 @@ TEST(Rk45, ObserverSeesMonotoneTime) {
 }
 
 TEST(Rk45, SegmentedIntegrationMatchesSingleSegment) {
-    const auto sys = exp_decay(1.5);
+    const exp_decay sys(1.5);
     es::rk45_integrator a, b;
     std::vector<double> xa{2.0}, xb{2.0};
     ASSERT_TRUE(a.integrate(sys, 0.0, 2.0, xa).ok);
@@ -88,7 +94,7 @@ TEST(Rk45, SegmentedIntegrationMatchesSingleSegment) {
 }
 
 TEST(Rk45, RejectsBackwardSpanAndBadState) {
-    const auto sys = exp_decay(1.0);
+    const exp_decay sys(1.0);
     es::rk45_integrator integ;
     std::vector<double> x{1.0};
     EXPECT_THROW(integ.integrate(sys, 1.0, 0.0, x), std::invalid_argument);
@@ -97,7 +103,7 @@ TEST(Rk45, RejectsBackwardSpanAndBadState) {
 }
 
 TEST(Rk45, MaxDtHonoured) {
-    const auto sys = exp_decay(0.01);  // nearly constant: steps would grow huge
+    const exp_decay sys(0.01);  // nearly constant: steps would grow huge
     es::ode_options opt;
     opt.max_dt = 0.125;
     es::rk45_integrator integ(opt);
@@ -114,7 +120,7 @@ class Rk45ToleranceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(Rk45ToleranceSweep, DecayErrorBoundedByTolerance) {
     const double tol = GetParam();
-    const auto sys = exp_decay(1.0);
+    const exp_decay sys(1.0);
     es::ode_options opt;
     opt.abs_tol = tol;
     opt.rel_tol = tol;
