@@ -20,7 +20,8 @@ batch_envelope_system::batch_envelope_system(
       load_slots_(lanes),
       ledgers_(lanes),
       batch_(model.make_envelope_batch(lanes)),
-      v_(lanes), z_(lanes), ich_(lanes) {
+      v_(lanes), z_(lanes), ich_(lanes), rate_(lanes), slope_(lanes),
+      inet_(lanes) {
     if (!storage_)
         throw std::invalid_argument("batch_envelope_system: null storage");
     if (lanes == 0)
@@ -80,7 +81,7 @@ void batch_envelope_system::derivatives(
     }
     batch_->rates({vib_, t, position_, v_, z_},
                   conditioning_of(frontend_), frontend_efficiency_, rect_,
-                  {dxdt.var(ix_amplitude), B}, ich_);
+                  {{dxdt.var(ix_amplitude), B}, ich_, rate_, slope_});
 
     // Storage tail: sustained loads, storage dynamics, energy integrals.
     // Per-lane load banks and the (shared, virtual) storage model run
@@ -89,9 +90,24 @@ void batch_envelope_system::derivatives(
     for (std::size_t l = 0; l < B; ++l) {
         const double v = v_[l];
         const double i_loads = loads_[l].total_current(v);
-        dv[l] = storage_->dv_dt(v, ich_[l] - i_loads);
+        inet_[l] = ich_[l] - i_loads;
+        dv[l] = storage_->dv_dt(v, inet_[l]);
         dh[l] = v * ich_[l];
         de[l] = v * i_loads;
+    }
+}
+
+void batch_envelope_system::stiff_column(sim::batch_state& column) const {
+    // envelope_system::stiff_column, lane by lane.
+    double* cv = column.var(ix_voltage);
+    double* cz = column.var(ix_amplitude);
+    double* ch = column.var(ix_harvested);
+    double* ce = column.var(ix_load_energy);
+    for (std::size_t l = 0; l < lanes_; ++l) {
+        cv[l] = storage_->dv_dt_slope(v_[l], inet_[l]) * slope_[l];
+        cz[l] = -rate_[l];
+        ch[l] = v_[l] * slope_[l];
+        ce[l] = 0.0;
     }
 }
 

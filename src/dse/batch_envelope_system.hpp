@@ -14,6 +14,10 @@
 // batch(B) == batch(1), which the batch_vs_scalar_equivalence testkit
 // property enforces per registered harvester.
 //
+// Like the scalar system it names z_env as its stiff element and reports
+// each lane's Jacobian column (envelope_system.hpp), built from the same
+// expressions, so the integrator takes the same exponential step per lane.
+//
 // Lanes are independent: per-lane actuator position, load bank and energy
 // ledger, shared (read-only) model, vibration source and storage model.
 // One instance hosts one batch_simulator run and is not thread-safe
@@ -85,6 +89,8 @@ public:
     void derivatives(std::span<const double> t, const sim::batch_state& x,
                      sim::batch_state& dxdt,
                      std::span<const std::uint8_t> active) const override;
+    std::size_t stiff_element() const override { return ix_amplitude; }
+    void stiff_column(sim::batch_state& column) const override;
 
 private:
     /// harvester::plant over one lane of this system.
@@ -125,11 +131,13 @@ private:
     std::vector<std::unique_ptr<lane_plant>> plants_;
 
     // The lanes' envelope RHS with its per-lane solver state, and the
-    // clamped states and charging currents of one derivatives() call.
-    // derivatives() is logically const: the solver state changes only
-    // speed, and one instance hosts one (single-threaded) run.
+    // clamped states, charging currents, 1/tau, current slopes and net
+    // store currents of one derivatives() call (the last call's feed
+    // stiff_column). derivatives() is logically const: the solver state
+    // changes only speed, and one instance hosts one (single-threaded)
+    // run.
     std::unique_ptr<harvester::envelope_batch> batch_;
-    mutable std::vector<double> v_, z_, ich_;
+    mutable std::vector<double> v_, z_, ich_, rate_, slope_, inet_;
 };
 
 }  // namespace ehdse::dse

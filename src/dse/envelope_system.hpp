@@ -13,6 +13,13 @@
 // registry interface: this system owns the slow states and the plant
 // bookkeeping, the model supplies the envelope RHS (amplitude relaxation
 // rate + store charging current) at each operating point.
+//
+// z_env is the stiff element (tau <= 1 s against steps of seconds): the
+// system reports its Jacobian column from each derivatives() call,
+//   (dV'/di * di/dz, -1/tau, V * di/dz, 0),
+// with di/dz the model's charge_slope and dV'/di the storage model's
+// dv_dt_slope, and the integrator's exponential step integrates it
+// exactly (sim/cash_karp.hpp).
 // batch_envelope_system runs the same model for many design points at
 // once, with the same state layout and integration defaults
 // (envelope_ode_options), and every lane computes the bits this system
@@ -52,8 +59,9 @@ using frontend_kind = spec::frontend_kind;
 harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept;
 
 /// Integration defaults of the envelope plant, scalar and batch:
-/// volts-scale tolerances, and a max_dt that resolves the watchdog and
-/// settling dynamics.
+/// volts-scale tolerances (rel_tol 1e-9, which the exponential step's
+/// error tracks), and a max_dt that resolves the watchdog and settling
+/// dynamics.
 sim::ode_options envelope_ode_options() noexcept;
 
 class envelope_system final : public node_system {
@@ -104,6 +112,8 @@ public:
     std::size_t state_size() const override { return k_state_count; }
     void derivatives(double t, std::span<const double> x,
                      std::span<double> dxdt) const override;
+    std::size_t stiff_element() const override { return ix_amplitude; }
+    void stiff_column(std::span<double> column) const override;
 
     // --- plant ---
     double storage_voltage() const override;
@@ -143,6 +153,14 @@ private:
     // how fast the model answers, never the answer, and a system hosts
     // exactly one (single-threaded) simulation run.
     mutable harvester::damping_path path_;
+    // What stiff_column() needs from the last derivatives() call.
+    struct column_point {
+        double relaxation_rate = 0.0;
+        double charge_slope = 0.0;
+        double v = 0.0;
+        double i_net = 0.0;
+    };
+    mutable column_point column_point_;
 };
 
 }  // namespace ehdse::dse

@@ -224,8 +224,9 @@ inline void eval_damping(std::size_t B, const microgenerator& gen,
 }
 
 /// The envelope RHS of every lane of `k` at its operating point, store
-/// voltage v_in[l] and envelope z_in[l]: the amplitude rate into dz[l] and
-/// the charging current into ich[l]. Every lane is computed in full width
+/// voltage v_in[l] and envelope z_in[l]: the amplitude rate into dz[l],
+/// the charging current into ich[l], 1/tau into rate[l] and the current's
+/// slope d ich / d z_env into slope[l]. Every lane is computed in full width
 /// and branch-free: lanes the integrator masked out get (ignored) values
 /// too, which is cheaper than breaking the vector loops up. `Lanes` fixes
 /// the lane count at compile time (the scalar hook's one lane, whose loops
@@ -234,7 +235,7 @@ template <std::size_t Lanes>
 void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
                   const double* v_in, const double* z_in,
                   conditioning_kind conditioning, double efficiency,
-                  double* dz, double* ich) {
+                  double* dz, double* ich, double* rate, double* slope) {
     const std::size_t B = Lanes != 0 ? Lanes : k.count;
     const auto& gp = gen.params();
     const double m = gp.mass_kg;
@@ -372,10 +373,14 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
         for (std::size_t l = 0; l < B; ++l) {
             const double tau = 2.0 * m / (c_mech + k.ce[l]);
             dz[l] = (k.za[l] - z_in[l]) / tau;
+            rate[l] = 1.0 / tau;
         }
 
         // Charging from the instantaneous envelope amplitude (not the
         // target): one more bridge evaluation at emf = phi * omega * z.
+        // While the bridge conducts, d/de [2 e cos th1 - u (pi - 2 th1)] =
+        // 2 cos th1 (sin th1 = u/e), so d ich / d z = phi omega 2 cos th1
+        // / (pi R); a blocked bridge's current does not move with z.
         for (std::size_t l = 0; l < B; ++l) {
             k.e[l] = phi * k.omega[l] * z_in[l];
             k.xx[l] = std::min(k.u[l] / k.e[l], 1.0);
@@ -386,7 +391,10 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
             const double span = k_pi - 2.0 * k.th1[l];
             const double i_avg =
                 (2.0 * ee * k.cth[l] - k.u[l] * span) * inv_pir;
-            ich[l] = ee > k.u[l] ? i_avg : 0.0;
+            const bool conducting = ee > k.u[l];
+            ich[l] = conducting ? i_avg : 0.0;
+            slope[l] =
+                conducting ? phi * k.omega[l] * 2.0 * k.cth[l] * inv_pir : 0.0;
         }
     } else {
         // MPPT front-end: matched load c_e = c_mech independent of the
@@ -401,10 +409,15 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
             double amp = k.ma[l] / denom;
             amp = std::min(amp, xmax);
             dz[l] = (amp - z_in[l]) / tau;
+            rate[l] = 1.0 / tau;
             const double vel_env = k.omega[l] * z_in[l];
             const double p_extracted = 0.5 * c_match * vel_env * vel_env;
             const double i = efficiency * p_extracted / v_in[l];
-            ich[l] = v_in[l] > 0.05 ? i : 0.0;
+            const bool on = v_in[l] > 0.05;
+            ich[l] = on ? i : 0.0;
+            slope[l] = on ? efficiency * c_match * k.omega[l] * k.omega[l] *
+                                z_in[l] / v_in[l]
+                          : 0.0;
         }
     }
 }
@@ -422,8 +435,7 @@ public:
 
     void rates(const envelope_lanes& in, conditioning_kind conditioning,
                double efficiency, const power::rectifier_params& rect,
-               std::span<double> amplitude_rate,
-               std::span<double> charge_current) override {
+               const envelope_lane_rates& out) override {
         // Per-lane operating point. The schedule and stiffness lookups are
         // scalar per lane (the schedules piecewise-constant, a handful of
         // segments) — negligible next to the damping solve.
@@ -438,8 +450,9 @@ public:
             lanes_.u[l] = in.store_v[l] + two_vd;
         }
         kernel_rates<0>(gen_, lanes_, in.store_v.data(), in.z_env.data(),
-                        conditioning, efficiency, amplitude_rate.data(),
-                        charge_current.data());
+                        conditioning, efficiency, out.amplitude_rate.data(),
+                        out.charge_current.data(), out.relaxation_rate.data(),
+                        out.charge_slope.data());
     }
 
 private:
@@ -488,7 +501,8 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
 
     envelope_rates out;
     kernel_rates<1>(gen_, lane, &store_v, &z_env, conditioning, efficiency,
-                    &out.amplitude_rate, &out.charge_current_a);
+                    &out.amplitude_rate, &out.charge_current_a,
+                    &out.relaxation_rate, &out.charge_slope);
     // The libm solve's emf checks: a stimulus whose trial emf is not a
     // number (the trials share it, so the final mechanics' velocity
     // stands for all of them), and a charging emf phi omega z_env that is

@@ -214,15 +214,18 @@ envelope_rates electrostatic_harvester::envelope_dynamics(
 
     envelope_rates out;
     out.amplitude_rate = (target - z_env) / tau;
+    out.relaxation_rate = 1.0 / tau;
 
     // Cycle-averaged extraction at the instantaneous envelope amplitude,
     // delivered through the flyback once the pump is primed.
     const double vel_env = omega * z_env;
     const double p_extracted = 0.5 * c_e * vel_env * vel_env;
-    out.charge_current_a = store_v > params_.priming_voltage_v
-                               ? params_.flyback_efficiency * p_extracted /
-                                     store_v
-                               : 0.0;
+    const bool primed = store_v > params_.priming_voltage_v;
+    out.charge_current_a =
+        primed ? params_.flyback_efficiency * p_extracted / store_v : 0.0;
+    out.charge_slope = primed ? params_.flyback_efficiency * c_e * omega *
+                                    omega * z_env / store_v
+                              : 0.0;
     return out;
 }
 

@@ -18,15 +18,16 @@ public:
 
     void rates(const envelope_lanes& in, conditioning_kind conditioning,
                double efficiency, const power::rectifier_params& rect,
-               std::span<double> amplitude_rate,
-               std::span<double> charge_current) override {
+               const envelope_lane_rates& out) override {
         for (std::size_t l = 0; l < paths_.size(); ++l) {
             const envelope_rates r = model_.envelope_dynamics(
                 in.vib.frequency_at(in.t[l]), in.vib.amplitude_at(in.t[l]),
                 in.position[l], in.store_v[l], in.z_env[l], conditioning,
                 efficiency, rect, paths_[l]);
-            amplitude_rate[l] = r.amplitude_rate;
-            charge_current[l] = r.charge_current_a;
+            out.amplitude_rate[l] = r.amplitude_rate;
+            out.charge_current[l] = r.charge_current_a;
+            out.relaxation_rate[l] = r.relaxation_rate;
+            out.charge_slope[l] = r.charge_slope;
         }
     }
 

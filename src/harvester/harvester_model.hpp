@@ -10,7 +10,11 @@
 //                             relaxation rate and store charging current at
 //                             one (excitation, position, store voltage)
 //                             point — the RHS contribution the envelope
-//                             fast path integrates;
+//                             fast path integrates — plus 1/tau and the
+//                             current's slope in z_env, from which the
+//                             envelope systems assemble the Jacobian
+//                             column of the integrator's exponential step
+//                             (sim/cash_karp.hpp);
 //   * the batch envelope      make_envelope_batch(): the same RHS for
 //                             many lanes at once, for the SoA batch
 //                             kernel;
@@ -86,10 +90,24 @@ struct retune_cost {
 
 /// Envelope RHS contribution at one operating point: how fast the
 /// displacement-amplitude envelope relaxes and what average current the
-/// conditioning circuit delivers into the store.
+/// conditioning circuit delivers into the store, plus the two derivatives
+/// the integrator's exponential step needs (sim/cash_karp.hpp): the
+/// envelope relaxes as d z_env/dt = (z_a - z_env) / tau with z_a and tau
+/// independent of z_env, so d(amplitude_rate)/d z_env = -1/tau.
 struct envelope_rates {
     double amplitude_rate = 0.0;    ///< d z_env / dt (m/s)
     double charge_current_a = 0.0;  ///< average current into the store
+    double relaxation_rate = 0.0;   ///< 1/tau = c_total / 2m (1/s)
+    double charge_slope = 0.0;      ///< d charge_current_a / d z_env (A/m)
+};
+
+/// Per-lane outputs of envelope_batch::rates, each of the batch's width:
+/// lane l gets envelope_rates' four fields.
+struct envelope_lane_rates {
+    std::span<double> amplitude_rate;
+    std::span<double> charge_current;
+    std::span<double> relaxation_rate;
+    std::span<double> charge_slope;
 };
 
 /// Operating points of a batch's lanes, lane-contiguous and all of the
@@ -113,12 +131,11 @@ public:
     virtual ~envelope_batch() = default;
 
     /// envelope_dynamics for every lane l of `in` with lane l's own path:
-    /// fills amplitude_rate[l] and charge_current[l].
+    /// fills lane l of every row of `out`.
     virtual void rates(const envelope_lanes& in,
                        conditioning_kind conditioning, double efficiency,
                        const power::rectifier_params& rect,
-                       std::span<double> amplitude_rate,
-                       std::span<double> charge_current) = 0;
+                       const envelope_lane_rates& out) = 0;
 };
 
 /// Full transient ODE system of one harvester: mechanics + conditioning
@@ -182,7 +199,8 @@ public:
     /// Envelope RHS at one operating point: amplitude relaxation rate for
     /// the current envelope value `z_env` plus the average charging
     /// current the conditioning circuit delivers at store voltage
-    /// `store_v`. `efficiency` applies to the mppt conditioning kind only.
+    /// `store_v`, with 1/tau and the current's slope in z_env.
+    /// `efficiency` applies to the mppt conditioning kind only.
     /// `path` is the calling run's solver warm-start state (see the
     /// numerical contract above); it never changes the result.
     virtual envelope_rates envelope_dynamics(

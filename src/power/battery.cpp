@@ -48,4 +48,13 @@ double thin_film_battery::dv_dt(double v, double i_net_a) const {
     return i / c_eff_;
 }
 
+double thin_film_battery::dv_dt_slope(double v, double i_net_a) const {
+    // Above the acceptance ceiling the current no longer moves dv_dt.
+    if (i_net_a > params_.charge_current_limit_a) return 0.0;
+    const double i = i_net_a - params_.self_discharge_a;
+    const bool clamped =
+        (v >= params_.v_full && i > 0.0) || (v <= params_.v_empty && i < 0.0);
+    return clamped ? 0.0 : 1.0 / c_eff_;
+}
+
 }  // namespace ehdse::power

@@ -41,6 +41,7 @@ public:
     double energy_at(double v) const override;
     double voltage_after_withdrawal(double v, double joules) const override;
     double dv_dt(double v, double i_net_a) const override;
+    double dv_dt_slope(double v, double i_net_a) const override;
     double max_voltage() const override { return params_.v_full; }
 
 private:

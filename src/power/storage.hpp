@@ -9,6 +9,8 @@
 //   energy_at(v)                 stored (recoverable) energy at v
 //   voltage_after_withdrawal     state after an instantaneous energy pull
 //   dv_dt(v, i_net)              state dynamics under a net current
+//   dv_dt_slope(v, i_net)        its slope in i_net (for the integrator's
+//                                exponential step, sim/cash_karp.hpp)
 //
 // kept mutually consistent so the kernel's energy bookkeeping closes.
 #pragma once
@@ -29,6 +31,10 @@ public:
     /// dV/dt under net inflow current i_net (positive charges the store),
     /// including self-discharge and any rating/acceptance clamps.
     virtual double dv_dt(double v, double i_net_a) const = 0;
+
+    /// d dv_dt / d i_net at (v, i_net): the inverse capacitance where the
+    /// store takes the current, 0 where a clamp holds dv_dt.
+    virtual double dv_dt_slope(double v, double i_net_a) const = 0;
 
     /// Highest terminal voltage the device tolerates / reports.
     virtual double max_voltage() const = 0;

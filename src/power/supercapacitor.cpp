@@ -46,4 +46,11 @@ double supercapacitor::dv_dt(double v, double i_net_a) const {
     return i_total / params_.capacitance_f;
 }
 
+double supercapacitor::dv_dt_slope(double v, double i_net_a) const {
+    const double i_total = i_net_a - leakage_current(v);
+    const bool clamped = (v >= params_.max_voltage_v && i_total > 0.0) ||
+                         (v <= 0.0 && i_total < 0.0);
+    return clamped ? 0.0 : 1.0 / params_.capacitance_f;
+}
+
 }  // namespace ehdse::power

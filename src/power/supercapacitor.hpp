@@ -45,6 +45,7 @@ public:
     /// including the leakage path and clamped so the voltage cannot be
     /// driven above the rating.
     double dv_dt(double v, double i_net_a) const override;
+    double dv_dt_slope(double v, double i_net_a) const override;
 
     double max_voltage() const override { return params_.max_voltage_v; }
 

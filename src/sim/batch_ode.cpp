@@ -34,6 +34,12 @@ batch_rk45_integrator::batch_rk45_integrator(std::size_t vars,
       segment_attempts_(lanes, 0),
       steps_taken_(lanes, 0),
       steps_rejected_(lanes, 0),
+      ex_(lanes, 0),
+      dev_(lanes, 0.0),
+      shift_(lanes, 0.0),
+      shift4_(lanes, 0.0),
+      stiff_(lanes),
+      column_(vars, lanes),
       k1_(vars, lanes),
       k2_(vars, lanes),
       k3_(vars, lanes),
@@ -55,6 +61,11 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
     if (t.size() != B || target.size() != B || outcome.size() != B ||
         x.lanes() != B || x.vars() != vars_)
         throw std::invalid_argument("batch_rk45_integrator: size mismatch");
+    const std::size_t s = sys.stiff_element();
+    const bool stiff = s != no_stiff_element;
+    if (stiff && s >= vars_)
+        throw std::invalid_argument(
+            "batch_rk45_integrator: stiff element out of range");
 
     // Build this sweep's attempt mask and per-lane trial steps. An
     // inactive lane gets dt_try = 0, which makes every stage below a
@@ -84,10 +95,56 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         sys.derivatives(stage_t_, from, k, attempt_);
     };
 
-    // Six Cash–Karp stages, each a flat var-major loop over lanes.
+    // Six Cash–Karp stages, each a flat var-major loop over lanes. Lanes
+    // with a usable stiff column (ex_) take the exponential form: their
+    // stage derivatives become remainders and their stage inputs shift
+    // (cash_karp.hpp); value selects leave every other lane's plain
+    // expressions, so a lane's step never depends on its neighbours.
     namespace ck = cash_karp;
     const double* h = dt_try_.data();
     stage(x, 0.0, k1_);
+    bool any_ex = false;
+    if (stiff) {
+        sys.stiff_column(column_);
+        const double* as = column_.var(s);
+        const double* xs = x.var(s);
+        const double* k1s = k1_.var(s);
+        for (std::size_t l = 0; l < B; ++l) {
+            const bool ex =
+                attempt_[l] && stiff_[l].start(-as[l], xs[l], k1s[l], h[l]);
+            ex_[l] = ex ? 1 : 0;
+            dt_try_[l] = ex ? stiff_[l].h : dt_try_[l];
+            dev_[l] = ex ? stiff_[l].d0 : 0.0;
+            any_ex = any_ex || ex;
+        }
+    } else {
+        std::fill(ex_.begin(), ex_.end(), std::uint8_t{0});
+    }
+    const auto remainders = [&](batch_state& k) {
+        for (std::size_t v = 0; v < vars_; ++v) {
+            const double* av = column_.var(v);
+            double* kv = k.var(v);
+            for (std::size_t l = 0; l < B; ++l)
+                kv[l] = ex_[l] ? ck::remainder(kv[l], av[l], dev_[l]) : kv[l];
+        }
+    };
+    // After stage j's derivatives: X_j,s - z* per lane, then remainders.
+    const auto stage_remainders = [&](batch_state& k) {
+        const double* xs = xtmp_.var(s);
+        for (std::size_t l = 0; l < B; ++l)
+            dev_[l] = ex_[l] ? xs[l] - stiff_[l].z_star : 0.0;
+        remainders(k);
+    };
+    // Shift this sweep's stage input by shift_ on the exponential lanes.
+    const auto shift_inputs = [&] {
+        for (std::size_t v = 0; v < vars_; ++v) {
+            const double* av = column_.var(v);
+            double* tv = xtmp_.var(v);
+            for (std::size_t l = 0; l < B; ++l)
+                tv[l] = ex_[l] ? ck::shifted(tv[l], av[l], shift_[l]) : tv[l];
+        }
+    };
+    if (any_ex) remainders(k1_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -95,7 +152,13 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         for (std::size_t l = 0; l < B; ++l)
             tv[l] = ck::stage2(xv[l], h[l], k1v[l]);
     }
+    if (any_ex) {
+        for (std::size_t l = 0; l < B; ++l)
+            shift_[l] = ex_[l] ? stiff_[l].shift2() : 0.0;
+        shift_inputs();
+    }
     stage(xtmp_, ck::a2, k2_);
+    if (any_ex) stage_remainders(k2_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -104,7 +167,14 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         for (std::size_t l = 0; l < B; ++l)
             tv[l] = ck::stage3(xv[l], h[l], k1v[l], k2v[l]);
     }
+    if (any_ex) {
+        const double* n2 = k2_.var(s);
+        for (std::size_t l = 0; l < B; ++l)
+            shift_[l] = ex_[l] ? stiff_[l].shift3(n2[l]) : 0.0;
+        shift_inputs();
+    }
     stage(xtmp_, ck::a3, k3_);
+    if (any_ex) stage_remainders(k3_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -114,7 +184,15 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         for (std::size_t l = 0; l < B; ++l)
             tv[l] = ck::stage4(xv[l], h[l], k1v[l], k2v[l], k3v[l]);
     }
+    if (any_ex) {
+        const double* n2 = k2_.var(s);
+        const double* n3 = k3_.var(s);
+        for (std::size_t l = 0; l < B; ++l)
+            shift_[l] = ex_[l] ? stiff_[l].shift4(n2[l], n3[l]) : 0.0;
+        shift_inputs();
+    }
     stage(xtmp_, ck::a4, k4_);
+    if (any_ex) stage_remainders(k4_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -125,7 +203,17 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         for (std::size_t l = 0; l < B; ++l)
             tv[l] = ck::stage5(xv[l], h[l], k1v[l], k2v[l], k3v[l], k4v[l]);
     }
+    if (any_ex) {
+        const double* n2 = k2_.var(s);
+        const double* n3 = k3_.var(s);
+        const double* n4 = k4_.var(s);
+        for (std::size_t l = 0; l < B; ++l)
+            shift_[l] =
+                ex_[l] ? stiff_[l].shift5(n2[l], n3[l], n4[l]) : 0.0;
+        shift_inputs();
+    }
     stage(xtmp_, ck::a5, k5_);
+    if (any_ex) stage_remainders(k5_);
     for (std::size_t v = 0; v < vars_; ++v) {
         const double* xv = x.var(v);
         const double* k1v = k1_.var(v);
@@ -138,7 +226,32 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
             tv[l] = ck::stage6(xv[l], h[l], k1v[l], k2v[l], k3v[l], k4v[l],
                                k5v[l]);
     }
+    if (any_ex) {
+        const double* n2 = k2_.var(s);
+        const double* n3 = k3_.var(s);
+        const double* n4 = k4_.var(s);
+        const double* n5 = k5_.var(s);
+        for (std::size_t l = 0; l < B; ++l)
+            shift_[l] = ex_[l] ? stiff_[l].shift6(n2[l], n3[l], n4[l], n5[l])
+                               : 0.0;
+        shift_inputs();
+    }
     stage(xtmp_, ck::a6, k6_);
+    if (any_ex) stage_remainders(k6_);
+
+    // The solutions' shifts: shift_ for the fifth order, shift4_ for the
+    // fourth (both 0 on plain lanes).
+    if (any_ex) {
+        const double* n3 = k3_.var(s);
+        const double* n4 = k4_.var(s);
+        const double* n6 = k6_.var(s);
+        for (std::size_t l = 0; l < B; ++l) {
+            shift_[l] = ex_[l] ? stiff_[l].shift_fifth(n3[l], n4[l], n6[l])
+                               : 0.0;
+            shift4_[l] = ex_[l] ? stiff_[l].shift_fourth(n3[l], n4[l], n6[l])
+                                : 0.0;
+        }
+    }
 
     // Embedded 4th/5th-order error estimate, per lane (max over variables).
     for (std::size_t l = 0; l < B; ++l) err_[l] = 0.0;
@@ -149,13 +262,16 @@ std::size_t batch_rk45_integrator::step_once(const batch_analog_system& sys,
         const double* k4v = k4_.var(v);
         const double* k5v = k5_.var(v);
         const double* k6v = k6_.var(v);
+        const double* av = column_.var(v);
         double* x5v = x5_.var(v);
         double* err = err_.data();
         for (std::size_t l = 0; l < B; ++l) {
-            const double x5 =
+            double x5 =
                 ck::fifth_order(xv[l], h[l], k1v[l], k3v[l], k4v[l], k6v[l]);
-            const double x4 = ck::fourth_order(xv[l], h[l], k1v[l], k3v[l],
-                                               k4v[l], k5v[l], k6v[l]);
+            double x4 = ck::fourth_order(xv[l], h[l], k1v[l], k3v[l], k4v[l],
+                                         k5v[l], k6v[l]);
+            x5 = ex_[l] ? ck::shifted(x5, av[l], shift_[l]) : x5;
+            x4 = ex_[l] ? ck::shifted(x4, av[l], shift4_[l]) : x4;
             x5v[l] = x5;
             err[l] = std::max(err[l], ck::error_ratio(xv[l], x5, x4,
                                                       opt_.abs_tol,

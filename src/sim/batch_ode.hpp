@@ -12,8 +12,9 @@
 // excluded from the sweep.
 //
 // A lane's step is the scalar `rk45_integrator`'s (ode.cpp): both build
-// it from the same per-element expressions (cash_karp.hpp), so a lane
-// advances its state to the bits a scalar run would.
+// it from the same per-element expressions (cash_karp.hpp), plain or
+// exponential per lane, so a lane advances its state to the bits a scalar
+// run would, whichever lanes share its batch.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/cash_karp.hpp"
 #include "sim/ode.hpp"
 
 namespace ehdse::sim {
@@ -82,6 +84,16 @@ public:
     virtual void derivatives(std::span<const double> t, const batch_state& x,
                              batch_state& dxdt,
                              std::span<const std::uint8_t> active) const = 0;
+
+    /// analog_system::stiff_element for every lane: one element, or
+    /// no_stiff_element (the default) for plain steps throughout.
+    virtual std::size_t stiff_element() const { return no_stiff_element; }
+
+    /// analog_system::stiff_column per lane: lane l's Jacobian column
+    /// df/dx_s at the last derivatives() call, into column.var(v)[l]. A
+    /// lane whose -column.var(s)[l] is not finite and positive takes the
+    /// plain step.
+    virtual void stiff_column(batch_state& /*column*/) const {}
 };
 
 /// Per-lane outcome of one step sweep.
@@ -92,7 +104,8 @@ enum class lane_step : std::uint8_t {
     failed,     ///< dt underflowed min_dt or max_steps exhausted
 };
 
-/// Adaptive Cash–Karp RK45 over B lanes with masked per-lane step control.
+/// Adaptive Cash–Karp RK45 over B lanes with masked per-lane step control,
+/// in the step's exponential form on lanes with a usable stiff column.
 ///
 /// One `step_once` call performs a single step *attempt* for every active
 /// lane (t[lane] < target[lane]): six stage evaluations batched across
@@ -147,6 +160,14 @@ private:
     std::vector<std::size_t> segment_attempts_;
     std::vector<std::size_t> steps_taken_;
     std::vector<std::size_t> steps_rejected_;
+
+    // The exponential form (cash_karp.hpp): which lanes take it this
+    // sweep, each lane's stiff deviation and stage shift (shift4_: the
+    // fourth-order solution's), its step set-up, and the column.
+    std::vector<std::uint8_t> ex_;
+    std::vector<double> dev_, shift_, shift4_;
+    std::vector<cash_karp::stiff_lane> stiff_;
+    batch_state column_;
 
     batch_state k1_, k2_, k3_, k4_, k5_, k6_, xtmp_, x5_;
 };

@@ -4,6 +4,33 @@
 // lane-masked batch_rk45_integrator (batch_ode.cpp) both build their
 // steps from these expressions, so a state advanced by either integrator
 // has the same bits.
+//
+// The exponential form. A system may name one stiff element s of its
+// state and report its Jacobian column a = df/dx_s (analog_system::
+// stiff_column); a_s = -lambda with lambda > 0 is the element's
+// relaxation rate. Then L = a e_s^T satisfies L^2 = -lambda L, so
+// exp(tau L) v = v + psi(tau) a v_s with psi(tau) = (1 - exp(-lambda
+// tau)) / lambda, and the step integrates that column's linear dynamics
+// exactly around the step start's equilibrium z* = x_s + k1_s / lambda
+// (an integrating-factor, or Lawson, Runge–Kutta step):
+//
+//   X_i = x + psi(c_i h) a d0 + h sum_j b_ij [N_j + psi((c_i - c_j) h) a N_j,s]
+//   N_j = k_j - a (X_j,s - z*),   d0 = x_s - z*,
+//
+// and the fifth- and fourth-order solutions use the c and d weights with
+// psi((1 - c_j) h). Element by element that is the plain expression on
+// the remainders N_j (remainder()) plus a times one per-lane shift
+// (stiff_lane, applied by shifted()). The error ratio and the step
+// control are the plain step's. N_1,s vanishes by the choice of z*, so
+// the shifts leave out its (rounding-sized) terms.
+//
+// The nodes are 0, 8, 12, 24, 40 and 35 fortieths of h, so every factor
+// is a power of q = exp(-lambda h / 40): one std::exp per step and lane.
+// Far from equilibrium (|d0| > 1e-3 |z*|: frequency steps, retunes,
+// dropout edges) the step is capped at lambda h = 3, inside Cash–Karp's
+// own real-axis bound of about 3.7: there a nonlinear remainder that
+// decays like exp(-2 lambda t) (the bridge current's) is missed by both
+// embedded solutions alike, so the error estimate cannot see it.
 #pragma once
 
 #include <algorithm>
@@ -86,5 +113,93 @@ inline double grown_dt(double dt, double err, double max_dt) {
 inline double shrunk_dt(double dt, double err) {
     return dt * std::max(0.9 * std::pow(err, -0.25), 0.1);
 }
+
+// --- The exponential form (see the top of this file) ----------------------
+
+/// |d0| above this share of |z*| counts as far from equilibrium.
+constexpr double k_far_from_equilibrium = 1e-3;
+/// Largest lambda h of a step taken far from equilibrium.
+constexpr double k_far_rate_step = 3.0;
+
+/// Remainder N_j of one element of stage derivative k, for column entry
+/// a and the stage's stiff deviation X_j,s - z*.
+inline double remainder(double k, double a, double deviation) {
+    return k - a * deviation;
+}
+
+/// An element of an exponential stage input or solution: its plain
+/// expression on the remainders, plus column entry a times the lane's
+/// shift for that stage.
+inline double shifted(double plain, double a, double shift) {
+    return plain + a * shift;
+}
+
+/// One lane's exponential step: the equilibrium, the (capped) step and
+/// the psi factors, and from them the per-stage shifts. The n_j arguments
+/// are the stiff element's remainders N_j,s.
+struct stiff_lane {
+    double z_star = 0.0;  ///< the step start's equilibrium of x_s
+    double d0 = 0.0;      ///< x_s - z*
+    double h = 0.0;       ///< the step, capped far from equilibrium
+    // psi(k h / 40) for every k the tableau needs; m5 is k = -5.
+    double p4 = 0.0, p5 = 0.0, p8 = 0.0, p11 = 0.0, p12 = 0.0, p16 = 0.0,
+           p23 = 0.0, p24 = 0.0, p27 = 0.0, p28 = 0.0, p32 = 0.0, p35 = 0.0,
+           p40 = 0.0, m5 = 0.0;
+
+    /// Set up a step of at most `dt` at relaxation rate `lambda` from the
+    /// stiff element's value xs and rate k1s at the step start. False
+    /// (take the plain step) unless lambda is finite and positive.
+    bool start(double lambda, double xs, double k1s, double dt) {
+        if (!(lambda > 0.0 && std::isfinite(lambda))) return false;
+        const double inv = 1.0 / lambda;
+        z_star = xs + k1s * inv;
+        d0 = xs - z_star;
+        h = std::abs(d0) > k_far_from_equilibrium * std::abs(z_star)
+                ? std::min(dt, k_far_rate_step * inv)
+                : dt;
+        const double q = std::exp(-(lambda * h) * (1.0 / 40.0));
+        const double q2 = q * q, q3 = q2 * q, q4 = q2 * q2, q5 = q4 * q;
+        const double q8 = q4 * q4, q16 = q8 * q8, q24 = q16 * q8;
+        const double q32 = q16 * q16;
+        const auto psi = [inv](double qk) { return (1.0 - qk) * inv; };
+        p4 = psi(q4);
+        p5 = psi(q5);
+        p8 = psi(q8);
+        p11 = psi(q8 * q3);
+        p12 = psi(q8 * q4);
+        p16 = psi(q16);
+        p23 = psi(q16 * q4 * q3);
+        p24 = psi(q24);
+        p27 = psi(q24 * q3);
+        p28 = psi(q24 * q4);
+        p32 = psi(q32);
+        p35 = psi(q32 * q3);
+        p40 = psi(q32 * q8);
+        m5 = psi(1.0 / q5);
+        return true;
+    }
+
+    double shift2() const { return p8 * d0; }
+    double shift3(double n2) const { return p12 * d0 + h * (b32 * p4 * n2); }
+    double shift4(double n2, double n3) const {
+        return p24 * d0 + h * (b42 * p16 * n2 + b43 * p12 * n3);
+    }
+    double shift5(double n2, double n3, double n4) const {
+        return p40 * d0 +
+               h * (b52 * p32 * n2 + b53 * p28 * n3 + b54 * p16 * n4);
+    }
+    double shift6(double n2, double n3, double n4, double n5) const {
+        return p35 * d0 + h * (b62 * p27 * n2 + b63 * p23 * n3 +
+                               b64 * p11 * n4 + b65 * m5 * n5);
+    }
+    /// Shifts of the fifth- and fourth-order solutions (psi(0) = 0 drops
+    /// the fourth order's stage-5 term).
+    double shift_fifth(double n3, double n4, double n6) const {
+        return p40 * d0 + h * (c3 * p28 * n3 + c4 * p16 * n4 + c6 * p5 * n6);
+    }
+    double shift_fourth(double n3, double n4, double n6) const {
+        return p40 * d0 + h * (d3 * p28 * n3 + d4 * p16 * n4 + d6 * p5 * n6);
+    }
+};
 
 }  // namespace ehdse::sim::cash_karp

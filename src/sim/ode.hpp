@@ -4,19 +4,27 @@
 // integrator with digital processes. Here the analogue side is an explicit
 // ODE system dx/dt = f(t, x) advanced by an adaptive Cash–Karp RK45
 // integrator (the step itself is in cash_karp.hpp, shared with the batch
-// integrator of batch_ode.hpp). The simulator (simulator.hpp)
-// guarantees integration is always stopped exactly at digital event times,
-// so digital processes observe and perturb a consistent analogue state.
+// integrator of batch_ode.hpp). A system that names a stiff element and
+// reports its Jacobian column gets the step's exponential form, which
+// integrates that column's linear dynamics exactly; every other system
+// gets the plain step. The simulator (simulator.hpp) guarantees
+// integration is always stopped exactly at digital event times, so
+// digital processes observe and perturb a consistent analogue state.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "numeric/matrix.hpp"
 
 namespace ehdse::sim {
+
+/// stiff_element() of a system without one.
+inline constexpr std::size_t no_stiff_element =
+    std::numeric_limits<std::size_t>::max();
 
 /// Interface for an analogue equation set dx/dt = f(t, x).
 ///
@@ -33,6 +41,19 @@ public:
     /// Evaluate dx/dt into `dxdt` (pre-sized to state_size()).
     virtual void derivatives(double t, std::span<const double> x,
                              std::span<double> dxdt) const = 0;
+
+    /// The element s whose dynamics are stiff and, to first order,
+    /// linear: the integrator's exponential step (cash_karp.hpp)
+    /// integrates its Jacobian column exactly. A property of the system,
+    /// constant over a run; no_stiff_element (the default) makes every
+    /// step the plain Cash–Karp step.
+    virtual std::size_t stiff_element() const { return no_stiff_element; }
+
+    /// The Jacobian column df/dx_s at the operating point of the last
+    /// derivatives() call, into `column` (state_size() entries). Its own
+    /// entry is -lambda; a lambda that is not finite and positive makes
+    /// that step plain. Called only when stiff_element() names one.
+    virtual void stiff_column(std::span<double> /*column*/) const {}
 };
 
 /// Integrator tuning knobs.
@@ -53,7 +74,8 @@ struct ode_status {
     double last_dt = 0.0;         ///< final accepted step size (resume hint)
 };
 
-/// Adaptive Cash–Karp RK45 integrator with PI-free step control.
+/// Adaptive Cash–Karp RK45 integrator with PI-free step control, in the
+/// step's exponential form for a system with a stiff element.
 ///
 /// Keeps its stage buffers between calls, so a long simulation made of many
 /// short segments (between digital events) does not reallocate.
@@ -74,7 +96,7 @@ public:
         const std::function<void(double, std::span<const double>)>& observer = {});
 
 private:
-    template <typename Observer>
+    template <bool Stiff, typename Observer>
     ode_status integrate_loop(const analog_system& sys, double t0, double t1,
                               std::vector<double>& x, Observer&& observer);
 
@@ -83,6 +105,7 @@ private:
     ode_options opt_;
     double dt_hint_ = 0.0;  ///< carry step size across segments
     std::vector<double> k1_, k2_, k3_, k4_, k5_, k6_, xtmp_, x5_;
+    std::vector<double> column_;  ///< the stiff element's Jacobian column
 };
 
 }  // namespace ehdse::sim

@@ -131,11 +131,27 @@ public:
     void derivatives(double t, std::span<const double> x,
                      std::span<double> dxdt) const override {
         inner_->derivatives(t, x, dxdt);
-        if (in_dropout(t)) {
+        last_dropout_ = in_dropout(t);
+        if (last_dropout_) {
             const state_map ix = inner_->states();
             dxdt[ix.harvested] = 0.0;
+            last_falling_ = dxdt[ix.voltage] < 0.0;
             dxdt[ix.voltage] = std::min(dxdt[ix.voltage], 0.0);
         }
+    }
+
+    // The inner system's stiff column, under the last call's dropout
+    // clamp: the harvested rate is held at zero, and so is the voltage
+    // rate unless it was falling.
+    std::size_t stiff_element() const override {
+        return inner_->stiff_element();
+    }
+    void stiff_column(std::span<double> column) const override {
+        inner_->stiff_column(column);
+        if (!last_dropout_) return;
+        const state_map ix = inner_->states();
+        column[ix.harvested] = 0.0;
+        if (!last_falling_) column[ix.voltage] = 0.0;
     }
 
     // -- node_system ------------------------------------------------------
@@ -196,6 +212,9 @@ private:
 
     std::unique_ptr<dse::node_system> inner_;
     fault_plan plan_;
+    // The last derivatives() call's dropout state, for stiff_column().
+    mutable bool last_dropout_ = false;
+    mutable bool last_falling_ = false;
 };
 
 /// system_evaluator that injects the faults of a per-request fault_plan.

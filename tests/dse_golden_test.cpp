@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "dse/system_evaluator.hpp"
+#include "golden_scenario.hpp"
 
 namespace ed = ehdse::dse;
 
@@ -34,31 +35,8 @@ namespace {
 
 const char* const k_fixture = EHDSE_TEST_DATA_DIR "/golden/evaluate_short.txt";
 
-/// 900 s: 64 -> 69 -> 74 Hz steps every 300 s, the source off for
-/// 100 s and then driven at 1.5x for the rest of the run.
-ed::scenario golden_scenario() {
-    ed::scenario s;
-    s.duration_s = 900.0;
-    s.step_period_s = 300.0;
-    s.step_count = 2;
-    s.amplitude_schedule = {{0.0, 1.0}, {250.0, 0.0}, {350.0, 1.5}};
-    return s;
-}
-
-/// Ten points spread over the coded design box (corners, faces, centre).
-std::vector<ed::system_config> golden_configs() {
-    const std::vector<ehdse::numeric::vec> coded = {
-        {0.0, 0.0, 0.0},   {-1.0, -1.0, -1.0}, {1.0, 1.0, 1.0},
-        {-1.0, 1.0, -1.0}, {1.0, -1.0, 1.0},   {0.5, -0.5, 0.0},
-        {-0.5, 0.0, 1.0},  {0.0, 1.0, -0.5},   {1.0, 0.0, -1.0},
-        {-1.0, -0.5, 0.5},
-    };
-    const auto space = ed::paper_design_space();
-    std::vector<ed::system_config> out;
-    for (const auto& c : coded)
-        out.push_back(ed::config_from_coded(space, c));
-    return out;
-}
+using ehdse::testdata::golden_configs;
+using ehdse::testdata::golden_scenario;
 
 std::string hex(double v) {
     char buf[64];

@@ -146,7 +146,7 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
             for (const std::size_t width : {1u, 3u, 10u, 16u}) {
                 const auto batch = model->make_envelope_batch(width);
                 std::vector<double> t(width), v(width), z(width), rate(width),
-                    current(width);
+                    current(width), relax(width), slope(width);
                 std::vector<int> pos(width);
                 const auto draw = [&](std::size_t l) {
                     t[l] = r.uniform(0.0, 199.0);
@@ -172,8 +172,8 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
                         v[l] = std::max(0.0, v[l] + r.uniform(-1e-3, 1e-3));
                         z[l] = std::max(0.0, z[l] + r.uniform(-1e-6, 1e-6));
                     }
-                    batch->rates({vib, t, pos, v, z}, cond, 0.75, rect, rate,
-                                 current);
+                    batch->rates({vib, t, pos, v, z}, cond, 0.75, rect,
+                                 {rate, current, relax, slope});
                     for (std::size_t l = 0; l < width; ++l) {
                         eh::damping_path fresh;
                         const eh::envelope_rates want = model->envelope_dynamics(
@@ -186,7 +186,9 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
                                    std::bit_cast<std::uint64_t>(ref);
                         };
                         if (agree(rate[l], want.amplitude_rate) &&
-                            agree(current[l], want.charge_current_a))
+                            agree(current[l], want.charge_current_a) &&
+                            agree(relax[l], want.relaxation_rate) &&
+                            agree(slope[l], want.charge_slope))
                             continue;
                         if (mismatches++ == 0)
                             ADD_FAILURE()
@@ -196,7 +198,10 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
                                 << ": amplitude_rate " << rate[l] << " vs "
                                 << want.amplitude_rate << ", charge_current "
                                 << current[l] << " vs "
-                                << want.charge_current_a;
+                                << want.charge_current_a
+                                << ", relaxation_rate " << relax[l] << " vs "
+                                << want.relaxation_rate << ", charge_slope "
+                                << slope[l] << " vs " << want.charge_slope;
                     }
                 }
             }
@@ -204,6 +209,56 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
             // The walks must exercise both a charging and an idle store.
             EXPECT_GT(conducting, lanes_checked / 10) << info.name;
             EXPECT_LT(conducting, lanes_checked) << info.name;
+        }
+    }
+}
+
+TEST(HarvesterRegistry, EnvelopeRatesReportTheirZEnvSlopes) {
+    // relaxation_rate and charge_slope are the integrator's Jacobian
+    // column (sim/cash_karp.hpp): -d(amplitude_rate)/dz_env and
+    // d(charge_current)/dz_env, checked by central differences at charging
+    // operating points, and zero current slope where nothing charges.
+    const power::rectifier_params rect;
+    for (const eh::harvester_info& info : eh::harvester_registry()) {
+        const auto model = eh::make_harvester(info.name);
+        for (const eh::conditioning_kind cond :
+             {eh::conditioning_kind::diode_bridge, eh::conditioning_kind::mppt}) {
+            std::size_t charging = 0;
+            for (const int pos : {40, 128, 200}) {
+                const double f = model->resonant_frequency(pos);
+                const double a = 0.060 * eh::k_gravity;
+                for (const double v : {1.0, 2.8, 3.6}) {
+                    const double z0 =
+                        model->initial_amplitude(f, a, pos, v, rect);
+                    const auto at = [&](double z) {
+                        eh::damping_path path;
+                        return model->envelope_dynamics(f, a, pos, v, z, cond,
+                                                        0.75, rect, path);
+                    };
+                    const double dz = 1e-6 * z0;
+                    const eh::envelope_rates r = at(z0);
+                    const eh::envelope_rates up = at(z0 + dz);
+                    const eh::envelope_rates dn = at(z0 - dz);
+                    const std::string where = info.name + " pos " +
+                                              std::to_string(pos) + " v " +
+                                              std::to_string(v);
+                    EXPECT_GT(r.relaxation_rate, 0.0) << where;
+                    EXPECT_NEAR(-(up.amplitude_rate - dn.amplitude_rate) /
+                                    (2.0 * dz),
+                                r.relaxation_rate, 1e-6 * r.relaxation_rate)
+                        << where;
+                    if (r.charge_current_a > 0.0 && dn.charge_current_a > 0.0) {
+                        ++charging;
+                        EXPECT_NEAR((up.charge_current_a - dn.charge_current_a) /
+                                        (2.0 * dz),
+                                    r.charge_slope, 1e-5 * r.charge_slope)
+                            << where;
+                    } else if (up.charge_current_a == 0.0) {
+                        EXPECT_EQ(r.charge_slope, 0.0) << where;
+                    }
+                }
+            }
+            EXPECT_GT(charging, 0u) << info.name;
         }
     }
 }

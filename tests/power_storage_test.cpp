@@ -1,9 +1,11 @@
-// Supercapacitor, load bank and energy ledger.
+// Supercapacitor, load bank and energy ledger, and the storage models'
+// dv_dt slope.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
+#include "power/battery.hpp"
 #include "power/energy_ledger.hpp"
 #include "power/load_bank.hpp"
 #include "power/supercapacitor.hpp"
@@ -132,4 +134,26 @@ TEST(Ledger, ClearEmpties) {
     ledger.clear();
     EXPECT_EQ(ledger.account_count(), 0u);
     EXPECT_DOUBLE_EQ(ledger.grand_total(), 0.0);
+}
+
+TEST(Storage, DvDtSlopeIsTheCurrentDerivativeOfDvDt) {
+    // dv_dt_slope is d dv_dt / d i_net (the integrator's column entry for
+    // the store): the central difference inside the operating range, 0
+    // where a clamp holds dv_dt.
+    const ep::supercapacitor cap;
+    const ep::thin_film_battery bat;
+    const auto check = [](const ep::storage_model& s, double v, double i) {
+        const double di = 1e-9;
+        const double fd = (s.dv_dt(v, i + di) - s.dv_dt(v, i - di)) / (2 * di);
+        EXPECT_NEAR(s.dv_dt_slope(v, i), fd, 1e-6 * std::abs(fd) + 1e-12)
+            << "v " << v << " i " << i;
+    };
+    for (const double v : {0.5, 2.8, 4.0}) check(cap, v, 1e-4);
+    for (const double v : {2.8, 2.9, 3.0}) check(bat, v, 1e-4);
+    EXPECT_DOUBLE_EQ(cap.dv_dt_slope(2.8, 1e-4), 1.0 / 0.55);
+    EXPECT_EQ(cap.dv_dt_slope(cap.max_voltage(), 1e-3), 0.0);  // rating clamp
+    EXPECT_EQ(cap.dv_dt_slope(0.0, -1e-3), 0.0);               // empty clamp
+    EXPECT_EQ(bat.dv_dt_slope(2.9, 1.0), 0.0);         // acceptance ceiling
+    EXPECT_EQ(bat.dv_dt_slope(3.05, 1e-4), 0.0);       // full
+    EXPECT_EQ(bat.dv_dt_slope(2.70, -1e-4), 0.0);      // empty
 }

@@ -1,9 +1,11 @@
 // SoA batch kernel units: masked per-lane RK45 stepping, per-lane event
 // queues, watch ranges, failure containment, and lane independence. A
 // per-lane exponential decay dx/dt = -k[l] x gives every test a closed
-// form to check against.
+// form to check against; a per-lane stiff relaxation does the same for
+// the exponential step (sim/cash_karp.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -19,6 +21,7 @@ using ehdse::sim::batch_rk45_integrator;
 using ehdse::sim::batch_simulator;
 using ehdse::sim::batch_state;
 using ehdse::sim::lane_step;
+using ehdse::sim::no_stiff_element;
 
 /// B lanes of dx/dt = -k[lane] * x: exact solution x0 * exp(-k t).
 class decay_batch final : public batch_analog_system {
@@ -38,6 +41,96 @@ public:
 private:
     std::vector<double> k_;
 };
+
+/// One lane of a stiff relaxation z' = lambda (z_eq - z) driving
+/// V' = kappa z, state (V, z). Its column reports `reported` as the rate
+/// when that is set (not NaN), else lambda.
+struct relaxation_lane {
+    double lambda = 10.0;
+    double z_eq = 1e-3;
+    double kappa = 2.0;
+    double reported = std::numeric_limits<double>::quiet_NaN();
+    bool override_rate = false;
+};
+
+/// The relaxation as a batch, one relaxation_lane per lane; without
+/// `column` it names no stiff element.
+class relaxation_batch final : public batch_analog_system {
+public:
+    relaxation_batch(std::vector<relaxation_lane> lanes, bool column = true)
+        : lanes_(std::move(lanes)), column_(column) {}
+
+    std::size_t state_size() const override { return 2; }
+    std::size_t lanes() const override { return lanes_.size(); }
+    void derivatives(std::span<const double> /*t*/, const batch_state& x,
+                     batch_state& dxdt,
+                     std::span<const std::uint8_t> /*active*/) const override {
+        for (std::size_t l = 0; l < lanes_.size(); ++l) {
+            const relaxation_lane& p = lanes_[l];
+            dxdt.var(0)[l] = p.kappa * x.var(1)[l];
+            dxdt.var(1)[l] = p.lambda * (p.z_eq - x.var(1)[l]);
+        }
+    }
+    std::size_t stiff_element() const override {
+        return column_ ? 1 : no_stiff_element;
+    }
+    void stiff_column(batch_state& a) const override {
+        for (std::size_t l = 0; l < lanes_.size(); ++l) {
+            const relaxation_lane& p = lanes_[l];
+            a.var(0)[l] = p.kappa;
+            a.var(1)[l] = -(p.override_rate ? p.reported : p.lambda);
+        }
+    }
+
+private:
+    std::vector<relaxation_lane> lanes_;
+    bool column_;
+};
+
+/// The same relaxation lane as a scalar system.
+struct relaxation_system final : ehdse::sim::analog_system {
+    explicit relaxation_system(relaxation_lane lane) : p(lane) {}
+    std::size_t state_size() const override { return 2; }
+    void derivatives(double, std::span<const double> x,
+                     std::span<double> dxdt) const override {
+        dxdt[0] = p.kappa * x[1];
+        dxdt[1] = p.lambda * (p.z_eq - x[1]);
+    }
+    std::size_t stiff_element() const override { return 1; }
+    void stiff_column(std::span<double> a) const override {
+        a[0] = p.kappa;
+        a[1] = -(p.override_rate ? p.reported : p.lambda);
+    }
+    relaxation_lane p;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Integrate every lane of `sys` from (v0, z0[l]) at t = 0 to target[l]
+/// by step_once sweeps; returns the final states and (steps, rejected).
+struct batch_run {
+    std::vector<std::vector<double>> x;
+    std::vector<std::pair<std::size_t, std::size_t>> counts;
+};
+batch_run run_lanes(const batch_analog_system& sys,
+                    const std::vector<double>& z0,
+                    const std::vector<double>& target,
+                    ehdse::sim::ode_options opt = {}) {
+    const std::size_t B = sys.lanes();
+    batch_rk45_integrator integ(2, B, opt);
+    batch_state x(2, B);
+    for (std::size_t l = 0; l < B; ++l) x.set_lane(l, {{2.0, z0[l]}});
+    std::vector<double> t(B, 0.0);
+    std::vector<lane_step> outcome(B);
+    while (integ.step_once(sys, t, target, x, outcome) > 0) {
+    }
+    batch_run out;
+    for (std::size_t l = 0; l < B; ++l) {
+        out.x.push_back(x.lane_state(l));
+        out.counts.emplace_back(integ.steps_taken(l), integ.steps_rejected(l));
+    }
+    return out;
+}
 
 TEST(BatchState, LaneRoundTripAndRowLayout) {
     batch_state s(3, 4);
@@ -73,6 +166,122 @@ TEST(BatchRk45, MatchesClosedFormPerLane) {
         EXPECT_NEAR(x.at(0, l), std::exp(-k[l]), 1e-6) << "lane " << l;
         EXPECT_GT(integ.steps_taken(l), 0u) << "lane " << l;
         EXPECT_GT(integ.last_dt(l), 0.0) << "lane " << l;
+    }
+}
+
+TEST(BatchRk45, NoColumnTakesThePinnedPlainSteps) {
+    // A batch without a stiff column takes the plain Cash–Karp steps:
+    // these hex values and step counts were pinned from the build before
+    // the exponential form existed.
+    const std::vector<double> k = {0.5, 1.0, 2.0, 4.0};
+    const double want[] = {0x1.368b2e2b61d67p-1, 0x1.78b55de51b67ep-2,
+                           0x1.152aa27019b35p-3, 0x1.2c154a3a40ef2p-6};
+    const std::size_t steps[] = {8, 9, 12, 18};
+    decay_batch sys(k);
+    batch_rk45_integrator integ(1, k.size());
+    batch_state x(1, k.size());
+    for (std::size_t l = 0; l < k.size(); ++l) x.set(0, l, 1.0);
+    std::vector<double> t(k.size(), 0.0);
+    const std::vector<double> target(k.size(), 1.0);
+    std::vector<lane_step> outcome(k.size());
+    while (integ.step_once(sys, t, target, x, outcome) > 0) {
+    }
+    for (std::size_t l = 0; l < k.size(); ++l) {
+        EXPECT_EQ(bits(x.at(0, l)), bits(want[l])) << "lane " << l;
+        EXPECT_EQ(integ.steps_taken(l), steps[l]) << "lane " << l;
+        EXPECT_EQ(integ.steps_rejected(l), 0u) << "lane " << l;
+    }
+}
+
+TEST(BatchRk45, ExponentialStepLandsOnTheClosedFormAtLambdaH50) {
+    // Two lanes near equilibrium (no cap), each one sweep of lambda h =
+    // 50: the relaxation and its pull on V are integrated exactly.
+    const std::vector<relaxation_lane> lanes = {{10.0, 1e-3, 2.0},
+                                                {20.0, 5e-4, -3.0}};
+    relaxation_batch sys(lanes);
+    ehdse::sim::ode_options opt;
+    opt.initial_dt = 5.0;
+    opt.max_dt = 5.0;
+    batch_rk45_integrator integ(2, lanes.size(), opt);
+    batch_state x(2, lanes.size());
+    std::vector<double> t(lanes.size(), 0.0), target(lanes.size());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        x.set_lane(l, {{2.0, lanes[l].z_eq * (1.0 + 5e-4)}});
+        target[l] = 50.0 / lanes[l].lambda;
+    }
+    std::vector<lane_step> outcome(lanes.size());
+    ASSERT_EQ(integ.step_once(sys, t, target, x, outcome), lanes.size());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        const relaxation_lane& p = lanes[l];
+        ASSERT_EQ(outcome[l], lane_step::advanced) << "lane " << l;
+        const double h = target[l];
+        const double d0 = p.z_eq * 5e-4;
+        const double decay = std::exp(-p.lambda * h);
+        const double v = 2.0 + p.kappa * (p.z_eq * h +
+                                          d0 * (1.0 - decay) / p.lambda);
+        const double z = p.z_eq + d0 * decay;
+        EXPECT_NEAR(x.at(0, l), v, 4e-16 * std::abs(v)) << "lane " << l;
+        EXPECT_NEAR(x.at(1, l), z, 4e-16 * z) << "lane " << l;
+    }
+}
+
+TEST(BatchRk45, NanOrNonPositiveRateLaneTakesThePlainStep) {
+    // Lanes whose reported rate is not finite and positive step exactly
+    // as they would without a column; the exponential lane beside them
+    // does not.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<relaxation_lane> lanes(5, relaxation_lane{2.0, 1e-3, 2.0});
+    const double reported[] = {2.0, nan, 0.0, -1.0, inf};
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        lanes[l].override_rate = true;
+        lanes[l].reported = reported[l];
+    }
+    const std::vector<double> z0(lanes.size(), 3e-3);
+    const std::vector<double> target(lanes.size(), 4.0);
+    const batch_run with = run_lanes(relaxation_batch(lanes), z0, target);
+    const batch_run without =
+        run_lanes(relaxation_batch(lanes, /*column=*/false), z0, target);
+    for (std::size_t l = 1; l < lanes.size(); ++l) {
+        EXPECT_EQ(bits(with.x[l][0]), bits(without.x[l][0])) << "lane " << l;
+        EXPECT_EQ(bits(with.x[l][1]), bits(without.x[l][1])) << "lane " << l;
+        EXPECT_EQ(with.counts[l], without.counts[l]) << "lane " << l;
+    }
+    EXPECT_NE(with.counts[0], without.counts[0]);
+}
+
+TEST(BatchRk45, ALaneStepDoesNotDependOnItsNeighbours) {
+    // Near and far from equilibrium, different rates, a plain (NaN-rate)
+    // lane and one already at its target: each lane run alone, inside the
+    // batch and through the scalar integrator gives the same bits.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<relaxation_lane> lanes = {
+        {10.0, 1e-3, 2.0}, {3.0, 2e-3, -1.0}, {40.0, 5e-4, 4.0},
+        {5.0, 1e-3, 1.0},  {8.0, 1e-3, 2.0}};
+    lanes[3].override_rate = true;
+    lanes[3].reported = nan;
+    const std::vector<double> z0 = {1.0005e-3, 6e-3, 1e-4, 2e-3, 3e-3};
+    const std::vector<double> target = {5.0, 3.0, 2.5, 4.0, 0.0};
+    ehdse::sim::ode_options opt;
+    opt.max_dt = 5.0;
+    const batch_run together =
+        run_lanes(relaxation_batch(lanes), z0, target, opt);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        const batch_run alone = run_lanes(relaxation_batch({lanes[l]}),
+                                          {z0[l]}, {target[l]}, opt);
+        EXPECT_EQ(bits(together.x[l][0]), bits(alone.x[0][0])) << "lane " << l;
+        EXPECT_EQ(bits(together.x[l][1]), bits(alone.x[0][1])) << "lane " << l;
+        EXPECT_EQ(together.counts[l], alone.counts[0]) << "lane " << l;
+
+        const relaxation_system scalar(lanes[l]);
+        std::vector<double> x = {2.0, z0[l]};
+        ehdse::sim::rk45_integrator integ(opt);
+        const auto st = integ.integrate(scalar, 0.0, target[l], x);
+        EXPECT_EQ(bits(together.x[l][0]), bits(x[0])) << "lane " << l;
+        EXPECT_EQ(bits(together.x[l][1]), bits(x[1])) << "lane " << l;
+        EXPECT_EQ(together.counts[l],
+                  std::make_pair(st.steps_taken, st.steps_rejected))
+            << "lane " << l;
     }
 }
 

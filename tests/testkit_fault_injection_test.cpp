@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "dse/cached_evaluator.hpp"
 #include "dse/rsm_flow.hpp"
 #include "obs/run_manifest.hpp"
+#include "harvester/tuning_table.hpp"
+#include "power/supercapacitor.hpp"
 #include "testkit/fault_injection.hpp"
 #include "testkit_oracles.hpp"
 
@@ -202,4 +206,43 @@ TEST(TestkitFaultInjection, CachedEvaluatorPropagatesInjectedExceptions) {
     EXPECT_THROW((void)cached.evaluate(config), tk::evaluator_fault);
     EXPECT_THROW((void)cached.evaluate(config), tk::evaluator_fault);
     EXPECT_EQ(cached.stats().entries, 0u);
+}
+
+TEST(TestkitFaultInjection, DecoratorForwardsTheStiffColumnUnderItsClamp) {
+    // The integrator's exponential step reads the stiff column of the
+    // last derivatives() call: the decorator forwards the inner system's,
+    // with the harvested entry (and a rising voltage's) held at zero
+    // inside a dropout window, like the derivatives it clamps.
+    const dse::scenario scn;
+    const auto model = ehdse::harvester::make_harvester("electromagnetic");
+    const auto vib = scn.make_vibration();
+    const auto storage = std::make_shared<ehdse::power::supercapacitor>();
+    const auto make = [&] {
+        return dse::make_node_system({}, *model, vib, storage, {});
+    };
+    const std::unique_ptr<dse::node_system> inner = make();
+    tk::fault_plan plan;
+    plan.dropouts.push_back({10.0, 20.0});
+    tk::faulty_node_system faulty(make(), plan);
+    ASSERT_EQ(faulty.stiff_element(), inner->stiff_element());
+    ASSERT_NE(faulty.stiff_element(), ehdse::sim::no_stiff_element);
+
+    const int tuned = ehdse::harvester::tuning_table(*model).lookup(64.0);
+    const std::vector<double> x = inner->initial_state(2.8, tuned);
+    (void)faulty.initial_state(2.8, tuned);
+    const dse::node_system::state_map ix = inner->states();
+    std::vector<double> dxdt(x.size()), want(x.size()), got(x.size());
+    for (const double t : {5.0, 15.0}) {
+        inner->derivatives(t, x, dxdt);
+        inner->stiff_column(want);
+        faulty.derivatives(t, x, dxdt);
+        faulty.stiff_column(got);
+        const bool dark = t >= 10.0 && t < 20.0;
+        EXPECT_EQ(got[faulty.stiff_element()], want[faulty.stiff_element()]);
+        EXPECT_EQ(got[ix.harvested], dark ? 0.0 : want[ix.harvested]) << t;
+        EXPECT_EQ(got[ix.voltage],
+                  dark && dxdt[ix.voltage] >= 0.0 ? 0.0 : want[ix.voltage])
+            << t;
+        EXPECT_NE(want[ix.harvested], 0.0) << t;
+    }
 }
