@@ -38,11 +38,17 @@ BENCHMARK(bm_envelope_solve);
 // the voltage creeps 20 uV per call (the median step between consecutive
 // envelope RHS calls of a paper-default evaluation is 13 uV, the 90th
 // percentile 36 uV), with a 1 mV transmission burst every 100 calls.
-// Each call starts cold from a fresh damping_path (warm:0) or carries one
-// path along (warm:1), as a run does; both return bit-identical rates
-// (harvester/damping_path.hpp), so the gap is what the warm start saves.
-void bm_envelope_walk(benchmark::State& state) {
-    const bool warm = state.range(0) != 0;
+// One arm per way the damping solve can start (harvester/damping_path.hpp):
+//   * extrapolated — one path carried along at a fixed drive, so each
+//     call extrapolates its root in the store voltage without a trial;
+//   * newton — the drive's amplitude alternates by one part in 1e9, so
+//     each call spends a trial at the previous root and a Newton step;
+//   * cold — a fresh path every call.
+// All three return bit-identical rates, so the gaps are what each
+// predictor saves.
+enum class damping_start { extrapolated, newton, cold };
+
+void bm_envelope_walk(benchmark::State& state, damping_start start) {
     const harvester::electromagnetic_harvester em;
     const harvester::tuning_table table(em);
     const int pos = table.lookup(69.0);
@@ -54,17 +60,22 @@ void bm_envelope_walk(benchmark::State& state) {
         double v = 2.8;
         for (int i = 0; i < k_solves; ++i) {
             v += (i % 100 == 99) ? -1e-3 : 20e-6;
+            const double a = start == damping_start::newton && i % 2 == 1
+                                 ? accel * (1.0 + 1e-9)
+                                 : accel;
             harvester::damping_path fresh;
             const harvester::envelope_rates r = em.envelope_dynamics(
-                69.0, accel, pos, v, z_env,
+                69.0, a, pos, v, z_env,
                 harvester::conditioning_kind::diode_bridge, 1.0, {},
-                warm ? carried : fresh);
+                start == damping_start::cold ? fresh : carried);
             benchmark::DoNotOptimize(r.charge_current_a);
         }
     }
     state.SetItemsProcessed(state.iterations() * k_solves);
 }
-BENCHMARK(bm_envelope_walk)->ArgName("warm")->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(bm_envelope_walk, extrapolated, damping_start::extrapolated);
+BENCHMARK_CAPTURE(bm_envelope_walk, newton, damping_start::newton);
+BENCHMARK_CAPTURE(bm_envelope_walk, cold, damping_start::cold);
 
 /// Harmonic oscillator x'' = -400 x as a 2-state system.
 struct oscillator final : sim::analog_system {

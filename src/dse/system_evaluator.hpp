@@ -141,6 +141,15 @@ public:
     /// the request, never on call order, stay deterministic under a pool).
 
 protected:
+    /// For model decorators (testkit::cold_start_evaluator): run later
+    /// evaluations on `model`, which must keep the tuning law and the
+    /// actuator of the backend it replaces (the tuning table and the
+    /// controller's retune cost were taken from that one).
+    void replace_model(
+        std::shared_ptr<const harvester::harvester_model> model) noexcept {
+        model_ = std::move(model);
+    }
+
     /// Factory for the per-call analogue model; evaluate() runs the shared
     /// simulation loop against whatever this returns. The default builds
     /// the envelope / transient system `options` asks for; fault wrappers

@@ -50,7 +50,7 @@ private:
 
 electromagnetic_harvester::electromagnetic_harvester(
     microgenerator_params params)
-    : gen_(params) {}
+    : gen_(params), grid_(kernel_damping_grid(gen_)) {}
 
 const std::string& electromagnetic_harvester::name() const noexcept {
     static const std::string k_name = "electromagnetic";

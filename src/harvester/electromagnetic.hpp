@@ -52,6 +52,7 @@ public:
 
 private:
     microgenerator gen_;
+    damping_grid grid_;  ///< the kernel's bisection grid for gen_
 };
 
 }  // namespace ehdse::harvester

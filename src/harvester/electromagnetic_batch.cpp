@@ -9,18 +9,21 @@
 // each trial is three flat loops over lanes (mechanics / asin-cos /
 // bridge power + bracket update) written branch-free with value selects
 // so GCC auto-vectorises them, and libm calls are replaced by a fitted
-// polynomial asin plus the exact identities cos(asin x) = sqrt(1 - x^2)
-// and sin(2 asin x) = 2 x sqrt(1 - x^2). Per-lane brackets update under
-// masks, so a lane's answer never depends on which other lanes share the
-// run: batch(B) == batch(1) == the scalar hook, bitwise. The kernel agrees
-// with the libm reference solve (solve_envelope) to solver tolerance.
+// polynomial asin (numeric/det_math.hpp) plus the exact identities
+// cos(asin x) = sqrt(1 - x^2) and sin(2 asin x) = 2 x sqrt(1 - x^2).
+// Per-lane brackets update under masks, so a lane's answer never depends
+// on which other lanes share the run: batch(B) == batch(1) == the scalar
+// hook, bitwise. The kernel agrees with the libm reference solve
+// (solve_envelope) to solver tolerance.
 //
 // Each lane carries its own damping_path, so the bisection warm-starts per
-// lane, bit-identical to the kernel's cold bisection
-// (harvester/damping_path.hpp): one lockstep trial at every lane's
-// previous root, one pair checking every lane's predicted cell, and a
-// final lockstep evaluation at the converged damping that runs the
-// mechanics only (the bridge there is not read).
+// lane, bit-identical to the kernel's cold bisection on its dyadic grid
+// (harvester/damping_path.hpp): a lane whose drive did not change
+// extrapolates its root in the store voltage without a trial, one whose
+// drive changed spends one lockstep trial at its previous root; one pair
+// checks every lane's predicted cell, and a final lockstep evaluation at
+// the converged damping runs the mechanics only (the bridge there is not
+// read).
 //
 // The lane loops only vectorise with this file's COMPILE_OPTIONS
 // (src/harvester/CMakeLists.txt).
@@ -35,54 +38,13 @@
 
 #include "harvester/envelope.hpp"
 #include "harvester/vibration.hpp"
+#include "numeric/det_math.hpp"
 
 namespace ehdse::harvester {
 
 namespace {
 
 constexpr double k_pi = std::numbers::pi;
-constexpr double k_half_pi = 0.5 * std::numbers::pi;
-
-// Minimax-quality polynomial for asin on [0, 1]: degree-15 Chebyshev-node
-// fit of g(z) = asin(sqrt(z)) / sqrt(z), combined with the standard range
-// reduction
-//     x <= 0.5 : asin(x) = x * P(x^2)
-//     x  > 0.5 : asin(x) = pi/2 - 2 * sqrt(z) * P(z),  z = (1 - x) / 2
-// Max abs error 3.3e-16 over [0, 1) — at libm rounding level, so the
-// kernel's bridge matches the std::asin of power/rectifier.hpp to solver
-// tolerance.
-constexpr double k_asin_c[16] = {
-    0.999999999999999999892,   0.166666666666666696405,
-    0.0749999999999929945523,  0.0446428571436258050417,
-    0.0303819443995999728947,  0.022372160664339752716,
-    0.0173527281512837325891,  0.0139654279848651728254,
-    0.0115449458992990427777,  0.00982171026194061776089,
-    0.0079925162814942219587,  0.00929049937150757007781,
-    -0.00077758985480906203174, 0.024269122565511237245,
-    -0.0254272641358987083118, 0.0311710800182602128524,
-};
-
-// Horner form, fully unrolled: a `for` over the coefficients is control
-// flow the vectoriser refuses, so spell the recurrence out.
-inline double asin_poly_eval(double z) {
-    double p = k_asin_c[15];
-    p = p * z + k_asin_c[14];
-    p = p * z + k_asin_c[13];
-    p = p * z + k_asin_c[12];
-    p = p * z + k_asin_c[11];
-    p = p * z + k_asin_c[10];
-    p = p * z + k_asin_c[9];
-    p = p * z + k_asin_c[8];
-    p = p * z + k_asin_c[7];
-    p = p * z + k_asin_c[6];
-    p = p * z + k_asin_c[5];
-    p = p * z + k_asin_c[4];
-    p = p * z + k_asin_c[3];
-    p = p * z + k_asin_c[2];
-    p = p * z + k_asin_c[1];
-    p = p * z + k_asin_c[0];
-    return p;
-}
 
 // The hot lane loops live in free functions whose pointer parameters are
 // __restrict__: GCC only assigns no-alias cliques to restrict *parameters*
@@ -119,23 +81,14 @@ inline void mechanics_lanes(std::size_t B, double c_mech, double phi,
 }
 
 // theta1 = asin(x) via the range-reduced polynomial; cos(theta1) via
-// the identity cos(asin x) = sqrt(1 - x^2). Both branches are computed
-// unconditionally and selected, keeping the loop vectorisable.
+// the identity cos(asin x) = sqrt(1 - x^2).
 inline void conduction_angle_lanes(std::size_t B,
                                    const double* __restrict__ xxv,
                                    double* __restrict__ th1,
                                    double* __restrict__ cth) {
     for (std::size_t l = 0; l < B; ++l) {
         const double x = xxv[l];
-        const double z_lo = x * x;
-        const double z_hi = 0.5 * (1.0 - x);
-        const bool upper = x > 0.5;
-        const double z = upper ? z_hi : z_lo;
-        const double p = asin_poly_eval(z);
-        const double sq = std::sqrt(z);
-        const double s = upper ? sq : x;
-        const double r0 = s * p;
-        th1[l] = upper ? k_half_pi - 2.0 * r0 : r0;
+        th1[l] = numeric::asin_unit(x);
         cth[l] = std::sqrt(1.0 - x * x);
     }
 }
@@ -172,7 +125,7 @@ inline void bridge_damping_lanes(std::size_t B, double inv_pir,
 /// keeps for its run; the scalar hook over one lane of stack storage.
 struct kernel_lanes {
     /// Rows of doubles and of flags that lay_out() carves.
-    static constexpr std::size_t k_double_rows = 17;
+    static constexpr std::size_t k_double_rows = 19;
     static constexpr std::size_t k_flag_rows = 3;
 
     std::size_t count;
@@ -181,6 +134,7 @@ struct kernel_lanes {
     double *omega, *re, *ma, *u;
     // Damping-solve and charging-bridge scratch.
     double *lo, *hi, *ce, *ct, *ct_lo, *za, *e, *vel, *xx, *th1, *cth;
+    double *q_lo, *q_hi;  ///< lo = c_hi q_lo, hi = c_hi q_hi on the grid
     double *f_lo, *f_hi;  ///< T - c at lo / hi
     std::uint8_t *blocked, *refine, *warm;
     int* it;  ///< per-lane bisection decisions
@@ -196,7 +150,7 @@ kernel_lanes lay_out(std::size_t count, double* doubles, std::uint8_t* flags,
     double** const rows[kernel_lanes::k_double_rows] = {
         &k.omega, &k.re,  &k.ma, &k.u,  &k.lo, &k.hi,  &k.ce,
         &k.ct,    &k.ct_lo, &k.za, &k.e, &k.vel, &k.xx, &k.th1,
-        &k.cth,   &k.f_lo, &k.f_hi};
+        &k.cth,   &k.q_lo, &k.q_hi, &k.f_lo, &k.f_hi};
     for (std::size_t r = 0; r < kernel_lanes::k_double_rows; ++r)
         *rows[r] = doubles + r * count;
     k.blocked = flags;
@@ -224,7 +178,8 @@ inline void eval_damping(std::size_t B, const microgenerator& gen,
 }
 
 /// The envelope RHS of every lane of `k` at its operating point, store
-/// voltage v_in[l] and envelope z_in[l]: the amplitude rate into dz[l],
+/// voltage v_in[l] and envelope z_in[l], with the damping bisected on
+/// `grid` (kernel_damping_grid of `gen`): the amplitude rate into dz[l],
 /// the charging current into ich[l], 1/tau into rate[l] and the current's
 /// slope d ich / d z_env into slope[l]. Every lane is computed in full width
 /// and branch-free: lanes the integrator masked out get (ignored) values
@@ -232,8 +187,8 @@ inline void eval_damping(std::size_t B, const microgenerator& gen,
 /// the lane count at compile time (the scalar hook's one lane, whose loops
 /// then fold away); 0 reads it from `k`. The arithmetic is the same.
 template <std::size_t Lanes>
-void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
-                  const double* v_in, const double* z_in,
+void kernel_rates(const microgenerator& gen, const damping_grid& grid,
+                  const kernel_lanes& k, const double* v_in, const double* z_in,
                   conditioning_kind conditioning, double efficiency,
                   double* dz, double* ich, double* rate, double* slope) {
     const std::size_t B = Lanes != 0 ? Lanes : k.count;
@@ -246,38 +201,39 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
     if (conditioning == conditioning_kind::diode_bridge) {
         // --- Lockstep bisection for the self-consistent electrical damping,
         // the bisection of solve_damping lane for lane (same tolerance,
-        // same bracket, same expansion and stop rules) plus the warm
-        // start. ---
-        const double tol = envelope_options{}.tolerance * c_mech;
-        const double c_hi_limit =
-            phi * phi / gp.coil_resistance_ohm + c_mech;
-        const int max_iterations = envelope_options{}.max_iterations;
+        // same bracket, same expansion and stop rules) on the dyadic grid
+        // c_hi * q, plus the warm start. ---
+        const double c_hi = grid.c_hi;
+        const double tol = grid.tol;
 
-        // Warm start (harvester/damping_path.hpp): one lockstep trial at
-        // every trusted lane's previous root, a Newton step and a walk of
-        // the cold grid give each lane a final-depth cell. The next two
-        // trials probe every lane's cell ends; a lane without a cell
-        // probes 0 and c_hi, which are exactly the cold solve's first two
-        // trials.
-        bool any_trusted = false;
+        // Warm start (harvester/damping_path.hpp): a lane at its path's
+        // mechanics extrapolates the root to its sink voltage; one whose
+        // drive changed spends a lockstep trial at its previous root and
+        // takes a Newton step. The prediction's final cell comes in
+        // closed form. The next two trials probe every lane's cell ends;
+        // a lane without a cell probes 0 and c_hi, which are exactly the
+        // cold solve's first two trials.
+        bool any_newton = false;
         for (std::size_t l = 0; l < B; ++l) {
-            const bool trusted = k.paths[l].trusted(c_hi_limit);
-            k.warm[l] = trusted ? 1 : 0;
-            k.ce[l] = trusted ? k.paths[l].root : 0.0;
-            any_trusted = any_trusted || trusted;
+            const damping_path& p = k.paths[l];
+            const bool same = p.same_drive(k.omega[l], k.re[l], k.ma[l]);
+            const bool newton = !same && p.trusted(c_hi);
+            k.warm[l] = newton ? 1 : 0;
+            k.ce[l] = same ? p.extrapolate(k.u[l]) : newton ? p.root : 0.0;
+            any_newton = any_newton || newton;
         }
-        if (any_trusted) eval_damping(B, gen, k, k.ce, k.ct, k.za);
+        if (any_newton) eval_damping(B, gen, k, k.ce, k.ct, k.za);
         for (std::size_t l = 0; l < B; ++l) {
-            const damping_cell cell =
-                k.warm[l] ? k.paths[l].predicted_cell(k.ct[l] - k.ce[l],
-                                                      c_hi_limit, tol,
-                                                      max_iterations)
-                          : damping_cell{};
-            const bool warm = cell.depth > 0;
+            const double c =
+                k.warm[l] ? k.paths[l].newton(k.ct[l] - k.ce[l]) : k.ce[l];
+            const damping_cell cell = grid.cell_of(c);
+            const bool warm = cell.usable;
             k.warm[l] = warm ? 1 : 0;
+            k.q_lo[l] = warm ? cell.q_lo : 0.0;
+            k.q_hi[l] = warm ? cell.q_lo + grid.width : 1.0;
             k.lo[l] = warm ? cell.lo : 0.0;
-            k.hi[l] = warm ? cell.hi : c_hi_limit;
-            k.it[l] = cell.depth;
+            k.hi[l] = warm ? cell.hi : c_hi;
+            k.it[l] = warm ? grid.depth : 0;
         }
         const auto probe_ends = [&] {
             eval_damping(B, gen, k, k.lo, k.ct_lo, k.za);
@@ -292,8 +248,10 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
         for (std::size_t l = 0; l < B; ++l) {
             if (k.warm[l] && !(k.ct_lo[l] > k.lo[l] && !(k.ct[l] > k.hi[l]))) {
                 k.warm[l] = 0;
+                k.q_lo[l] = 0.0;
+                k.q_hi[l] = 1.0;
                 k.lo[l] = 0.0;
-                k.hi[l] = c_hi_limit;
+                k.hi[l] = c_hi;
                 k.it[l] = 0;
                 any_failed = true;
             }
@@ -306,8 +264,8 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
             k.blocked[l] = !k.warm[l] && k.ct_lo[l] <= tol ? 1 : 0;
 
         // Cold bracket [0, c_hi]; the displacement limiter can distort T,
-        // so expand defensively (masked, <= 8 doublings). A warm lane's
-        // check already implies T(c_hi) <= c_hi.
+        // so expand defensively (masked, <= 8 doublings of q_hi). A warm
+        // lane's check already implies T(c_hi) <= c_hi.
         for (int expand = 0; expand < 8; ++expand) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
@@ -317,8 +275,11 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
                 any = any || need;
             }
             if (!any) break;
-            for (std::size_t l = 0; l < B; ++l)
-                if (k.refine[l]) k.hi[l] *= 2.0;
+            for (std::size_t l = 0; l < B; ++l) {
+                if (!k.refine[l]) continue;
+                k.q_hi[l] *= 2.0;
+                k.hi[l] = c_hi * k.q_hi[l];
+            }
             eval_damping(B, gen, k, k.hi, k.ct, k.za);
         }
 
@@ -328,28 +289,33 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
             k.f_hi[l] = k.ct[l] - k.hi[l];
         }
 
-        // Masked bisection with per-lane iteration counters (a warm lane's
-        // walked depth counts, so it is already done): a converged lane's
-        // bracket stops moving, so every lane lands where it would alone.
+        // Masked bisection with per-lane iteration counters (a warm lane
+        // starts at the grid's final depth, so it is already done): a
+        // converged lane's bracket stops moving, so every lane lands where
+        // it would alone.
         for (;;) {
             bool any = false;
             for (std::size_t l = 0; l < B; ++l) {
-                const bool r = !k.blocked[l] && (k.hi[l] - k.lo[l]) > tol &&
-                               k.it[l] < max_iterations;
+                const bool r = !k.blocked[l] &&
+                               c_hi * (k.q_hi[l] - k.q_lo[l]) > tol &&
+                               k.it[l] < grid.max_iterations;
                 k.refine[l] = r ? 1 : 0;
                 k.it[l] += r ? 1 : 0;
                 any = any || r;
             }
             if (!any) break;
             for (std::size_t l = 0; l < B; ++l)
-                k.ce[l] = 0.5 * (k.lo[l] + k.hi[l]);
+                k.ce[l] = c_hi * (0.5 * (k.q_lo[l] + k.q_hi[l]));
             eval_damping(B, gen, k, k.ce, k.ct, k.za);
             for (std::size_t l = 0; l < B; ++l) {
                 const bool r = k.refine[l] != 0;
                 const bool up = k.ct[l] > k.ce[l];
                 const double f = k.ct[l] - k.ce[l];
+                const double q = 0.5 * (k.q_lo[l] + k.q_hi[l]);
+                k.q_lo[l] = (r && up) ? q : k.q_lo[l];
                 k.lo[l] = (r && up) ? k.ce[l] : k.lo[l];
                 k.f_lo[l] = (r && up) ? f : k.f_lo[l];
+                k.q_hi[l] = (r && !up) ? q : k.q_hi[l];
                 k.hi[l] = (r && !up) ? k.ce[l] : k.hi[l];
                 k.f_hi[l] = (r && !up) ? f : k.f_hi[l];
             }
@@ -359,15 +325,22 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
         // the mechanics alone give the steady-state amplitude the envelope
         // relaxes towards.
         for (std::size_t l = 0; l < B; ++l)
-            k.ce[l] = k.blocked[l] ? 0.0 : 0.5 * (k.lo[l] + k.hi[l]);
+            k.ce[l] = k.blocked[l]
+                          ? 0.0
+                          : c_hi * (0.5 * (k.q_lo[l] + k.q_hi[l]));
         mechanics_lanes(B, c_mech, phi, gp.max_displacement_m, k.ce, k.omega,
                         k.re, k.ma, k.u, k.za, k.e, k.vel, k.xx);
+        // dT/du at the result: T depends on u only through x = u / e,
+        // with g'(x) = -2 sqrt(1 - x^2).
+        const double dT_du_scale = -4.0 * phi * phi * inv_pir;
         for (std::size_t l = 0; l < B; ++l) {
             if (k.blocked[l])
                 k.paths[l].forget();
             else
-                k.paths[l].learn(k.ce[l], k.lo[l], k.f_lo[l], k.hi[l],
-                                 k.f_hi[l]);
+                k.paths[l].learn(
+                    k.lo[l], k.f_lo[l], k.hi[l], k.f_hi[l],
+                    dT_du_scale * std::sqrt(1.0 - k.xx[l] * k.xx[l]) / k.e[l],
+                    k.omega[l], k.re[l], k.ma[l], k.u[l]);
         }
 
         for (std::size_t l = 0; l < B; ++l) {
@@ -424,8 +397,10 @@ void kernel_rates(const microgenerator& gen, const kernel_lanes& k,
 
 class em_envelope_batch final : public envelope_batch {
 public:
-    em_envelope_batch(const microgenerator& gen, std::size_t lanes)
+    em_envelope_batch(const microgenerator& gen, const damping_grid& grid,
+                      std::size_t lanes)
         : gen_(gen),
+          grid_(grid),
           doubles_(kernel_lanes::k_double_rows * lanes),
           flags_(kernel_lanes::k_flag_rows * lanes),
           it_(lanes),
@@ -449,14 +424,15 @@ public:
             lanes_.ma[l] = m * in.vib.amplitude_at(in.t[l]);
             lanes_.u[l] = in.store_v[l] + two_vd;
         }
-        kernel_rates<0>(gen_, lanes_, in.store_v.data(), in.z_env.data(),
-                        conditioning, efficiency, out.amplitude_rate.data(),
-                        out.charge_current.data(), out.relaxation_rate.data(),
-                        out.charge_slope.data());
+        kernel_rates<0>(gen_, grid_, lanes_, in.store_v.data(),
+                        in.z_env.data(), conditioning, efficiency,
+                        out.amplitude_rate.data(), out.charge_current.data(),
+                        out.relaxation_rate.data(), out.charge_slope.data());
     }
 
 private:
     const microgenerator& gen_;
+    const damping_grid grid_;
     // The run's lane arrays (lanes_ points into these) and each lane's
     // damping-solve warm start, carried across rates() calls.
     std::vector<double> doubles_;
@@ -489,7 +465,7 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
 
     // One lane of kernel storage on the stack. The kernel writes every
     // row before it reads it; zero-filling the rows first measured 1-20%
-    // slower per call (bm_envelope_walk/warm:1).
+    // slower per call (bm_envelope_walk with a carried path).
     double doubles[kernel_lanes::k_double_rows];
     std::uint8_t flags[kernel_lanes::k_flag_rows];
     int it = 0;
@@ -500,8 +476,8 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
     lane.u[0] = store_v + 2.0 * rect.diode_drop_v;
 
     envelope_rates out;
-    kernel_rates<1>(gen_, lane, &store_v, &z_env, conditioning, efficiency,
-                    &out.amplitude_rate, &out.charge_current_a,
+    kernel_rates<1>(gen_, grid_, lane, &store_v, &z_env, conditioning,
+                    efficiency, &out.amplitude_rate, &out.charge_current_a,
                     &out.relaxation_rate, &out.charge_slope);
     // The libm solve's emf checks: a stimulus whose trial emf is not a
     // number (the trials share it, so the final mechanics' velocity
@@ -515,7 +491,7 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
 
 std::unique_ptr<envelope_batch> electromagnetic_harvester::make_envelope_batch(
     std::size_t lanes) const {
-    return std::make_unique<em_envelope_batch>(gen_, lanes);
+    return std::make_unique<em_envelope_batch>(gen_, grid_, lanes);
 }
 
 }  // namespace ehdse::harvester

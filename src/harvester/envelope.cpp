@@ -21,6 +21,16 @@ struct trial_point {
 
 }  // namespace
 
+damping_grid kernel_damping_grid(const microgenerator& gen,
+                                 const envelope_options& options) {
+    // The bridge can never present more equivalent damping than a
+    // short-circuited coil, phi^2 / R, so that (plus margin) bounds the
+    // root from above.
+    const double phi = gen.params().coupling_v_per_ms;
+    return {phi * phi / gen.params().coil_resistance_ohm + gen.mech_damping(),
+            options.tolerance * gen.mech_damping(), options.max_iterations};
+}
+
 damping_point solve_damping(const microgenerator& gen, int position,
                             double freq_hz, double accel_amp_ms2,
                             double store_v,
@@ -33,7 +43,8 @@ damping_point solve_damping(const microgenerator& gen, int position,
 
     const double omega = 2.0 * std::numbers::pi * freq_hz;
     const double r_coil = gen.params().coil_resistance_ohm;
-    const double tol = options.tolerance * gen.mech_damping();
+    const damping_grid grid = kernel_damping_grid(gen, options);
+    const double tol = grid.tol;
 
     // The operating point every trial shares, checked once: the position
     // (std::out_of_range) before the store voltage and coil resistance
@@ -52,14 +63,10 @@ damping_point solve_damping(const microgenerator& gen, int position,
         return tp;
     };
 
-    // Root-bracket [0, c_hi]. The bridge can never present more equivalent
-    // damping than a short-circuited coil, phi^2 / R, so that (plus margin)
-    // bounds the root from above.
-    const double phi = gen.params().coupling_v_per_ms;
-    const double c_hi_limit = phi * phi / r_coil + gen.mech_damping();
-
+    // Root-bracket [0, c_hi] (kernel_damping_grid), bisected at
+    // 0.5 * (lo + hi).
     double lo = 0.0;
-    double hi = c_hi_limit;
+    double hi = grid.c_hi;
 
     const trial_point at_zero = trial(0.0);
     if (at_zero.c_target <= tol) {

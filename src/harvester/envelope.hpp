@@ -30,6 +30,7 @@
 // new steady state with time constant 2m / c_total after each retune.
 #pragma once
 
+#include "harvester/damping_path.hpp"
 #include "harvester/microgenerator.hpp"
 #include "power/rectifier.hpp"
 
@@ -53,7 +54,8 @@ struct envelope_point : damping_point {
 /// evaluation, plus a final evaluation of the mechanics at the converged
 /// c_e when the bridge conducts, and in one trial when it is blocked,
 /// where the trial at c_e = 0 is the result. The envelope RHS kernel uses
-/// the same tolerance and iteration limit.
+/// the same bracket, tolerance and iteration limit (kernel_damping_grid)
+/// on its own dyadic grid.
 struct envelope_options {
     double tolerance = 1e-6;   ///< on c_e, relative to mechanical damping
     int max_iterations = 200;  ///< bisection step limit
@@ -69,6 +71,11 @@ damping_point solve_damping(const microgenerator& gen, int position,
                             double store_v,
                             const power::rectifier_params& rect = {},
                             const envelope_options& options = {});
+
+/// The grid the envelope RHS kernel bisects on: solve_damping's bracket
+/// [0, phi^2 / R + mech_damping], tolerance and iteration limit.
+damping_grid kernel_damping_grid(const microgenerator& gen,
+                                 const envelope_options& options = {});
 
 /// solve_damping plus power::bridge_average at the converged mechanics.
 envelope_point solve_envelope(const microgenerator& gen, int position,

@@ -34,10 +34,10 @@
 // backend may read it to warm-start an iterative solve and update it for
 // the next call, but must treat what it holds as untrusted input, so the
 // returned rates never depend on it — it changes only speed (the
-// electromagnetic entry predicts and verifies its damping bisection's
-// final cell, and resumes its walk of the bisection grid from a cell the
-// path stored; the bit-identity argument for both is in damping_path.hpp;
-// other backends ignore the path). The models themselves hold no mutable
+// electromagnetic entry predicts its damping bisection's root from the
+// path, finds the final cell holding it in closed form and verifies that
+// cell; the bit-identity argument is in damping_path.hpp; other backends
+// ignore the path). The models themselves hold no mutable
 // state: per-run state lives in what make_transient and
 // make_envelope_batch return.
 //

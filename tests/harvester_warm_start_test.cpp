@@ -2,21 +2,23 @@
 // (harvester/damping_path.hpp), through the scalar hook that runs it on
 // one lane: for any operating point and any predictor state, a call with
 // a primed path equals a call with a fresh path bit for bit, in both rates
-// and in the path it leaves. States come from the previous point of a
-// slow random walk, from an unrelated point, from random special and
-// out-of-range values, from a root beyond c_hi, and from predictions
-// aimed at, just inside and just outside the ends of the kernel's cold
-// final cell. Operating points span the tuning range, 0-2x the paper's
-// 60 mg, every actuator position and 0-5 V of store voltage, so blocked
-// and conducting points occur, and so do points where the end stops clip
-// the trial amplitudes and flatten T (the test asserts all three do). A
-// blocked call clears the path; a conducting one leaves a path whose own
-// prediction is the final cell it converged in — the cell the next call
-// at that point checks first. The libm reference solve's mech and elec
-// must be the public response() and bridge_average() at its c_e, bit for
-// bit. The walk of the cold grid, resumed from the path's stored cell,
-// must end in the cell a walk from the top reaches, over creeping,
-// jumping, special and off-grid predictions.
+// and in the whole path it leaves (root, slope, dr/du and the operating
+// point). Paths come from the previous point of a random walk that
+// crosses retunes, frequency steps, amplitude dropouts and 1 mV
+// store-voltage jumps between slow creeps, so calls extrapolate, take the
+// Newton step and solve cold; from an unrelated point; from planted
+// garbage (NaN, infinite and huge roots and slopes in u, at the point's
+// own drive and at drives that do not match); from a root beyond c_hi;
+// and from predictions aimed at, just inside and just outside the ends
+// of the kernel's cold final cell, through both predictors. Operating
+// points span the tuning range, 0-2x the paper's 60 mg, every actuator
+// position and 0-5 V of store voltage, so blocked and conducting points
+// occur, and so do points where the end stops clip the trial amplitudes
+// and flatten T (the test asserts all of these do). A blocked call clears
+// the path. The libm reference solve's mech and elec must be the public
+// response() and bridge_average() at its c_e, bit for bit. The closed-form
+// final cell must be the cell a walk of the dyadic grid from the top
+// reaches, and a grid deeper than the closed form covers solves cold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +46,8 @@ namespace {
 constexpr double k_accel_max = 2.0 * 0.060 * eh::k_gravity;
 constexpr double k_store_max_v = 5.0;
 constexpr double k_z_max_m = 1.5e-3;
+constexpr double k_inf = std::numeric_limits<double>::infinity();
+constexpr double k_nan = std::numeric_limits<double>::quiet_NaN();
 
 const eh::microgenerator& gen() {
     static const eh::microgenerator g;
@@ -55,16 +59,14 @@ const eh::electromagnetic_harvester& model() {
     return m;
 }
 
-/// The kernel's unexpanded bracket end and bisection tolerance.
-double c_hi() {
-    const double phi = gen().params().coupling_v_per_ms;
-    return phi * phi / gen().params().coil_resistance_ohm +
-           gen().mech_damping();
+/// The grid the kernel bisects on, with its bracket end and tolerance.
+const eh::damping_grid& grid() {
+    static const eh::damping_grid g = eh::kernel_damping_grid(gen());
+    return g;
 }
 
-double tol() {
-    return eh::envelope_options{}.tolerance * gen().mech_damping();
-}
+double c_hi() { return grid().c_hi; }
+double tol() { return grid().tol; }
 
 struct op_point {
     int position = 0;
@@ -74,12 +76,18 @@ struct op_point {
     double z_env = 0.0;
 };
 
-struct warm_case {
-    std::vector<op_point> walk;  ///< slow random walk of operating points
-    op_point unrelated;          ///< an independent draw
-    std::vector<eh::damping_path> garbage;  ///< special, out-of-range values
-    eh::damping_path beyond;     ///< a root beyond c_hi
+/// The operating point as the kernel prepares it: the drive's omega,
+/// detuning and m A, and the sink voltage V + 2 V_d.
+struct prepared {
+    double omega, re, ma, u;
 };
+
+prepared prepare(const op_point& p) {
+    const eh::drive_point d =
+        gen().drive(2.0 * std::numbers::pi * p.freq_hz, p.accel, p.position);
+    return {d.omega_rad, d.detuning, d.mass_accel,
+            p.store_v + 2.0 * ehdse::power::rectifier_params{}.diode_drop_v};
+}
 
 op_point draw_point(tk::prng& r) {
     op_point p;
@@ -111,10 +119,12 @@ bool open_circuit_clipped(const op_point& p) {
 }
 
 /// Consecutive envelope RHS calls of one run: the store voltage creeps
-/// (log-uniform steps, 1e-7..1e-2 V), the envelope drifts, and now and
-/// then the actuator or the excitation moves.
+/// (log-uniform steps, 1e-7..1e-2 V) or jumps by 1 mV (a transmission
+/// burst), the envelope drifts, and now and then the actuator retunes,
+/// the excitation steps in frequency or amplitude, or drops out and
+/// comes back.
 op_point step(tk::prng& r, op_point p) {
-    const double dv = r.log_uniform(1e-7, 1e-2);
+    const double dv = r.chance(0.05) ? 1e-3 : r.log_uniform(1e-7, 1e-2);
     p.store_v = std::clamp(p.store_v + (r.chance(0.5) ? dv : -dv), 0.0,
                            k_store_max_v);
     p.z_env = std::clamp(p.z_env + r.uniform(-1e-6, 1e-6), 0.0, k_z_max_m);
@@ -124,53 +134,78 @@ op_point step(tk::prng& r, op_point p) {
     if (r.chance(0.02)) p.freq_hz += r.uniform(-0.2, 0.2);
     if (r.chance(0.02))
         p.accel = std::clamp(p.accel * r.uniform(0.9, 1.1), 0.0, k_accel_max);
+    if (r.chance(0.01))
+        p.accel = p.accel > 0.0 ? 0.0 : r.uniform(0.0, k_accel_max);
     return p;
 }
 
-/// Predictor state no solve leaves: NaN, infinite, signed-zero,
-/// negative and beyond-c_hi roots; zero, positive, tiny, NaN and
-/// infinite slopes; each mixed with ordinary values of the other field.
-eh::damping_path draw_garbage(tk::prng& r) {
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+/// A value no solve leaves: NaN, infinite, signed-zero, tiny, huge and
+/// out-of-range entries, mixed with ordinary ones.
+double draw_garbage_value(tk::prng& r, double ordinary) {
     constexpr double tiny = std::numeric_limits<double>::denorm_min();
-    const double roots[] = {nan,
-                            inf,
-                            -inf,
-                            0.0,
-                            -0.0,
-                            -tiny,
-                            -r.uniform(0.0, c_hi()),
-                            c_hi(),
-                            std::nextafter(c_hi(), 0.0),
-                            c_hi() * r.uniform(1.0, 4.0),
-                            r.uniform(0.0, c_hi())};
-    const double slopes[] = {nan,
-                             inf,
-                             -inf,
-                             0.0,
-                             -0.0,
-                             tiny,
-                             -tiny,
-                             1e-300,
-                             -1e-300,
-                             r.log_uniform(1e-3, 1e3),
-                             -r.log_uniform(1e-3, 1e3)};
+    constexpr double huge = std::numeric_limits<double>::max();
+    const double values[] = {k_nan,  k_inf,   -k_inf, 0.0,      -0.0,
+                             tiny,   -tiny,   huge,   -huge,    1e300,
+                             -1e300, -ordinary, 4.0 * ordinary, ordinary};
+    return values[r.index(std::size(values))];
+}
+
+/// Predictor state no solve leaves. With `own` the key is the target's
+/// prepared operating point (so the kernel extrapolates from the
+/// garbage); otherwise it is garbage too, or the target's with one field
+/// nudged by an ulp (a drive that does not match).
+eh::damping_path draw_garbage(tk::prng& r, const prepared& own) {
     eh::damping_path path;
-    path.root = roots[r.index(std::size(roots))];
-    path.slope = slopes[r.index(std::size(slopes))];
+    path.root = r.chance(0.25) ? r.uniform(0.0, c_hi())
+                               : draw_garbage_value(r, c_hi());
+    path.slope = r.chance(0.25) ? -r.log_uniform(1e-3, 1e3)
+                                : draw_garbage_value(r, 1.0);
+    path.root_du = r.chance(0.25) ? -r.log_uniform(1e-6, 1e-1)
+                                  : draw_garbage_value(r, 1e-2);
+    path.omega = own.omega;
+    path.re = own.re;
+    path.ma = own.ma;
+    path.u = r.chance(0.5) ? own.u : draw_garbage_value(r, own.u);
+    switch (r.index(4)) {
+        case 0:
+            break;  // the target's own drive
+        case 1:
+            path.omega = std::nextafter(own.omega, k_inf);
+            break;
+        case 2:
+            path.ma = draw_garbage_value(r, own.ma);
+            break;
+        default:
+            path.omega = draw_garbage_value(r, own.omega);
+            path.re = draw_garbage_value(r, own.re);
+            break;
+    }
     return path;
 }
 
 /// The state a solve on a doubled bracket [0, 2 c_hi] would leave if its
 /// root lay beyond c_hi. No physical T makes the kernel expand
 /// (T <= phi^2 / R < c_hi), so the test builds the state directly.
-eh::damping_path beyond_c_hi_path(tk::prng& r) {
+eh::damping_path beyond_c_hi_path(tk::prng& r, const prepared& own) {
     eh::damping_path path;
     path.root = r.chance(0.25) ? c_hi() : c_hi() * r.uniform(1.0, 2.0);
     path.slope = -r.log_uniform(0.5, 50.0);
+    path.root_du = -r.log_uniform(1e-6, 1e-1);
+    if (r.chance(0.5)) {
+        path.omega = own.omega;
+        path.re = own.re;
+        path.ma = own.ma;
+        path.u = own.u;
+    }
     return path;
 }
+
+struct warm_case {
+    std::vector<op_point> walk;  ///< random walk of operating points
+    op_point unrelated;          ///< an independent draw
+    std::vector<eh::damping_path> garbage;  ///< planted at walk.front()
+    eh::damping_path beyond;     ///< a root beyond c_hi
+};
 
 warm_case draw_case(tk::prng& r) {
     warm_case c;
@@ -180,8 +215,9 @@ warm_case draw_case(tk::prng& r) {
         p = step(r, p);
     }
     c.unrelated = draw_point(r);
-    for (int i = 0; i < 4; ++i) c.garbage.push_back(draw_garbage(r));
-    c.beyond = beyond_c_hi_path(r);
+    const prepared own = prepare(c.walk.front());
+    for (int i = 0; i < 8; ++i) c.garbage.push_back(draw_garbage(r, own));
+    c.beyond = beyond_c_hi_path(r, own);
     return c;
 }
 
@@ -198,29 +234,45 @@ eh::envelope_point solve(const op_point& p) {
     return eh::solve_envelope(gen(), p.position, p.freq_hz, p.accel, p.store_v);
 }
 
-/// A trusted state whose prediction is exactly `target`: the slope is so
-/// steep that the Newton step vanishes below half an ulp of the root.
-eh::damping_path aimed_at(double target) {
-    eh::damping_path path;
-    path.root = target;
-    path.slope = -std::numeric_limits<double>::max();
-    return path;
-}
-
 bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+bool same_path(const eh::damping_path& a, const eh::damping_path& b) {
+    return same_bits(a.root, b.root) && same_bits(a.slope, b.slope) &&
+           same_bits(a.root_du, b.root_du) && same_bits(a.omega, b.omega) &&
+           same_bits(a.re, b.re) && same_bits(a.ma, b.ma) &&
+           same_bits(a.u, b.u);
+}
+
+/// A path whose prediction at `p` is exactly `target`: through the
+/// extrapolation (p's own drive and sink voltage, no slope in u), or
+/// through the Newton step (another drive, and a slope so steep that the
+/// step vanishes below half an ulp of the root).
+eh::damping_path aimed_at(const op_point& p, double target, bool newton) {
+    const prepared own = prepare(p);
+    eh::damping_path path;
+    path.root = target;
+    if (newton) {
+        path.slope = -std::numeric_limits<double>::max();
+        path.omega = std::nextafter(own.omega, 0.0);
+        path.re = own.re;
+        path.ma = own.ma;
+        path.u = own.u;
+    } else {
+        path.slope = -1.0;
+        path.omega = own.omega;
+        path.re = own.re;
+        path.ma = own.ma;
+        path.u = own.u;
+    }
+    return path;
+}
+
 /// The final cell a conducting call converged in, read off the path it
-/// left: its root is the cell's midpoint, so the walk of the cold grid
-/// towards that root ends in the cell. Depth 0 when the cell is not one a
-/// prediction may use (lo < 2 tol or hi = c_hi).
-eh::damping_cell final_cell(eh::damping_path path) {
-    const eh::damping_cell cell = path.predicted_cell(
-        0.0, c_hi(), tol(), eh::envelope_options{}.max_iterations);
-    if (cell.depth > 0 && !same_bits(0.5 * (cell.lo + cell.hi), path.root))
-        tk::fail("the path's root is not the midpoint of its own cell");
-    return cell;
+/// left: its root r* lies in that cell.
+eh::damping_cell final_cell(const eh::damping_path& path) {
+    return grid().cell_of(path.root);
 }
 
 /// The libm solve's mech and elec are response() and bridge_average() at
@@ -271,8 +323,9 @@ eh::damping_path require_identical(const op_point& p, eh::damping_path& path,
     const eh::envelope_rates warm = rates(p, path);
     const bool same = same_bits(warm.amplitude_rate, cold.amplitude_rate) &&
                       same_bits(warm.charge_current_a, cold.charge_current_a) &&
-                      same_bits(path.root, fresh.root) &&
-                      same_bits(path.slope, fresh.slope);
+                      same_bits(warm.relaxation_rate, cold.relaxation_rate) &&
+                      same_bits(warm.charge_slope, cold.charge_slope) &&
+                      same_path(path, fresh);
     if (same) return fresh;
     std::ostringstream os;
     os << source << ": warm call differs from cold at position " << p.position
@@ -280,7 +333,9 @@ eh::damping_path require_identical(const op_point& p, eh::damping_path& path,
        << " m/s^2, " << p.store_v << " V, z " << p.z_env << ": rates "
        << warm.amplitude_rate << ", " << warm.charge_current_a << " vs "
        << cold.amplitude_rate << ", " << cold.charge_current_a << "; root "
-       << path.root << " vs " << fresh.root;
+       << path.root << " vs " << fresh.root << ", slope " << path.slope
+       << " vs " << fresh.slope << ", dr/du " << path.root_du << " vs "
+       << fresh.root_du;
     tk::fail(os.str());
     return fresh;
 }
@@ -291,18 +346,39 @@ struct coverage {
     std::size_t conducting = 0;  ///< calls that left a trusted path
     std::size_t clipped = 0;
     std::size_t clipped_conducting = 0;  ///< clipped and loaded by the bridge
-    std::size_t trusted_in = 0;  ///< walk calls entering with a trusted path
-    std::size_t predicted = 0;   ///< walk calls whose path predicts its cell
+    std::size_t extrapolated = 0;  ///< walk calls at the path's own drive
+    std::size_t extrapolated_hit = 0;  ///< ... whose cell is the cold one
+    std::size_t newton = 0;  ///< walk calls after a drive change
+    std::size_t cold = 0;    ///< walk calls with nothing to predict from
+    std::size_t garbage_extrapolated = 0;  ///< planted at the own drive
     std::size_t aimed_inside = 0;
 };
 
+/// Which predictor a call at `p` from `path` runs, as the kernel decides.
+void count_entry(const op_point& p, const eh::damping_path& path,
+                 const eh::damping_path& left, coverage& seen) {
+    const prepared now = prepare(p);
+    if (path.same_drive(now.omega, now.re, now.ma)) {
+        const eh::damping_cell cell = grid().cell_of(path.extrapolate(now.u));
+        ++seen.extrapolated;
+        if (cell.usable && left.trusted(c_hi()) &&
+            same_bits(cell.q_lo, final_cell(left).q_lo))
+            ++seen.extrapolated_hit;
+    } else if (path.trusted(c_hi())) {
+        ++seen.newton;
+    } else {
+        ++seen.cold;
+    }
+}
+
 void check_case(const warm_case& c, coverage& seen) {
-    // Slow walk: one path carried from each point to the next.
+    // The walk: one path carried from each point to the next.
     eh::damping_path walk_path;
     for (const op_point& p : c.walk) {
-        seen.trusted_in += walk_path.trusted(c_hi()) ? 1 : 0;
+        const eh::damping_path entering = walk_path;
         const eh::damping_path left =
             require_identical(p, walk_path, "random-walk path");
+        count_entry(p, entering, left, seen);
         require_reference_point(p);
         const bool clipped = open_circuit_clipped(p);
         const bool conducting = left.trusted(c_hi());
@@ -310,31 +386,34 @@ void check_case(const warm_case& c, coverage& seen) {
         seen.conducting += conducting ? 1 : 0;
         seen.clipped += clipped ? 1 : 0;
         seen.clipped_conducting += clipped && conducting ? 1 : 0;
-        if (conducting && final_cell(left).depth > 0) ++seen.predicted;
     }
 
     const op_point& target = c.walk.front();
+    const prepared own = prepare(target);
     eh::damping_path foreign;
     rates(c.unrelated, foreign);
     const eh::damping_path cold = require_identical(target, foreign,
                                                     "unrelated path");
 
-    for (eh::damping_path garbage : c.garbage)
-        require_identical(target, garbage, "special-value path");
+    for (eh::damping_path garbage : c.garbage) {
+        seen.garbage_extrapolated +=
+            garbage.same_drive(own.omega, own.re, own.ma) ? 1 : 0;
+        require_identical(target, garbage, "planted path");
+    }
 
     eh::damping_path beyond = c.beyond;
     require_identical(target, beyond, "beyond-c_hi path");
 
     // Predictions at, just inside and just outside the ends of the cold
     // final cell (width in (tol / 2, tol], so c_e +- tol / 4 lies inside
-    // and c_e +- tol / 2 on or beyond an end). The walk of an aim inside
-    // the cell ends in it; whatever the aim, the result is the cold one.
+    // and c_e +- tol / 2 on or beyond an end), through either predictor.
+    // The closed-form cell of an aim inside the cell is that cell;
+    // whatever the aim, the result is the cold one.
     if (!cold.trusted(c_hi())) return;  // blocked: no cell
     const eh::damping_cell ref = final_cell(cold);
-    if (ref.depth == 0) return;  // at the bracket's edge: never predicted
-    const double ce = cold.root;
+    if (!ref.usable) return;  // at the bracket's edge: never predicted
+    const double ce = c_hi() * (ref.q_lo + 0.5 * grid().width);
     const double q = 0.25 * tol();
-    const double inf = std::numeric_limits<double>::infinity();
     const double aims[] = {ce,
                            ce - q,
                            ce + q,
@@ -342,21 +421,24 @@ void check_case(const warm_case& c, coverage& seen) {
                            ce + 2.0 * q,
                            ref.lo,
                            ref.hi,
-                           std::nextafter(ref.lo, -inf),
-                           std::nextafter(ref.lo, inf),
-                           std::nextafter(ref.hi, -inf),
-                           std::nextafter(ref.hi, inf)};
+                           std::nextafter(ref.lo, -k_inf),
+                           std::nextafter(ref.lo, k_inf),
+                           std::nextafter(ref.hi, -k_inf),
+                           std::nextafter(ref.hi, k_inf)};
     for (const double aim : aims) {
-        eh::damping_path path = aimed_at(aim);
-        const eh::damping_cell walked = eh::damping_path(path).predicted_cell(
-            0.0, c_hi(), tol(), eh::envelope_options{}.max_iterations);
+        const eh::damping_cell cell = grid().cell_of(aim);
         const bool inside = aim > ref.lo && aim <= ref.hi;
-        const bool reaches = walked.depth > 0 && same_bits(walked.lo, ref.lo) &&
-                             same_bits(walked.hi, ref.hi);
+        const bool reaches = cell.usable && same_bits(cell.lo, ref.lo) &&
+                             same_bits(cell.hi, ref.hi);
         if (reaches != inside)
-            tk::fail("an aimed prediction's walk disagrees with the cold cell");
+            tk::fail("an aimed prediction's cell disagrees with the cold cell");
         seen.aimed_inside += inside ? 1 : 0;
-        require_identical(target, path, "aimed path");
+        for (const bool newton : {false, true}) {
+            eh::damping_path path = aimed_at(target, aim, newton);
+            require_identical(target, path,
+                              newton ? "aimed Newton path"
+                                     : "aimed extrapolated path");
+        }
     }
 }
 
@@ -373,15 +455,20 @@ TEST(WarmStart, WarmSolveEqualsColdSolveBitForBit) {
     const auto result = tk::run_property(def, options);
     EXPECT_TRUE(result.ok) << result.report();
 
-    // The draws reach every regime of the bridge, and the walk really
-    // runs warm: calls enter with a trusted path, and conducting calls
-    // leave a path that predicts the cell they converged in.
+    // The draws reach every regime of the bridge, and the walk runs every
+    // predictor: calls at the path's own drive extrapolate (mostly into
+    // the cell the cold solve ends in), calls after a drive change take
+    // the Newton step, and calls after a blocked one solve cold. Planted
+    // garbage reaches the extrapolation too.
     EXPECT_GT(seen.blocked, 0u);
     EXPECT_GT(seen.conducting, 0u);
     EXPECT_GT(seen.clipped, 0u);
     EXPECT_GT(seen.clipped_conducting, 0u);
-    EXPECT_GT(seen.trusted_in, 0u);
-    EXPECT_GT(seen.predicted, 0u);
+    EXPECT_GT(seen.extrapolated, 0u);
+    EXPECT_GT(seen.extrapolated_hit, seen.extrapolated / 2);
+    EXPECT_GT(seen.newton, 0u);
+    EXPECT_GT(seen.cold, 0u);
+    EXPECT_GT(seen.garbage_extrapolated, 0u);
     EXPECT_GT(seen.aimed_inside, 0u);
 }
 
@@ -392,58 +479,116 @@ TEST(WarmStart, ConductingSolveLeavesAPathBlockedSolveClearsIt) {
     const eh::envelope_rates first = rates(conducting, path);
     EXPECT_GT(first.charge_current_a, 0.0);
     ASSERT_TRUE(path.trusted(c_hi()));
-    // The kernel's root is the libm solve's to solver tolerance.
+    // The kernel's root is the libm solve's to solver tolerance, and the
+    // path keeps the point it solved at.
     EXPECT_NEAR(path.root, solve(conducting).c_electrical, tol());
+    const prepared own = prepare(conducting);
+    EXPECT_TRUE(path.same_drive(own.omega, own.re, own.ma));
+    EXPECT_TRUE(same_bits(path.u, own.u));
+    // A higher sink voltage conducts less: the root falls with u.
+    EXPECT_LT(path.root_du, 0.0);
 
-    // The path predicts the cell its call converged in, so re-solving the
-    // same point checks that cell first; the result does not move.
-    const double root = path.root;
-    EXPECT_GT(final_cell(path).depth, 0);
+    // The path extrapolates into the cell its call converged in, so
+    // re-solving the same point checks that cell first; the result does
+    // not move.
+    EXPECT_TRUE(final_cell(path).usable);
+    EXPECT_TRUE(same_bits(path.extrapolate(own.u), path.root));
+    const eh::damping_path learned = path;
     const eh::envelope_rates again = rates(conducting, path);
     EXPECT_TRUE(same_bits(again.amplitude_rate, first.amplitude_rate));
     EXPECT_TRUE(same_bits(again.charge_current_a, first.charge_current_a));
-    EXPECT_TRUE(same_bits(path.root, root));
+    EXPECT_TRUE(same_path(path, learned));
 
     op_point blocked = conducting;
     blocked.store_v = 50.0;
     const eh::envelope_rates b = rates(blocked, path);
     EXPECT_EQ(b.charge_current_a, 0.0);
     EXPECT_FALSE(path.trusted(c_hi()));
+    EXPECT_TRUE(same_path(path, eh::damping_path{}));
 }
 
-TEST(WarmStart, WalkedCellStaysInsideTheColdBracket) {
-    // A walk that would end on the bracket's edge (a prediction below the
-    // first cell keeps lo = 0; one above the last keeps hi = c_hi) is not
-    // usable, nor is one whose lo is under 2 tol: the cold solve's blocked
-    // and expansion decisions would not be implied.
-    const double c_hi = 1.0;
-    const double tol = 1e-6;
-    const auto walk_to = [&](double c, int max_iterations) {
-        eh::damping_path path;
-        path.root = c;
-        path.slope = -1.0;
-        return path.predicted_cell(0.0, c_hi, tol, max_iterations);
-    };
-    EXPECT_EQ(walk_to(0.0, 200).depth, 0);
-    EXPECT_EQ(walk_to(0.5 * tol, 200).depth, 0);
-    EXPECT_EQ(walk_to(1.5 * tol, 200).depth, 0);
-    EXPECT_EQ(walk_to(c_hi, 200).depth, 0);
-    EXPECT_EQ(walk_to(std::nextafter(c_hi, 0.0), 200).depth, 0);
+TEST(WarmStart, PredictedCellStaysInsideTheColdBracket) {
+    // A cell on the bracket's edge (a prediction below the first cell
+    // keeps lo = 0; one above the last keeps hi = c_hi) is not usable,
+    // nor is one whose lo is under 2 tol: the cold solve's blocked and
+    // expansion decisions would not be implied.
+    const eh::damping_grid g(1.0, 1e-6, 200);
+    EXPECT_EQ(g.depth, 20);  // 2^-20 is the first width <= tol
+    EXPECT_FALSE(g.cell_of(0.0).usable);
+    EXPECT_FALSE(g.cell_of(0.5e-6).usable);
+    EXPECT_FALSE(g.cell_of(1.5e-6).usable);
+    EXPECT_FALSE(g.cell_of(1.0).usable);
+    EXPECT_FALSE(g.cell_of(std::nextafter(1.0, 0.0)).usable);
+    for (const double c : {k_nan, k_inf, -k_inf, -0.3, 2.0})
+        EXPECT_FALSE(g.cell_of(c).usable) << c;
 
-    const eh::damping_cell low = walk_to(3.0 * tol, 200);
-    EXPECT_EQ(low.depth, 20);
-    EXPECT_GE(low.lo, 2.0 * tol);
+    // 2.5e-6 lies above 2 tol, but its cell starts at 2 * 2^-20 < 2 tol.
+    EXPECT_FALSE(g.cell_of(2.5e-6).usable);
+    const eh::damping_cell low = g.cell_of(3e-6);
+    EXPECT_TRUE(low.usable);
+    EXPECT_GE(low.lo, 2e-6);
 
-    const eh::damping_cell cell = walk_to(0.3, 200);
-    EXPECT_EQ(cell.depth, 20);  // 2^-20 is the first width <= tol
+    const eh::damping_cell cell = g.cell_of(0.3);
+    ASSERT_TRUE(cell.usable);
     EXPECT_LT(cell.lo, 0.3);
     EXPECT_GE(cell.hi, 0.3);
-    EXPECT_LE(cell.hi - cell.lo, tol);
-    EXPECT_LT(cell.hi, c_hi);
-    // The walked depth counts towards the iteration limit.
-    const eh::damping_cell shallow = walk_to(0.3, 12);
+    EXPECT_LE(cell.hi - cell.lo, 1e-6);
+    EXPECT_LT(cell.hi, 1.0);
+    EXPECT_TRUE(same_bits(cell.lo, g.c_hi * cell.q_lo));
+    EXPECT_TRUE(same_bits(cell.hi, g.c_hi * (cell.q_lo + g.width)));
+
+    // The iteration limit caps the depth, as it caps the cold bisection.
+    const eh::damping_grid shallow(1.0, 1e-6, 12);
     EXPECT_EQ(shallow.depth, 12);
-    EXPECT_GT(shallow.hi - shallow.lo, tol);
+    const eh::damping_cell wide = shallow.cell_of(0.3);
+    EXPECT_TRUE(wide.usable);
+    EXPECT_GT(wide.hi - wide.lo, 1e-6);
+
+    // The closed form needs exact q = j 2^-depth: a grid deeper than
+    // k_max_depth has no usable cell, so every solve on it is cold.
+    constexpr int k_max = eh::damping_grid::k_max_depth;
+    const eh::damping_grid deepest(1.0, std::ldexp(1.0, -k_max), 200);
+    EXPECT_EQ(deepest.depth, k_max);
+    EXPECT_TRUE(deepest.cell_of(0.3).usable);
+    const eh::damping_grid too_deep(1.0, std::ldexp(1.0, -k_max - 1), 200);
+    EXPECT_EQ(too_deep.depth, k_max + 1);
+    EXPECT_FALSE(too_deep.cell_of(0.3).usable);
+
+    // The paper device bisects 25 deep.
+    EXPECT_EQ(grid().depth, 25);
+}
+
+TEST(WarmStart, AGridTooDeepForTheClosedFormSolvesCold) {
+    // A device so lightly damped that the tolerance (relative to the
+    // mechanical damping) sits more than 2^52 below c_hi: the hook solves
+    // every call cold, and a carried path still changes nothing.
+    eh::microgenerator_params params;
+    params.damping_ratio = 1e-13;
+    const eh::microgenerator light(params);
+    ASSERT_GT(eh::kernel_damping_grid(light).depth,
+              eh::damping_grid::k_max_depth);
+    const eh::electromagnetic_harvester em(params);
+    const int pos = 128;
+    const double f = light.resonant_frequency(pos) + 0.2;
+    const double a = 0.060 * eh::k_gravity;
+    eh::damping_path carried;
+    std::size_t conducting = 0;
+    for (int i = 0; i < 20; ++i) {
+        const double v = 2.8 + 1e-4 * i;
+        eh::damping_path fresh;
+        const eh::envelope_rates cold = em.envelope_dynamics(
+            f, a, pos, v, 5e-4, eh::conditioning_kind::diode_bridge, 1.0, {},
+            fresh);
+        const eh::envelope_rates warm = em.envelope_dynamics(
+            f, a, pos, v, 5e-4, eh::conditioning_kind::diode_bridge, 1.0, {},
+            carried);
+        EXPECT_TRUE(same_bits(warm.amplitude_rate, cold.amplitude_rate)) << i;
+        EXPECT_TRUE(same_bits(warm.charge_current_a, cold.charge_current_a))
+            << i;
+        EXPECT_TRUE(same_path(carried, fresh)) << i;
+        conducting += cold.charge_current_a > 0.0 ? 1 : 0;
+    }
+    EXPECT_GT(conducting, 0u);
 }
 
 TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
@@ -453,7 +598,6 @@ TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
     // before its bridge_average(); NaN stimulus and store voltage; a
     // frequency <= 0; a negative acceleration. The hook also rejects a
     // negative or NaN envelope, whose charging emf bridge_average rejects.
-    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
     const double f = gen().resonant_frequency(128);
     const double a = 0.060 * eh::k_gravity;
     eh::damping_path trusted;
@@ -461,8 +605,8 @@ TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
     ASSERT_TRUE(trusted.trusted(c_hi()));
 
     const op_point invalid_argument[] = {
-        {128, f, a, -0.1, 5e-4}, {128, f, a, nan, 5e-4},
-        {128, f, nan, 2.8, 5e-4}, {128, nan, a, 2.8, 5e-4},
+        {128, f, a, -0.1, 5e-4}, {128, f, a, k_nan, 5e-4},
+        {128, f, k_nan, 2.8, 5e-4}, {128, k_nan, a, 2.8, 5e-4},
         {128, 0.0, a, 2.8, 5e-4}, {128, f, -1.0, 2.8, 5e-4}};
     for (const op_point& p : invalid_argument) {
         EXPECT_THROW(solve(p), std::invalid_argument);
@@ -474,7 +618,7 @@ TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
             EXPECT_THROW(rates(p, path), std::invalid_argument);
         }
     }
-    for (const double z : {-1e-6, nan}) {
+    for (const double z : {-1e-6, k_nan}) {
         eh::damping_path path = trusted;
         EXPECT_THROW(rates({128, f, a, 2.8, z}, path), std::invalid_argument);
     }
@@ -489,51 +633,33 @@ TEST(WarmStart, InvalidOperatingPointsThrowFromBothEntryPoints) {
 
 namespace {
 
-/// predicted_cell's walk of the grid of [0, c_hi] towards c, from the
-/// top every time: halvings while the cell is wider than tol, up to
-/// `limit` of them.
+/// The cold bisection's descent of the dyadic grid of [0, c_hi] towards
+/// c, from the top: halvings at c_hi * 0.5 * (q_lo + q_hi) while the
+/// cell is wider than tol, up to `limit` of them, going up when c lies
+/// above the midpoint.
 eh::damping_cell walk_from_top(double c, double c_hi, double tol, int limit) {
-    eh::damping_cell cell{0.0, c_hi, 0, 0};
-    for (; cell.depth < limit && (cell.hi - cell.lo) > tol; ++cell.depth) {
-        const double mid = 0.5 * (cell.lo + cell.hi);
-        (c > mid ? cell.lo : cell.hi) = mid;
+    double q_lo = 0.0;
+    double q_hi = 1.0;
+    for (int depth = 0; depth < limit && c_hi * (q_hi - q_lo) > tol; ++depth) {
+        const double q = 0.5 * (q_lo + q_hi);
+        (c > c_hi * q ? q_lo : q_hi) = q;
     }
-    cell.halvings = cell.depth;
+    eh::damping_cell cell;
+    cell.q_lo = q_lo;
+    cell.lo = c_hi * q_lo;
+    cell.hi = c_hi * q_hi;
     return cell;
 }
 
-/// The cell predicted_cell must return: the walk's, when usable.
-eh::damping_cell reference_cell(double c, double c_hi, double tol,
-                                int max_iterations) {
-    const eh::damping_cell cell = walk_from_top(c, c_hi, tol, max_iterations);
-    if (!(cell.lo >= 2.0 * tol && cell.hi < c_hi)) return {};
-    return cell;
-}
-
-/// One call of predicted_cell: the prediction and the grid it walks.
-struct walk_call {
+/// One closed-form lookup: the prediction and the grid.
+struct lookup {
     double c = 0.0;
     double c_hi = 0.0;
     double tol = 0.0;
     int max_iterations = 200;
 };
 
-/// The resume cell a path holds, as the test tracks it: the cell the
-/// last walk from the top passed at k_resume_depth, with its grid.
-struct resume_model {
-    bool set = false;
-    double lo = 0.0;
-    double hi = 0.0;
-    double c_hi = 0.0;
-    double tol = 0.0;
-
-    bool holds(const walk_call& w) const {
-        return set && w.max_iterations >= eh::damping_path::k_resume_depth &&
-               c_hi == w.c_hi && tol == w.tol && lo < w.c && w.c <= hi;
-    }
-};
-
-std::string describe(const walk_call& w) {
+std::string describe(const lookup& w) {
     std::ostringstream os;
     os << std::hexfloat << "c " << w.c << ", c_hi " << w.c_hi << ", tol "
        << w.tol << ", max_iterations " << w.max_iterations;
@@ -542,101 +668,71 @@ std::string describe(const walk_call& w) {
 
 }  // namespace
 
-TEST(WarmStart, ResumedWalkEndsInTheCellAWalkFromTheTopReaches) {
-    constexpr int k_depth = eh::damping_path::k_resume_depth;
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+TEST(WarmStart, ClosedFormCellIsTheCellAWalkFromTheTopReaches) {
     const double hi0 = c_hi();
     const double tol0 = tol();
     tk::prng r(0x5e5u);
 
-    std::vector<walk_call> calls;
-    const auto add = [&](double c, double grid_hi = -1.0, double grid_tol = -1.0,
-                         int max_iterations = 200) {
-        calls.push_back({c, grid_hi < 0.0 ? hi0 : grid_hi,
-                         grid_tol < 0.0 ? tol0 : grid_tol, max_iterations});
+    std::vector<lookup> lookups;
+    const auto add = [&](double c, double grid_hi = -1.0,
+                         double grid_tol = -1.0, int max_iterations = 200) {
+        lookups.push_back({c, grid_hi < 0.0 ? hi0 : grid_hi,
+                           grid_tol < 0.0 ? tol0 : grid_tol, max_iterations});
     };
-    // Slow creep across many final cells and a few resume cells.
+    // Slow creep across many final cells, and jumps.
     double c = 0.3 * hi0;
     for (int i = 0; i < 400; ++i) {
         c += r.uniform(0.0, 4.0) * tol0;
         add(c);
     }
-    // Jumps, and alternation between two far cells.
-    for (int i = 0; i < 100; ++i) add(r.uniform(0.0, hi0));
-    for (int i = 0; i < 40; ++i) add(i % 2 == 0 ? 0.2 * hi0 : 0.7 * hi0);
-    // Special and off-grid predictions, each after a walk that stored a
-    // cell at the grid's top or bottom.
-    for (const double special : {nan, inf, -inf, hi0, 2.0 * hi0, -1.0, 0.0}) {
-        add(std::nextafter(hi0, 0.0));
+    for (int i = 0; i < 400; ++i) add(r.uniform(0.0, hi0));
+    // Special and out-of-range predictions, and the bracket's ends.
+    for (const double special :
+         {k_nan, k_inf, -k_inf, hi0, 2.0 * hi0, -1.0, 0.0, -0.0, 2.0 * tol0,
+          std::nextafter(2.0 * tol0, 0.0), std::nextafter(hi0, 0.0)})
         add(special);
-        add(3.0 * tol0);
-        add(special);
-    }
-    // Another c_hi, another tol (one that stops the walk above the resume
-    // depth), and back; predictions inside the previous grid's cell.
-    for (int i = 0; i < 20; ++i) {
-        const double aim = r.uniform(0.1, 0.9) * hi0;
-        add(aim);
-        add(aim, 1.5 * hi0);
-        add(aim);
-        add(aim, -1.0, 2.0 * tol0);
-        add(aim);
-        add(aim, -1.0, hi0 / 1024.0);
-        add(aim);
-    }
-    // Iteration limits at and below the resume depth.
-    for (int i = 0; i < 20; ++i) {
-        const double aim = r.uniform(0.1, 0.9) * hi0;
-        add(aim);
-        for (const int limit : {k_depth + 1, k_depth, k_depth - 1, 3, 0})
-            add(aim + r.uniform(-0.5, 0.5) * tol0, -1.0, -1.0, limit);
+    // Other grids: another c_hi, coarser and finer tolerances (down to
+    // the deepest grid the closed form covers, and past it), and
+    // iteration limits below the natural depth.
+    for (int i = 0; i < 40; ++i) {
+        const double aim = r.uniform(0.001, 0.999);
+        add(aim * hi0, 1.5 * hi0);
+        add(aim * hi0, -1.0, 2.0 * tol0);
+        add(aim * hi0, -1.0, hi0 / 1024.0);
+        add(aim, 1.0, std::ldexp(1.0, -40));
+        add(aim, 1.0, std::ldexp(1.0, -52));
+        add(aim, 1.0, std::ldexp(1.0, -53));
+        add(aim, 3.0, std::ldexp(3.0, -52));
+        for (const int limit : {30, 25, 24, 3, 0})
+            add(aim * hi0, -1.0, -1.0, limit);
     }
 
-    eh::damping_path path;
-    path.slope = -1.0;  // with f_root = 0 the prediction is exactly root
-    resume_model stored;
-    std::size_t resumed = 0;
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-        walk_call w = calls[i];
-        if (i > 0 && stored.set && i % 9 == 0) {
-            // Aim at the stored cell's ends and one ulp either side.
-            const double ends[] = {stored.lo, stored.hi};
-            const double e = ends[(i / 9) % 2];
-            const int side = static_cast<int>((i / 18) % 3) - 1;
-            w.c = side == 0 ? e : std::nextafter(e, side < 0 ? -inf : inf);
-            w.c_hi = stored.c_hi;
-            w.tol = stored.tol;
-            w.max_iterations = 200;
+    std::size_t usable = 0;
+    for (std::size_t i = 0; i < lookups.size(); ++i) {
+        lookup w = lookups[i];
+        const eh::damping_grid g(w.c_hi, w.tol, w.max_iterations);
+        // Every 7th lookup aims exactly at, or an ulp beside, a grid point
+        // of the final depth.
+        if (i % 7 == 0 && g.depth > 0 && g.depth <= 52) {
+            const double j = std::floor(r.uniform(0.0, 1.0) / g.width);
+            const double end = w.c_hi * (j * g.width);
+            const int side = static_cast<int>((i / 7) % 3) - 1;
+            w.c = side == 0 ? end : std::nextafter(end, side < 0 ? -k_inf : k_inf);
         }
-        path.root = w.c;
-        const eh::damping_cell got =
-            path.predicted_cell(0.0, w.c_hi, w.tol, w.max_iterations);
+        const eh::damping_cell got = g.cell_of(w.c);
         const eh::damping_cell want =
-            reference_cell(w.c, w.c_hi, w.tol, w.max_iterations);
-        ASSERT_TRUE(same_bits(got.lo, want.lo) && same_bits(got.hi, want.hi) &&
-                    got.depth == want.depth)
-            << "call " << i << " (" << describe(w) << "): got [" << std::hexfloat
-            << got.lo << ", " << got.hi << "] depth " << got.depth << ", want ["
-            << want.lo << ", " << want.hi << "] depth " << want.depth;
-
-        // A usable cell shows whether the walk resumed: exactly when the
-        // tracked resume cell holds the prediction.
-        const bool expect_resume = stored.holds(w);
-        if (got.depth > 0) {
-            const bool did_resume = got.halvings != got.depth;
-            EXPECT_EQ(did_resume, expect_resume) << "call " << i << " ("
-                                                 << describe(w) << ")";
-            if (did_resume) EXPECT_EQ(got.halvings, got.depth - k_depth);
-            resumed += did_resume ? 1 : 0;
-        }
-        if (!expect_resume) {
-            const eh::damping_cell passed = walk_from_top(
-                w.c, w.c_hi, w.tol, std::min(w.max_iterations, k_depth));
-            if (passed.depth == k_depth)
-                stored = {true, passed.lo, passed.hi, w.c_hi, w.tol};
-        }
+            walk_from_top(w.c, w.c_hi, w.tol, w.max_iterations);
+        const bool want_usable = g.depth <= eh::damping_grid::k_max_depth &&
+                                 want.lo >= 2.0 * w.tol && want.hi < w.c_hi;
+        ASSERT_EQ(got.usable, want_usable)
+            << "lookup " << i << " (" << describe(w) << ")";
+        if (!want_usable) continue;
+        ++usable;
+        ASSERT_TRUE(same_bits(got.q_lo, want.q_lo) &&
+                    same_bits(got.lo, want.lo) && same_bits(got.hi, want.hi))
+            << "lookup " << i << " (" << describe(w) << "): got ["
+            << std::hexfloat << got.lo << ", " << got.hi << "], want ["
+            << want.lo << ", " << want.hi << "]";
     }
-    // The creep alone resumes about 350 times.
-    EXPECT_GE(resumed, 300u);
+    EXPECT_GT(usable, lookups.size() / 2);
 }
