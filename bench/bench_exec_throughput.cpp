@@ -1,9 +1,18 @@
-// Execution-engine throughput: system evaluations per second through the
-// work-stealing pool at jobs = 1/2/4/8, with and without the memoising
-// cache, plus the end-to-end flow sequential vs parallel. Speedups over
-// jobs=1 depend on the host's core count — on a single-core container
-// every jobs setting collapses to ~1x, which is expected.
+// Execution-engine throughput on the paper's 10-point D-optimal design at
+// a 600 s scenario: design-point evaluations per second through the
+// work-stealing pool (jobs = 2, 4 and 8 against jobs = 1), the memoising
+// cache's cold and warm passes, and the whole flow without a pool (the
+// `ehdse_cli flow` default) against an owned pool of 4 workers.
+//
+// The pool-scaling and flow rows are timed by bench::interleaved_trials:
+// a trial times the reference and the candidate back to back, each for at
+// least bench::k_min_side_s, and a row is the median of bench::k_trials
+// trials with its minimum and IQR, so drift of the host's speed shows in
+// both sides and cancels from the per-trial ratio. Speed-ups depend on the
+// host's effective parallelism (`hardware_concurrency` in the host line);
+// no ctest gates this file.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -36,53 +45,45 @@ int main() {
     std::vector<dse::system_config> configs;
     for (std::size_t idx : selection.selected)
         configs.push_back(dse::config_from_coded(space, candidates[idx]));
+    const double n = static_cast<double>(configs.size());
 
     std::printf("=== Execution engine throughput ===\n");
     std::printf("hardware threads: %zu\n", exec::default_concurrency());
-    std::printf("workload: %zu design-point evaluations, %g s scenario\n\n",
-                configs.size(), scn.duration_s);
+    std::printf("workload: %zu design-point evaluations, %g s scenario; "
+                "medians of %d interleaved trials\n\n",
+                configs.size(), scn.duration_s, bench::k_trials);
 
-    const auto evaluate_batch = [&](exec::thread_pool* pool) {
+    const auto evaluate_all = [&](exec::thread_pool* pool) {
         exec::parallel_for(pool, configs.size(), [&](std::size_t i) {
             (void)evaluator.evaluate(configs[i]);
         });
     };
 
-    // Warm-up so first-touch effects don't land on the jobs=1 row.
-    evaluate_batch(nullptr);
-
     bench::json_emitter json("exec_throughput");
     const std::string workload = std::to_string(configs.size()) +
                                  "-point d-optimal, 600 s scenario";
 
-    std::printf("--- pool scaling (cache off) ---\n");
-    std::printf("%6s %12s %12s %10s\n", "jobs", "wall s", "evals/s", "speedup");
-    double base_wall = 0.0;
-    for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
+    std::printf("--- pool scaling (cache off, against jobs = 1) ---\n");
+    std::printf("%6s %14s %10s %14s %10s %10s\n", "jobs", "evals/s", "IQR",
+                "jobs=1 evals/s", "IQR", "speedup");
+    exec::thread_pool one(1);
+    for (const std::size_t jobs : {2u, 4u, 8u}) {
         exec::thread_pool pool(jobs);
-        obs::stopwatch watch;
-        evaluate_batch(&pool);
-        const double wall = watch.seconds();
-        if (jobs == 1) base_wall = wall;
-        std::printf("%6zu %12.3f %12.2f %9.2fx\n", jobs, wall,
-                    static_cast<double>(configs.size()) / wall,
-                    base_wall / wall);
-        json.record("evals_per_s_jobs" + std::to_string(jobs),
-                    static_cast<double>(configs.size()) / wall, "evals/s",
+        const bench::paired_trials trials = bench::interleaved_trials(
+            [&] { evaluate_all(&one); }, [&] { evaluate_all(&pool); }, n);
+        std::printf("%6zu %14.2f %10.2f %14.2f %10.2f %9.2fx\n", jobs,
+                    trials.candidate.median, trials.candidate.iqr,
+                    trials.reference.median, trials.reference.iqr,
+                    trials.ratio.median);
+        const std::string suffix = "_jobs" + std::to_string(jobs);
+        if (jobs == 2)
+            json.record("evals_per_s_jobs1", trials.reference, "evals/s",
+                        workload + ", scalar path, reference of the jobs=2 "
+                                   "trials");
+        json.record("evals_per_s" + suffix, trials.candidate, "evals/s",
                     workload + ", scalar path");
-    }
-
-    std::printf("\n--- batch kernel (1 thread) ---\n");
-    {
-        (void)evaluator.evaluate_batch(configs);  // warm-up
-        obs::stopwatch watch;
-        (void)evaluator.evaluate_batch(configs);
-        const double wall = watch.seconds();
-        const double rate = static_cast<double>(configs.size()) / wall;
-        std::printf("evaluate_batch: %.3f s (%.2f evals/s, %.2fx jobs=1)\n",
-                    wall, rate, base_wall / wall);
-        json.record("batch_evals_per_s", rate, "evals/s",
-                    workload + ", SoA batch, 1 thread");
+        json.record("pool_speedup" + suffix, trials.ratio, "x",
+                    workload + ", over jobs=1 in the same trials");
     }
 
     std::printf("\n--- memoisation (jobs = 4) ---\n");
@@ -110,27 +111,27 @@ int main() {
                     100.0 * stats.hit_rate());
     }
 
-    std::printf("\n--- end-to-end flow ---\n");
+    std::printf("\n--- end-to-end flow (no pool against an owned pool of 4) ---\n");
     {
-        dse::flow_options seq;
-        obs::stopwatch seq_watch;
-        (void)dse::run_rsm_flow(evaluator, seq);
-        const double seq_wall = seq_watch.seconds();
-
-        dse::flow_options par;
-        par.parallel = true;
-        par.jobs = 4;
-        obs::stopwatch par_watch;
-        const auto flow = dse::run_rsm_flow(evaluator, par);
-        const double par_wall = par_watch.seconds();
-
-        std::printf("sequential:        %.3f s\n", seq_wall);
-        std::printf("parallel (jobs 4): %.3f s (%.2fx)\n", par_wall,
-                    seq_wall / par_wall);
-        std::printf("flow cache: %llu hits / %llu misses\n",
-                    static_cast<unsigned long long>(flow.cache.hits),
-                    static_cast<unsigned long long>(flow.cache.misses));
-        json.record("flow_sequential_s", seq_wall, "s", "full rsm flow");
+        dse::flow_options pooled;
+        pooled.parallel = true;
+        pooled.jobs = 4;
+        const bench::paired_trials trials = bench::interleaved_trials(
+            [&] { (void)dse::run_rsm_flow(evaluator, {}); },
+            [&] { (void)dse::run_rsm_flow(evaluator, pooled); }, 1.0);
+        std::printf("no pool:          %.2f flows/s (min %.2f, IQR %.2f)\n",
+                    trials.reference.median, trials.reference.min,
+                    trials.reference.iqr);
+        std::printf("owned pool of 4:  %.2f flows/s (min %.2f, IQR %.2f), "
+                    "%.2fx\n",
+                    trials.candidate.median, trials.candidate.min,
+                    trials.candidate.iqr, trials.ratio.median);
+        const std::string flow = "full rsm flow, " + workload;
+        json.record("flows_per_s_no_pool", trials.reference, "flows/s", flow);
+        json.record("flows_per_s_pool4", trials.candidate, "flows/s",
+                    flow + ", owned pool of 4");
+        json.record("flow_pool4_speedup", trials.ratio, "x",
+                    flow + ", owned pool of 4 over no pool");
     }
     json.write();
     return 0;

@@ -10,11 +10,13 @@
 # The svc label includes the service soak (svc_soak_test), so the TSan
 # pass exercises hundreds of concurrent submissions through the server's
 # reader threads, runner tasks and shared caches. The exec label carries
-# the SoA batch-kernel suites (sim_batch_test, dse_batch_test) plus the
-# batched single-flight cache path, so TSan sees evaluate_batch driven
-# from pool tasks too. The harvester label runs the backend-registry and
-# electrostatic device suites, so both device classes' physics hooks get
-# the lifetime/UB pass as well.
+# the SoA batch-kernel suites (sim_batch_test, dse_batch_test) and the
+# flow determinism suite, whose flows run design points through the
+# single-flight cache and two optimisers on one surrogate as concurrent
+# pool tasks, also from a worker of the pool they are lent. The
+# harvester label runs the backend-registry and electrostatic device
+# suites, so both device classes' physics hooks get the lifetime/UB pass
+# as well.
 # Usage:
 #   scripts/run_sanitizers.sh              # both presets
 #   EHDSE_SANITIZE=address scripts/run_sanitizers.sh   # one preset

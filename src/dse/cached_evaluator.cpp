@@ -98,72 +98,6 @@ evaluation_result cached_evaluator::evaluate(
     return result.get();
 }
 
-std::vector<evaluation_result> cached_evaluator::evaluate_batch(
-    std::span<const system_config> configs,
-    const evaluation_options& options) const {
-    std::vector<evaluation_result> out;
-    if (configs.empty()) return out;
-
-    struct owned_miss {
-        cache_key key;
-        std::promise<evaluation_result> producer;
-    };
-
-    std::vector<std::shared_future<evaluation_result>> futures(configs.size());
-    std::vector<owned_miss> owned;
-    std::vector<system_config> miss_configs;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const cache_key key = make_key(configs[i], options);
-            if (const auto it = map_.find(key); it != map_.end()) {
-                // Cached, in flight elsewhere, or a duplicate earlier in
-                // this very batch — all three join the existing future.
-                ++stats_.hits;
-                if (hits_counter_) hits_counter_->add();
-                lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-                futures[i] = it->second.result;
-            } else {
-                ++stats_.misses;
-                if (misses_counter_) misses_counter_->add();
-                owned_miss miss{key, {}};
-                futures[i] = miss.producer.get_future().share();
-                lru_.push_front(key);
-                map_.emplace(key, entry{futures[i], lru_.begin()});
-                owned.push_back(std::move(miss));
-                miss_configs.push_back(configs[i]);
-            }
-        }
-        shrink_to_capacity_locked();
-    }
-
-    if (!owned.empty()) {
-        try {
-            std::vector<evaluation_result> produced =
-                inner_.evaluate_batch(miss_configs, options);
-            for (std::size_t j = 0; j < owned.size(); ++j)
-                owned[j].producer.set_value(std::move(produced[j]));
-        } catch (...) {
-            const std::exception_ptr error = std::current_exception();
-            for (owned_miss& miss : owned)
-                miss.producer.set_exception(error);
-            std::lock_guard<std::mutex> lock(mutex_);
-            for (const owned_miss& miss : owned) {
-                if (const auto it = map_.find(miss.key); it != map_.end()) {
-                    lru_.erase(it->second.lru_it);
-                    map_.erase(it);
-                }
-            }
-            stats_.entries = map_.size();
-            if (size_gauge_) size_gauge_->set(static_cast<double>(map_.size()));
-        }
-    }
-
-    out.reserve(configs.size());
-    for (const auto& future : futures) out.push_back(future.get());
-    return out;
-}
-
 cached_evaluator::cache_stats cached_evaluator::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;

@@ -1,12 +1,10 @@
-// Thread-safe memoising wrapper over system_evaluator. An evaluation is a
-// pure function of (system_config, evaluation_options) — the evaluator's
-// physics are fixed at construction, every stochastic stream is seeded
-// through the options, and evaluate() and every batch lane compute the
-// same bits — so identical requests (optimiser revisits of the same
-// design point, repeated baselines) can return the stored result instead
-// of re-integrating an hour of ODE, and the stored result is the same
-// whichever entry point filled it: an answer never depends on the
-// requests that came before it.
+// Thread-safe memoising wrapper over system_evaluator::evaluate(). An
+// evaluation is a pure function of (system_config, evaluation_options) —
+// the evaluator's physics are fixed at construction and every stochastic
+// stream is seeded through the options — so identical requests (optimiser
+// revisits of the same design point, repeated baselines) can return the
+// stored result instead of re-integrating an hour of ODE: an answer never
+// depends on the requests that came before it.
 //
 // Keying: the key is the CANONICALIZED (system_config, evaluation_options)
 // pair of the spec layer — spec::evaluation_request_hash routes buckets
@@ -73,17 +71,6 @@ public:
     /// As system_evaluator::evaluate, memoised. Safe to call concurrently.
     evaluation_result evaluate(const system_config& config,
                                const evaluation_options& options = {}) const;
-
-    /// As system_evaluator::evaluate_batch, memoised per config. One lock
-    /// pass partitions the batch: cached or in-flight keys join the
-    /// existing future (single-flight, also for duplicates within the
-    /// batch), the remaining misses run through the inner evaluator's
-    /// batch kernel in one call. If that call throws, every waiter on an
-    /// owned key receives the exception and the entries are removed so a
-    /// later call retries.
-    std::vector<evaluation_result> evaluate_batch(
-        std::span<const system_config> configs,
-        const evaluation_options& options = {}) const;
 
     cache_stats stats() const;
 

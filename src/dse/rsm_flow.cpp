@@ -1,9 +1,9 @@
 #include "dse/rsm_flow.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -256,36 +256,14 @@ static flow_result run_flow_phases(
     }
     obs_hook.set_phase_items(jobs.size());
 
-    // Jobs are laid out point-major (point p, replicate r at index
-    // p * replicates + r) and replicates differ in controller seed, so
-    // batch chunks are built per replicate: within a chunk every job
-    // shares its evaluation options. Chunks fan out over the pool; per-lane
-    // results land at their own index, and a lane's result is the one
-    // evaluate() gives its config, so neither the chunking nor the pool
-    // changes any output.
+    // One task per simulation, replicates included: a task costs one
+    // evaluate() (the flow cache's when it is on), and each result lands
+    // at its own index, so neither the pool nor its schedule changes any
+    // output.
     std::vector<evaluation_result> results(jobs.size());
-    const std::size_t points = jobs.size() / replicates;
-    std::size_t chunk = system_evaluator::k_max_batch_lanes;
-    if (pool != nullptr && pool->size() > 1)
-        chunk = std::clamp((points + pool->size() - 1) / pool->size(),
-                           std::size_t{1}, chunk);
-    const std::size_t tasks = (points + chunk - 1) / chunk;
-    for (std::size_t rep = 0; rep < replicates; ++rep) {
-        exec::parallel_for(pool, tasks, [&](std::size_t ti) {
-            const std::size_t first = ti * chunk;
-            const std::size_t count = std::min(chunk, points - first);
-            std::vector<system_config> configs;
-            configs.reserve(count);
-            for (std::size_t j = 0; j < count; ++j)
-                configs.push_back(jobs[(first + j) * replicates + rep].config);
-            const evaluation_options& eval = jobs[first * replicates + rep].eval;
-            std::vector<evaluation_result> batch =
-                cache ? cache->evaluate_batch(configs, eval)
-                      : evaluator.evaluate_batch(configs, eval);
-            for (std::size_t j = 0; j < count; ++j)
-                results[(first + j) * replicates + rep] = std::move(batch[j]);
-        });
-    }
+    exec::parallel_for(pool, jobs.size(), [&](std::size_t i) {
+        results[i] = evaluate(jobs[i].config, jobs[i].eval);
+    });
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         out.design_coded.push_back(jobs[i].coded);
         out.design_configs.push_back(jobs[i].config);
@@ -313,8 +291,12 @@ static flow_result run_flow_phases(
         obs_hook.note(msg.str());
     }
 
-    // 5. Maximise the surface. The surrogate costs well under a
-    //    microsecond per point, so the optimisers run on this thread.
+    // 5. Maximise the surface, one task per optimiser. Each task seeds its
+    //    own rng and writes only its own outcome, so the outcomes are the
+    //    sequential loop's. The surrogate costs well under a microsecond
+    //    per point, so an optimiser scores it inline. Progress lines and
+    //    failures follow on this thread in list order: the first failing
+    //    optimiser in the list is the one reported, as in a sequential run.
     std::vector<std::shared_ptr<opt::optimizer>> optimizers = options.optimizers;
     if (optimizers.empty()) {
         optimizers.push_back(std::make_shared<opt::simulated_annealing>());
@@ -326,28 +308,34 @@ static flow_result run_flow_phases(
     };
 
     obs_hook.phase("optimise", optimizers.size());
-    for (const auto& optimizer : optimizers) {
-        numeric::rng rng(options.optimizer_seed);
-        obs::stopwatch opt_watch;
-        const opt::opt_result best = optimizer->maximize(surface, bounds, rng);
-
-        optimizer_outcome oc;
-        oc.name = optimizer->name();
-        oc.coded = best.best_x;
-        oc.config = config_from_coded(out.space, best.best_x);
-        oc.predicted = best.best_value;
-        oc.evaluations = best.evaluations;
-        oc.details = best;
-        oc.optimise_wall_s = opt_watch.seconds();
-        {
-            std::ostringstream msg;
-            msg << "optimise[" << oc.name << "]: " << best.evaluations
-                << " evaluations, " << best.iterations << " iterations";
-            if (best.acceptance_rate() >= 0.0)
-                msg << ", acceptance " << best.acceptance_rate();
-            obs_hook.note(msg.str());
+    out.outcomes.resize(optimizers.size());
+    std::vector<std::exception_ptr> failures(optimizers.size());
+    exec::parallel_for(pool, optimizers.size(), [&](std::size_t i) {
+        try {
+            numeric::rng rng(options.optimizer_seed);
+            obs::stopwatch opt_watch;
+            opt::opt_result best = optimizers[i]->maximize(surface, bounds, rng);
+            optimizer_outcome& oc = out.outcomes[i];
+            oc.optimise_wall_s = opt_watch.seconds();
+            oc.name = optimizers[i]->name();
+            oc.coded = best.best_x;
+            oc.config = config_from_coded(out.space, best.best_x);
+            oc.predicted = best.best_value;
+            oc.evaluations = best.evaluations;
+            oc.details = std::move(best);
+        } catch (...) {
+            failures[i] = std::current_exception();
         }
-        out.outcomes.push_back(std::move(oc));
+    });
+    for (std::size_t i = 0; i < out.outcomes.size(); ++i) {
+        if (failures[i]) std::rethrow_exception(failures[i]);
+        const opt::opt_result& best = out.outcomes[i].details;
+        std::ostringstream msg;
+        msg << "optimise[" << out.outcomes[i].name << "]: " << best.evaluations
+            << " evaluations, " << best.iterations << " iterations";
+        if (best.acceptance_rate() >= 0.0)
+            msg << ", acceptance " << best.acceptance_rate();
+        obs_hook.note(msg.str());
     }
 
     // 6. Validate each optimum by simulation, with the Table VI baseline

@@ -120,9 +120,10 @@ public:
     /// positional: out[i] corresponds to configs[i], and each lane's
     /// result is independent of which other configs share its batch.
     ///
-    /// Subclasses that interpose via evaluate()/build_system() (fault
-    /// wrappers, forwarders) MUST also override this — the batch kernel
-    /// does not call build_system().
+    /// The batch kernel calls neither evaluate() nor build_system(), so a
+    /// subclass that interposes there is bypassed by this entry point
+    /// unless it overrides it too (the testkit wrappers do).
+    /// run_rsm_flow and cached_evaluator call evaluate() only.
     virtual std::vector<evaluation_result> evaluate_batch(
         std::span<const system_config> configs,
         const evaluation_options& options = {}) const;

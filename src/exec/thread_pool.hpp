@@ -1,8 +1,9 @@
 // Fixed-size work-stealing thread pool — the shared execution engine
-// behind the flow's simulate and validate fan-outs, the robustness sweep
-// and the service's runners. Replaces the old one-std::async-per-job
-// pattern: the worker count is bounded by construction (`--jobs N` at the
-// CLI), so a 24-replicate flow on a 4-core laptop runs 4 threads, not 240.
+// behind the flow's simulate, optimise and validate fan-outs, the
+// robustness sweep and the service's runners. Replaces the old
+// one-std::async-per-job pattern: the worker count is bounded by
+// construction (`--jobs N` at the CLI), so a 24-replicate flow on a
+// 4-core laptop runs 4 threads, not 240.
 //
 // Scheduling: one deque per worker (see task_queue.hpp). Workers pop their
 // own deque LIFO and steal FIFO from the others when empty; external

@@ -73,6 +73,10 @@ struct opt_result {
 };
 
 /// Abstract optimiser. Implementations are deterministic given the rng.
+/// One flow may run its optimisers' maximize() concurrently, one task
+/// each, and may list one instance twice (dse::run_rsm_flow): maximize()
+/// keeps its state in the call, so concurrent calls on one instance are
+/// safe, and it calls `f` only from the thread that called it.
 class optimizer {
 public:
     virtual ~optimizer() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace ehdse::opt {
 
@@ -45,14 +46,17 @@ opt_result simulated_annealing::maximize(const objective_fn& f,
     const double t_floor = opt_.min_temperature * spread;
     double step_fraction = opt_.initial_step_fraction;
 
+    // The proposal, reused across steps: it is built and clamped in place
+    // and swapped with x on acceptance, so a step allocates nothing.
+    numeric::vec y(k);
     for (std::size_t epoch = 0; epoch < opt_.max_epochs; ++epoch) {
         ++out.iterations;
         std::size_t accepted = 0;
         for (std::size_t s = 0; s < opt_.steps_per_epoch; ++s) {
-            numeric::vec y = x;
             for (std::size_t i = 0; i < k; ++i)
-                y[i] += rng.normal(0.0, step_fraction * bounds.width(i));
-            y = bounds.clamp(std::move(y));
+                y[i] = std::clamp(
+                    x[i] + rng.normal(0.0, step_fraction * bounds.width(i)),
+                    bounds.lo[i], bounds.hi[i]);
             const double fy = f(y);
             ++out.evaluations;
             ++out.proposed_moves;
@@ -70,7 +74,7 @@ opt_result simulated_annealing::maximize(const objective_fn& f,
                 accept = delta >= 0.0 || rng.uniform() < std::exp(delta / temperature);
             }
             if (accept) {
-                x = std::move(y);
+                std::swap(x, y);
                 fx = fy;
                 ++accepted;
                 if (fx > out.best_value) {

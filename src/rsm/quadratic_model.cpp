@@ -62,7 +62,16 @@ quadratic_model::quadratic_model(std::size_t dimension, numeric::vec coefficient
 double quadratic_model::predict(const numeric::vec& x) const {
     if (x.size() != k_)
         throw std::invalid_argument("quadratic_model::predict: dimension mismatch");
-    return numeric::dot(beta_, quadratic_basis(x));
+    // numeric::dot(beta_, quadratic_basis(x)) without building the basis:
+    // the same products, summed from 0.0 in the basis order, so the same
+    // bits (a -0 intercept included).
+    double acc = 0.0 + beta_[0];
+    const double* b = beta_.data() + 1;
+    for (std::size_t i = 0; i < k_; ++i) acc += *b++ * x[i];
+    for (std::size_t i = 0; i < k_; ++i) acc += *b++ * (x[i] * x[i]);
+    for (std::size_t i = 0; i < k_; ++i)
+        for (std::size_t j = i + 1; j < k_; ++j) acc += *b++ * (x[i] * x[j]);
+    return acc;
 }
 
 numeric::vec quadratic_model::gradient(const numeric::vec& x) const {

@@ -32,16 +32,13 @@ class forwarding_evaluator final : public dse::system_evaluator {
 public:
     using eval_fn = std::function<dse::evaluation_result(
         const dse::system_config&, const dse::evaluation_options&)>;
-    using batch_fn = std::function<std::vector<dse::evaluation_result>(
-        std::span<const dse::system_config>, const dse::evaluation_options&)>;
 
     // Carries the harvester spec so spec_of() rebuilds the same canonical
     // spec (and spec_hash) the client submitted.
     forwarding_evaluator(dse::scenario scn, spec::harvester_spec harv,
-                         eval_fn fn, batch_fn batch)
+                         eval_fn fn)
         : dse::system_evaluator(std::move(scn), std::move(harv)),
-          fn_(std::move(fn)),
-          batch_(std::move(batch)) {}
+          fn_(std::move(fn)) {}
 
     dse::evaluation_result evaluate(
         const dse::system_config& config,
@@ -49,18 +46,8 @@ public:
         return fn_(config, options);
     }
 
-    // Batched requests forward too — the batch kernel never calls
-    // evaluate(), so without this a flow's batches would silently skip the
-    // shared cache.
-    std::vector<dse::evaluation_result> evaluate_batch(
-        std::span<const dse::system_config> configs,
-        const dse::evaluation_options& options) const override {
-        return batch_(configs, options);
-    }
-
 private:
     eval_fn fn_;
-    batch_fn batch_;
 };
 
 obs::json_value simulate_response(const dse::evaluation_result& result) {
@@ -518,10 +505,6 @@ void server::execute(const std::shared_ptr<connection>& conn,
                 [entry](const dse::system_config& config,
                         const dse::evaluation_options& options) {
                     return entry->cache->evaluate(config, options);
-                },
-                [entry](std::span<const dse::system_config> configs,
-                        const dse::evaluation_options& options) {
-                    return entry->cache->evaluate_batch(configs, options);
                 });
             dse::flow_options runtime;
             runtime.pool = pool_.get();

@@ -1,8 +1,7 @@
 // Batch evaluation path: system_evaluator::evaluate_batch (positional
 // results, lane independence, bitwise equality with evaluate(), scalar
-// fallbacks), the memoising cached_evaluator::evaluate_batch (hit/miss
-// accounting, duplicates, exception recovery), and run_rsm_flow's batched
-// design points against per-config evaluate().
+// fallbacks), and run_rsm_flow's design points, each its own evaluate()
+// call, against a fresh per-config evaluate().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,13 +11,11 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dse/batch_envelope_system.hpp"
-#include "dse/cached_evaluator.hpp"
 #include "dse/rsm_flow.hpp"
 #include "harvester/harvester_model.hpp"
 #include "harvester/tuning_table.hpp"
@@ -287,127 +284,43 @@ TEST(EvaluateBatch, FallsBackToScalarForTransientFidelity) {
                              "transient lane " + std::to_string(i));
 }
 
-TEST(CachedEvaluatorBatch, MissesOnceThenHits) {
-    const ed::system_evaluator inner(fast_scenario());
-    const ed::cached_evaluator cache(inner);
-    const auto configs = spread_configs(4);
-
-    const auto first = cache.evaluate_batch(configs);
-    EXPECT_EQ(cache.stats().misses, 4u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(inner.runs(), 4u);
-
-    const auto second = cache.evaluate_batch(configs);
-    EXPECT_EQ(cache.stats().misses, 4u);
-    EXPECT_EQ(cache.stats().hits, 4u);
-    EXPECT_EQ(inner.runs(), 4u);  // nothing re-simulated
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        expect_results_equal(first[i], second[i],
-                             "hit lane " + std::to_string(i));
-
-    // The scalar path shares the same entries.
-    const auto scalar = cache.evaluate(configs[2]);
-    EXPECT_EQ(cache.stats().hits, 5u);
-    expect_results_equal(first[2], scalar, "scalar hit on batch entry");
-}
-
-TEST(CachedEvaluatorBatch, DuplicatesWithinOneBatchSimulateOnce) {
-    const ed::system_evaluator inner(fast_scenario());
-    const ed::cached_evaluator cache(inner);
-    const auto two = spread_configs(2);
-    const std::vector<ed::system_config> mixed = {two[0], two[1], two[0],
-                                                  two[0]};
-
-    const auto results = cache.evaluate_batch(mixed);
-    ASSERT_EQ(results.size(), 4u);
-    // Two distinct keys simulate; the repeats join the first lane's
-    // future inside the same call.
-    EXPECT_EQ(inner.runs(), 2u);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.stats().entries, 2u);
-    expect_results_equal(results[0], results[2], "duplicate joins future");
-    expect_results_equal(results[0], results[3], "duplicate joins future");
-}
-
 namespace {
 
-/// Throws on the first batch, works from the second on — exercises the
-/// cache's error path: waiters get the exception, entries are removed, a
-/// retry re-simulates.
-class flaky_once_evaluator final : public ed::system_evaluator {
-public:
-    using ed::system_evaluator::system_evaluator;
-
-    std::vector<ed::evaluation_result> evaluate_batch(
-        std::span<const ed::system_config> configs,
-        const ed::evaluation_options& options = {}) const override {
-        if (!failed_) {
-            failed_ = true;
-            throw std::runtime_error("injected batch failure");
-        }
-        return ed::system_evaluator::evaluate_batch(configs, options);
-    }
-
-private:
-    mutable bool failed_ = false;
-};
-
-}  // namespace
-
-TEST(CachedEvaluatorBatch, ExceptionEvictsEntriesAndRetrySucceeds) {
-    const flaky_once_evaluator inner(fast_scenario());
-    const ed::cached_evaluator cache(inner);
-    const auto configs = spread_configs(3);
-
-    EXPECT_THROW(cache.evaluate_batch(configs), std::runtime_error);
-    // Failed entries must not poison the cache: nothing retained, and the
-    // identical request re-simulates instead of rethrowing a stored error.
-    EXPECT_EQ(cache.stats().entries, 0u);
-    const auto retry = cache.evaluate_batch(configs);
-    ASSERT_EQ(retry.size(), configs.size());
-    for (const auto& r : retry) EXPECT_TRUE(r.sim_ok);
-    EXPECT_EQ(cache.stats().entries, 3u);
-}
-
-namespace {
-
-/// Keeps every result the flow's simulate phase gets from evaluate_batch,
-/// by config, to hold them against per-config evaluate().
+/// Keeps every result the flow gets from evaluate(), by config, to hold
+/// them against a fresh evaluator's evaluate().
 class recording_evaluator final : public ed::system_evaluator {
 public:
     using ed::system_evaluator::system_evaluator;
 
-    std::vector<ed::evaluation_result> evaluate_batch(
-        std::span<const ed::system_config> configs,
+    ed::evaluation_result evaluate(
+        const ed::system_config& config,
         const ed::evaluation_options& options = {}) const override {
-        std::vector<ed::evaluation_result> results =
-            ed::system_evaluator::evaluate_batch(configs, options);
+        ed::evaluation_result result =
+            ed::system_evaluator::evaluate(config, options);
         const std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            lanes_.emplace_back(configs[i], results[i]);
-        return results;
+        calls_.emplace_back(config, result);
+        return result;
     }
 
-    std::vector<std::pair<ed::system_config, ed::evaluation_result>> lanes()
+    std::vector<std::pair<ed::system_config, ed::evaluation_result>> calls()
         const {
         const std::lock_guard<std::mutex> lock(mutex_);
-        return lanes_;
+        return calls_;
     }
 
 private:
     mutable std::mutex mutex_;
     mutable std::vector<std::pair<ed::system_config, ed::evaluation_result>>
-        lanes_;
+        calls_;
 };
 
 }  // namespace
 
 TEST(FlowBatch, BatchingOnAndOffProduceTheSameFlow) {
-    // The simulate phase runs its design points as batch lanes (chunked
-    // over a 3-worker pool here); each lane's result, and so each
-    // response the surface is fitted to, is the per-config evaluate() of
-    // that design point (the flow without batching), bit for bit.
+    // The simulate phase runs each design point as its own evaluate() task
+    // (over a 3-worker pool here), with or without a pool; the result each
+    // call returned, and so each response the surface is fitted to, is the
+    // per-config evaluate() of a fresh evaluator, bit for bit.
     const recording_evaluator evaluator(fast_scenario());
     ed::flow_options opts;
     opts.doe_runs = 10;
@@ -415,18 +328,20 @@ TEST(FlowBatch, BatchingOnAndOffProduceTheSameFlow) {
     opts.jobs = 3;
     const ed::flow_result flow = ed::run_rsm_flow(evaluator, opts);
 
-    const auto lanes = evaluator.lanes();
-    ASSERT_EQ(lanes.size(), flow.design_configs.size());
+    // Every simulation the flow cache missed reached evaluate().
+    const auto calls = evaluator.calls();
+    ASSERT_EQ(calls.size(), flow.cache.misses);
     const ed::system_evaluator plain(fast_scenario());
     for (std::size_t i = 0; i < flow.design_configs.size(); ++i) {
         const ed::system_config& config = flow.design_configs[i];
-        const auto lane = std::find_if(
-            lanes.begin(), lanes.end(),
+        const auto call = std::find_if(
+            calls.begin(), calls.end(),
             [&](const auto& entry) { return entry.first == config; });
-        ASSERT_NE(lane, lanes.end()) << "design point " << i;
+        ASSERT_NE(call, calls.end()) << "design point " << i;
         const ed::evaluation_result alone = plain.evaluate(config);
-        expect_results_equal(lane->second, alone,
+        expect_results_equal(call->second, alone,
                              "design point " + std::to_string(i));
+        EXPECT_EQ(call->second.batch_lanes, 0u) << "design point " << i;
         EXPECT_EQ(flow.responses[i],
                   static_cast<double>(alone.transmissions))
             << "design point " << i;

@@ -29,45 +29,6 @@ ed::scenario fast_scenario() {
 
 }  // namespace
 
-TEST(CachedEvaluator, HitOnABatchLaneEqualsAFreshEvaluate) {
-    // A stored result is the request's, whichever path computed it: after
-    // a batch of the paper's baseline config (one hour, the paper's
-    // scenario), the evaluate() that hits its entry returns what a fresh
-    // evaluator's evaluate() returns, in every deterministic field.
-    const ed::system_evaluator inner;
-    const ed::cached_evaluator cache(inner);
-    const ed::system_config x = ed::system_config::original();
-    (void)cache.evaluate_batch({&x, 1});
-    const ed::evaluation_result hit = cache.evaluate(x);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(hit.batch_lanes, 1u);
-
-    const ed::evaluation_result fresh = ed::system_evaluator{}.evaluate(x);
-    EXPECT_EQ(hit.transmissions, fresh.transmissions);
-    EXPECT_EQ(hit.suppressed_wakeups, fresh.suppressed_wakeups);
-    EXPECT_EQ(hit.low_band_transmissions, fresh.low_band_transmissions);
-    EXPECT_EQ(hit.tuning.wakeups, fresh.tuning.wakeups);
-    EXPECT_EQ(hit.tuning.low_energy_skips, fresh.tuning.low_energy_skips);
-    EXPECT_EQ(hit.tuning.measurements, fresh.tuning.measurements);
-    EXPECT_EQ(hit.tuning.position_matches, fresh.tuning.position_matches);
-    EXPECT_EQ(hit.tuning.coarse_tunings, fresh.tuning.coarse_tunings);
-    EXPECT_EQ(hit.tuning.coarse_steps, fresh.tuning.coarse_steps);
-    EXPECT_EQ(hit.tuning.fine_iterations, fresh.tuning.fine_iterations);
-    EXPECT_EQ(hit.tuning.fine_steps, fresh.tuning.fine_steps);
-    EXPECT_EQ(hit.tuning.fine_converged, fresh.tuning.fine_converged);
-    EXPECT_EQ(hit.final_voltage_v, fresh.final_voltage_v);
-    EXPECT_EQ(hit.min_voltage_v, fresh.min_voltage_v);
-    EXPECT_EQ(hit.max_voltage_v, fresh.max_voltage_v);
-    EXPECT_EQ(hit.harvested_energy_j, fresh.harvested_energy_j);
-    EXPECT_EQ(hit.sustained_load_energy_j, fresh.sustained_load_energy_j);
-    EXPECT_EQ(hit.withdrawn_energy_j, fresh.withdrawn_energy_j);
-    EXPECT_EQ(hit.ledger.accounts(), fresh.ledger.accounts());
-    EXPECT_EQ(hit.ode_steps, fresh.ode_steps);
-    EXPECT_EQ(hit.ode_steps_rejected, fresh.ode_steps_rejected);
-    EXPECT_EQ(hit.events, fresh.events);
-    EXPECT_EQ(hit.sim_ok, fresh.sim_ok);
-}
-
 TEST(CachedEvaluator, SecondEvaluationHitsCache) {
     ed::system_evaluator inner(fast_scenario());
     ed::cached_evaluator cache(inner);

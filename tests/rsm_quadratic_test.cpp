@@ -2,7 +2,10 @@
 // gradient, diagnostics, and the paper's own eq. 9 as a round-trip case.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "doe/designs.hpp"
 #include "numeric/rng.hpp"
@@ -63,6 +66,45 @@ TEST(QuadraticModel, GradientMatchesFiniteDifference) {
         xm[i] -= h;
         const double fd = (m.predict(xp) - m.predict(xm)) / (2.0 * h);
         EXPECT_NEAR(g[i], fd, 1e-6);
+    }
+}
+
+TEST(QuadraticModel, PredictEqualsDotOfBasis) {
+    // predict() sums the basis terms without building the basis vector; it
+    // must give numeric::dot(beta, quadratic_basis(x))'s bits, signed zeros
+    // included, for random points and every point with coordinates ±0, ±1.
+    en::rng rng(23);
+    for (std::size_t k = 1; k <= 5; ++k) {
+        const std::size_t p = er::quadratic_term_count(k);
+        std::vector<en::vec> betas = {en::vec(p, 0.0), en::vec(p, -0.0)};
+        for (int b = 0; b < 4; ++b) {
+            en::vec beta(p);
+            for (double& v : beta) v = rng.uniform(-500.0, 500.0);
+            betas.push_back(beta);
+        }
+        std::vector<en::vec> points;
+        const double corners[] = {0.0, -0.0, 1.0, -1.0};
+        std::size_t combos = 1;
+        for (std::size_t i = 0; i < k; ++i) combos *= 4;
+        for (std::size_t c = 0; c < combos; ++c) {
+            en::vec x(k);
+            for (std::size_t i = 0, rest = c; i < k; ++i, rest /= 4)
+                x[i] = corners[rest % 4];
+            points.push_back(x);
+        }
+        for (int n = 0; n < 64; ++n) {
+            en::vec x(k);
+            for (double& v : x) v = rng.uniform(-1.0, 1.0);
+            points.push_back(x);
+        }
+        for (const en::vec& beta : betas) {
+            const er::quadratic_model m(k, beta);
+            for (const en::vec& x : points)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(m.predict(x)),
+                          std::bit_cast<std::uint64_t>(
+                              en::dot(beta, er::quadratic_basis(x))))
+                    << "k = " << k;
+        }
     }
 }
 

@@ -123,8 +123,8 @@ TEST(SvcServer, SubmitFlowStreamsProgressAndOutcomes) {
 }
 
 TEST(SvcServer, SimulateOfAFlowDesignPointMatchesAFreshServer) {
-    // A finished flow leaves its design points in the shared cache, stored
-    // from the batch lanes that simulated them. A simulate of one of them
+    // A finished flow leaves its design points in the shared cache, each
+    // stored by the flow's own evaluate() of it. A simulate of one of them
     // hits that entry and must answer with the numbers a server that never
     // ran the flow computes: an answer depends on the request alone, not
     // on what ran before it.

@@ -1,9 +1,9 @@
 // Metamorphic property over the whole pipeline: the flow's results are a
 // pure function of the spec — running the same experiment sequentially
-// and over a 3-worker pool yields identical design responses, fits, and
-// optimiser outcomes. Few cases (each runs two complete flows), but each
-// case draws a different design/surrogate/optimiser combination from the
-// registries.
+// and over a 3-worker pool yields identical design responses, fits,
+// baselines and optimiser outcomes. Few cases (each runs two complete
+// flows), but each case draws a different design/surrogate/optimiser
+// combination from the registries.
 #include <gtest/gtest.h>
 
 #include "testkit_oracles.hpp"

@@ -171,7 +171,7 @@ inline void check_batch_vs_scalar(const spec::experiment_spec& s) {
 // --- flow ------------------------------------------------------------------
 
 /// A sequential flow and a 3-worker parallel flow over the same spec
-/// produce identical responses, fits, and optimiser outcomes.
+/// produce identical responses, fits, baselines and optimiser outcomes.
 inline void check_jobs_determinism(const spec::experiment_spec& s) {
     const dse::system_evaluator evaluator(s.scn, s.harv);
     dse::flow_options seq = dse::flow_options_from_spec(s);
@@ -186,6 +186,8 @@ inline void check_jobs_determinism(const spec::experiment_spec& s) {
             "design-point responses differ between --jobs 1 and --jobs 3");
     require(a.fit.r_squared == b.fit.r_squared,
             "fit r_squared differs under parallel execution");
+    require_results_bit_equal(a.original_eval, b.original_eval,
+                              "baseline run");
     require(a.outcomes.size() == b.outcomes.size(),
             "optimiser outcome count differs under parallel execution");
     for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
