@@ -2,15 +2,20 @@
 // a 600 s scenario: design-point evaluations per second through the
 // work-stealing pool (jobs = 2, 4 and 8 against jobs = 1), the memoising
 // cache's cold and warm passes, and the whole flow without a pool (the
-// `ehdse_cli flow` default) against an owned pool of 4 workers.
+// `ehdse_cli flow` default) against an owned pool of 4 workers. One more
+// row isolates the pool's own cost: the makespan of a fan-out of as many
+// equal fixed-length tasks as the pool has workers, from the main thread,
+// over one such task alone (1 when every task starts at once).
 //
-// The pool-scaling and flow rows are timed by bench::interleaved_trials:
+// The pool-scaling, fan-out and flow rows are timed by
+// bench::interleaved_trials:
 // a trial times the reference and the candidate back to back, each for at
 // least bench::k_min_side_s, and a row is the median of bench::k_trials
 // trials with its minimum and IQR, so drift of the host's speed shows in
 // both sides and cancels from the per-trial ratio. Speed-ups depend on the
 // host's effective parallelism (`hardware_concurrency` in the host line);
 // no ctest gates this file.
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -84,6 +89,35 @@ int main() {
                     workload + ", scalar path");
         json.record("pool_speedup" + suffix, trials.ratio, "x",
                     workload + ", over jobs=1 in the same trials");
+    }
+
+    std::printf("\n--- fan-out makespan (pool of %zu) ---\n",
+                exec::default_concurrency());
+    {
+        // A task of fixed wall length: it spins on the clock, so a task
+        // that starts late ends late and shows in the makespan.
+        const auto task = [] {
+            const auto end = std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(3);
+            while (std::chrono::steady_clock::now() < end) {
+            }
+        };
+        exec::thread_pool pool;
+        const auto fan_out = [&] {
+            pool.parallel_for(pool.size(), [&](std::size_t) { task(); });
+        };
+        // The fan-out is the reference side, so each trial's ratio is the
+        // single task's rate over the fan-out's: fan-out time over task
+        // time.
+        const bench::paired_trials trials =
+            bench::interleaved_trials(fan_out, task, 1.0);
+        std::printf("%zu tasks of 3 ms: %.2fx one task (min %.2f, IQR "
+                    "%.2f)\n",
+                    pool.size(), trials.ratio.median, trials.ratio.min,
+                    trials.ratio.iqr);
+        json.record("fanout_makespan_x", trials.ratio, "x",
+                    "parallel_for of one 3 ms busy task per worker from the "
+                    "main thread, over one task alone");
     }
 
     std::printf("\n--- memoisation (jobs = 4) ---\n");

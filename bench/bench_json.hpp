@@ -7,6 +7,7 @@
 //   {
 //     "bench": "batch_kernel",
 //     "host": {"hardware_concurrency": 4, "compiler": "GNU 12.2.0", ...},
+//     "run": {"steal_frac": 0.031},
 //     "metrics": [
 //       {"metric": "scalar_evals_per_s", "value": 77.31, "unit": "evals/s", "config": "..."},
 //       {"metric": "batch_speedup_x", "value": 1.45, "unit": "x", "config": "...", "min": 1.38, "iqr": 0.06, "trials": 7},
@@ -16,9 +17,13 @@
 //
 // "host" fingerprints where the numbers were taken: hardware threads,
 // compiler, build type, -march=native or not, and the commit (the build
-// passes the last four in; see bench/CMakeLists.txt). A row measured by
-// interleaved_trials records its median as "value" and its minimum,
-// interquartile range and trial count after the fixed keys.
+// passes the last four in; see bench/CMakeLists.txt). "run" describes the
+// run instead of the host, so it stays out of the fingerprint:
+// "steal_frac" is the share of the host's CPU time that the hypervisor
+// stole from process start to write(), from /proc/stat (null where that
+// file cannot be read). A row measured by interleaved_trials records its
+// median as "value" and its minimum, interquartile range and trial count
+// after the fixed keys.
 //
 // Committed BENCH_*.json files at the repo root pin the perf trajectory;
 // EXPERIMENTS.md points at them and the perf-labelled ctest compares.
@@ -36,6 +41,33 @@
 #include "obs/timing.hpp"
 
 namespace ehdse::bench {
+
+/// The host's aggregate CPU time from the first line of /proc/stat, in
+/// clock ticks: stolen time, and the total of user, nice, system, idle,
+/// iowait, irq, softirq and steal (guest time is already inside user and
+/// nice). Both zero when the file cannot be read.
+struct cpu_ticks {
+    unsigned long long steal = 0;
+    unsigned long long total = 0;
+};
+
+inline cpu_ticks read_cpu_ticks() {
+    cpu_ticks out;
+    std::FILE* stat = std::fopen("/proc/stat", "r");
+    if (stat == nullptr) return out;
+    unsigned long long t[8] = {};
+    if (std::fscanf(stat, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &t[0],
+                    &t[1], &t[2], &t[3], &t[4], &t[5], &t[6], &t[7]) == 8) {
+        for (const unsigned long long ticks : t) out.total += ticks;
+        out.steal = t[7];
+    }
+    std::fclose(stat);
+    return out;
+}
+
+/// Read during static initialisation, so the steal share written with a
+/// BENCH_*.json file covers the whole run.
+inline const cpu_ticks run_start_ticks = read_cpu_ticks();
 
 /// Median, minimum and interquartile range of one series of readings.
 struct trial_stats {
@@ -165,6 +197,14 @@ public:
                      EHDSE_BENCH_BUILD_TYPE,
                      EHDSE_BENCH_NATIVE_ARCH ? "true" : "false",
                      EHDSE_BENCH_GIT_SHA);
+        const cpu_ticks now = read_cpu_ticks();
+        if (now.total > run_start_ticks.total)
+            std::fprintf(out, "  \"run\": {\"steal_frac\": %.4g},\n",
+                         static_cast<double>(now.steal - run_start_ticks.steal) /
+                             static_cast<double>(now.total -
+                                                 run_start_ticks.total));
+        else
+            std::fprintf(out, "  \"run\": {\"steal_frac\": null},\n");
         std::fprintf(out, "  \"metrics\": [\n");
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const row& r = rows_[i];

@@ -21,7 +21,8 @@
 #   rows among them) is informational only.
 #
 # Both files' "host" fingerprints (bench/bench_json.hpp) are printed above
-# the verdict ("none" for a file without one); they never change it.
+# the verdict ("none" for a file without one), each with its "run" line:
+# the host's steal share over that run. Neither ever changes the verdict.
 #
 # Exit codes: 0 ok, 1 regression, 2 usage/parse error,
 #   77 skipped (EHDSE_SKIP_PERF_GATE set — ctest reports SKIP).
@@ -60,14 +61,17 @@ read_metrics() {
     }' "$1"
 }
 
-fingerprint() {
-    local host
-    host=$(sed -n 's/^ *"host": *\(.*[^,]\),*$/\1/p' "$1" | head -n 1)
-    echo "${host:-none}"
+# The value of a top-level object line ("host", "run"), or "none".
+top_level() {
+    local value
+    value=$(sed -n "s/^ *\"$1\": *\(.*[^,]\),*\$/\1/p" "$2" | head -n 1)
+    echo "${value:-none}"
 }
 
-echo "  host fresh:    $(fingerprint "$fresh")"
-echo "  host baseline: $(fingerprint "$baseline")"
+echo "  host fresh:    $(top_level host "$fresh")"
+echo "  host baseline: $(top_level host "$baseline")"
+echo "  run fresh:     $(top_level run "$fresh")"
+echo "  run baseline:  $(top_level run "$baseline")"
 
 status=0
 checked=0

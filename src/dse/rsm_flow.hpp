@@ -79,24 +79,26 @@ struct flow_options {
     /// pure error / lack-of-fit can be assessed (rsm::lack_of_fit).
     std::size_t replicates = 1;
     std::uint64_t replicate_seed_base = 1;
-    /// Fan the flow out over a thread pool: the simulate phase (one task
+    /// Fan the flow out over a thread pool: the simulate phase (one item
     /// per design point, replicates included), the optimise phase (one
-    /// task per optimiser) and the validate phase (one task per
-    /// validation, plus the baseline). Results are identical to the
-    /// sequential order — each run and each optimiser is seeded
-    /// independently — just faster on multi-core hosts. An optimiser never
-    /// sees the pool: it scores the surface inline inside its task.
+    /// item per optimiser) and the validate phase (one item per
+    /// validation, plus the baseline). The calling thread claims items
+    /// beside at most workers − 1 helper tasks (exec::thread_pool::
+    /// parallel_for). Results are identical to the sequential order — each
+    /// run and each optimiser is seeded independently — just faster on
+    /// multi-core hosts. An optimiser never sees the pool: it scores the
+    /// surface inline inside its item.
     bool parallel = false;
     /// Worker count when the flow creates its own pool (`parallel` set and
     /// `pool` unset). 0 = one worker per hardware thread.
     std::size_t jobs = 0;
     /// Externally owned pool. When set, the simulate, optimise and
-    /// validate phases fan out over it even without `parallel`; it must
-    /// outlive the call. A flow called from one of this pool's own workers
-    /// runs every phase inline on that worker (exec::parallel_for's
-    /// nesting rule), as `ehdsed` runs flows. When unset and `parallel` is
-    /// set, the flow owns a pool of `jobs` workers for the duration of the
-    /// call.
+    /// validate phases fan out over it (the calling thread included) even
+    /// without `parallel`; it must outlive the call. A flow called from
+    /// one of this pool's own workers runs every phase inline on that
+    /// worker (exec::parallel_for's nesting rule), as `ehdsed` runs flows.
+    /// When unset and `parallel` is set, the flow owns a pool of `jobs`
+    /// workers for the duration of the call.
     exec::thread_pool* pool = nullptr;
     /// Memoise evaluations for the duration of the flow: optimiser
     /// revisits of an already-simulated configuration (common — GA and SA

@@ -1,6 +1,6 @@
 #include "exec/thread_pool.hpp"
 
-#include <latch>
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -12,6 +12,36 @@ namespace {
 // Worker identity for on_worker_thread() / nested-submit routing.
 thread_local const thread_pool* t_current_pool = nullptr;
 thread_local std::size_t t_worker_index = 0;
+
+// One external parallel_for's state, owned jointly by the caller and its
+// helper tasks. `body` is the caller's and is read only after a claim
+// succeeds, which cannot happen once the caller has returned.
+struct fan_out {
+    fan_out(std::size_t count, const std::function<void(std::size_t)>& fn)
+        : n(count), body(fn), unfinished(count) {}
+
+    // Claim and run indices until every one has been claimed.
+    void run() {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+            try {
+                body(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error) first_error = std::current_exception();
+            }
+            if (unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                unfinished.notify_all();
+        }
+    }
+
+    const std::size_t n;
+    const std::function<void(std::size_t)>& body;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> unfinished;
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+};
 
 }  // namespace
 
@@ -33,6 +63,8 @@ thread_pool::thread_pool(std::size_t threads) {
     queues_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         queues_.push_back(std::make_unique<detail::task_queue>());
+    slots_ = std::make_unique<wake_slot[]>(n);
+    idle_.reserve(n);
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         workers_.emplace_back([this, i] { worker_loop(i); });
@@ -42,8 +74,10 @@ thread_pool::~thread_pool() {
     {
         std::lock_guard<std::mutex> lock(sleep_mutex_);
         stop_.store(true, std::memory_order_release);
+        for (const std::size_t index : idle_) slots_[index].woken = true;
+        idle_.clear();
     }
-    wake_.notify_all();
+    for (std::size_t i = 0; i < size(); ++i) slots_[i].wake.notify_one();
     for (auto& worker : workers_) worker.join();
 }
 
@@ -71,11 +105,17 @@ void thread_pool::submit(task_fn task) {
     const std::size_t depth =
         queued_.fetch_add(1, std::memory_order_release) + 1;
     if (depth_gauge_) depth_gauge_->set(static_cast<double>(depth));
+    wake_one();
+}
 
-    // Empty critical section: pairs with the worker's predicate check so a
-    // notify cannot slip between "queue looked empty" and "wait".
-    { std::lock_guard<std::mutex> lock(sleep_mutex_); }
-    wake_.notify_one();
+void thread_pool::wake_one() {
+    std::unique_lock<std::mutex> lock(sleep_mutex_);
+    if (idle_.empty()) return;  // every worker is awake and will look again
+    wake_slot& slot = slots_[idle_.back()];
+    idle_.pop_back();
+    slot.woken = true;
+    lock.unlock();
+    slot.wake.notify_one();
 }
 
 void thread_pool::note_dequeue() {
@@ -125,20 +165,21 @@ void thread_pool::run_task(detail::task_item& item) {
 void thread_pool::worker_loop(std::size_t index) {
     t_current_pool = this;
     t_worker_index = index;
+    wake_slot& slot = slots_[index];
     detail::task_item item;
     while (true) {
         if (try_get_task(index, item)) {
             run_task(item);
             continue;
         }
+        // Re-check under the sleep mutex: a task counted after this check
+        // finds this worker on the idle stack in wake_one().
         std::unique_lock<std::mutex> lock(sleep_mutex_);
-        wake_.wait(lock, [this] {
-            return stop_.load(std::memory_order_acquire) ||
-                   queued_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_.load(std::memory_order_acquire) &&
-            queued_.load(std::memory_order_acquire) == 0)
-            return;
+        if (queued_.load(std::memory_order_acquire) > 0) continue;
+        if (stop_.load(std::memory_order_acquire)) return;
+        slot.woken = false;
+        idle_.push_back(index);
+        slot.wake.wait(lock, [&slot] { return slot.woken; });
     }
 }
 
@@ -150,25 +191,16 @@ void thread_pool::parallel_for(std::size_t n,
         return;
     }
 
-    const std::size_t chunks = std::min(n, size() * 4);
-    std::latch done(static_cast<std::ptrdiff_t>(chunks));
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = n * c / chunks;
-        const std::size_t end = n * (c + 1) / chunks;
-        submit([&, begin, end] {
-            try {
-                for (std::size_t i = begin; i < end; ++i) body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) first_error = std::current_exception();
-            }
-            done.count_down();
-        });
-    }
-    done.wait();
-    if (first_error) std::rethrow_exception(first_error);
+    const auto state = std::make_shared<fan_out>(n, body);
+    const std::size_t helpers = std::min(n, size()) - 1;
+    for (std::size_t h = 0; h < helpers; ++h)
+        submit([state] { state->run(); });
+    state->run();
+    // Every index is claimed; wait for the bodies still running elsewhere.
+    for (std::size_t left = state->unfinished.load(std::memory_order_acquire);
+         left != 0; left = state->unfinished.load(std::memory_order_acquire))
+        state->unfinished.wait(left, std::memory_order_acquire);
+    if (state->first_error) std::rethrow_exception(state->first_error);
 }
 
 thread_pool::totals thread_pool::counters() const noexcept {

@@ -10,11 +10,28 @@
 // submitters round-robin across deques, worker-side submissions go to the
 // submitting worker's own deque.
 //
+// Wake-ups: a worker that finds no task parks on its own wake slot and
+// joins a stack of idle workers; submit() wakes exactly one of them, the
+// one that went idle last (its cache and its core are the likeliest still
+// warm). A worker re-checks the queued count under the sleep mutex before
+// it parks, and submit() counts a task before it looks for an idle worker
+// under that mutex, so a wake is never lost.
+//
+// Fan-out: parallel_for called from a thread outside the pool runs on that
+// thread too (caller-runs). The caller claims indices from a shared
+// counter beside at most min(n, size()) - 1 helper tasks, so a pool of N
+// runs at most N bodies of one fan-out at once, and it returns as soon as
+// every index has finished: it never waits for a helper that has not
+// started. The fan-out's state is shared with the helpers on the heap, so
+// a helper that starts late finds every index claimed and touches nothing
+// of the caller's.
+//
 // Observability (resolved once at construction, iff a global metrics
 // registry is installed — install the registry *before* building the
 // pool): exec.pool.workers / exec.pool.queue_depth gauges,
-// exec.pool.tasks / exec.pool.steals counters, and
-// exec.pool.task_wait_seconds / exec.pool.task_run_seconds histograms.
+// exec.pool.tasks (submitted tasks: a fan-out's helpers, not its items) /
+// exec.pool.steals counters, and exec.pool.task_wait_seconds (how late a
+// task, e.g. a helper, starts) / exec.pool.task_run_seconds histograms.
 // With no registry attached the pool never reads a clock per task.
 #pragma once
 
@@ -73,12 +90,13 @@ public:
         return future;
     }
 
-    /// Run body(0) .. body(n-1), blocking until all complete. Work is
-    /// split into ~4 chunks per worker. When called from one of this
-    /// pool's own workers the range runs inline on the calling thread
-    /// (a nested fan-out must not park a worker slot waiting for tasks
-    /// queued behind it). The first exception a body throws is rethrown
-    /// on the calling thread after every chunk has finished.
+    /// Run body(0) .. body(n-1), blocking until all complete. The calling
+    /// thread claims indices beside at most min(n, size()) - 1 helper
+    /// tasks and waits only for bodies already running. When called from
+    /// one of this pool's own workers the range runs inline on the calling
+    /// thread (a nested fan-out must not park a worker slot waiting for
+    /// tasks queued behind it). The first exception a body throws is
+    /// rethrown on the calling thread after every index has finished.
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t)>& body);
 
@@ -94,7 +112,14 @@ public:
     totals counters() const noexcept;
 
 private:
+    /// One worker's place to sleep; `woken` is guarded by sleep_mutex_.
+    struct wake_slot {
+        std::condition_variable wake;
+        bool woken = false;
+    };
+
     void worker_loop(std::size_t index);
+    void wake_one();
     bool try_get_task(std::size_t index, detail::task_item& out);
     void run_task(detail::task_item& item);
     void note_dequeue();
@@ -102,8 +127,9 @@ private:
     std::vector<std::unique_ptr<detail::task_queue>> queues_;
     std::vector<std::thread> workers_;
 
+    std::unique_ptr<wake_slot[]> slots_;
     std::mutex sleep_mutex_;
-    std::condition_variable wake_;
+    std::vector<std::size_t> idle_;  ///< parked workers, last parked on top
     std::atomic<std::size_t> queued_{0};   ///< tasks in queues, not yet taken
     std::atomic<std::size_t> next_queue_{0};
     std::atomic<bool> stop_{false};

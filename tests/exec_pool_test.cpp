@@ -1,10 +1,13 @@
 // Work-stealing thread pool: bounded worker counts, submit/parallel_for
-// semantics, exception propagation, stealing, and obs integration.
+// semantics, exception propagation, stealing, caller-runs fan-outs and
+// obs integration.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -16,6 +19,50 @@
 #include "obs/metrics.hpp"
 
 namespace ex = ehdse::exec;
+
+namespace {
+
+// Holds every worker of a pool inside a task until release() or the
+// gate's destruction, so a test decides when the workers come back.
+// Declare it after the pool: it must open before the pool joins.
+class worker_gate {
+public:
+    explicit worker_gate(ex::thread_pool& pool) : workers_(pool.size()) {
+        const std::shared_future<void> open = open_.get_future().share();
+        for (std::size_t i = 0; i < workers_; ++i)
+            pool.submit([parked = parked_, open] {
+                parked->fetch_add(1);
+                open.wait();
+            });
+    }
+    ~worker_gate() { release(); }
+
+    /// True once every worker waits at the gate; false after 30 s.
+    bool all_parked() const {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (parked_->load() < workers_) {
+            if (std::chrono::steady_clock::now() > deadline) return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return true;
+    }
+
+    void release() {
+        if (released_) return;
+        released_ = true;
+        open_.set_value();
+    }
+
+private:
+    std::size_t workers_;
+    std::shared_ptr<std::atomic<std::size_t>> parked_ =
+        std::make_shared<std::atomic<std::size_t>>(0);
+    std::promise<void> open_;
+    bool released_ = false;
+};
+
+}  // namespace
 
 TEST(ThreadPool, DefaultSizeIsHardwareConcurrency) {
     ex::thread_pool pool;
@@ -176,4 +223,80 @@ TEST(ThreadPool, MetricsRecordedWhenRegistryAttached) {
     EXPECT_GT(registry.get_histogram("exec.pool.task_run_seconds").count(),
               0u);
     EXPECT_GE(registry.get_gauge("exec.pool.queue_depth").value(), 0.0);
+}
+
+// A fan-out from outside the pool runs on its caller too, and waits only
+// for bodies already running: with every worker busy the caller finishes
+// the whole range by itself instead of waiting for queued work.
+TEST(ThreadPool, CallerFinishesAloneWhileEveryWorkerIsBusy) {
+    ex::thread_pool pool(2);
+    worker_gate gate(pool);
+    ASSERT_TRUE(gate.all_parked());
+
+    std::vector<std::thread::id> ran_on(8);
+    auto caller = std::async(std::launch::async, [&] {
+        pool.parallel_for(ran_on.size(), [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+        });
+        return std::this_thread::get_id();
+    });
+    const std::future_status status =
+        caller.wait_for(std::chrono::seconds(10));
+    gate.release();  // a fan-out waiting on queued work can finish now
+    const std::thread::id caller_id = caller.get();
+
+    EXPECT_EQ(status, std::future_status::ready)
+        << "parallel_for waited for workers that were busy elsewhere";
+    for (std::size_t i = 0; i < ran_on.size(); ++i)
+        EXPECT_EQ(ran_on[i], caller_id) << i;
+}
+
+// The caller counts against the bound: one fan-out never has more bodies
+// running at once than the pool has workers.
+TEST(ThreadPool, FanOutRunsAtMostSizeBodiesAtOnce) {
+    ex::thread_pool pool(3);
+    std::atomic<std::size_t> live{0};
+    std::atomic<std::size_t> high_water{0};
+    for (int round = 0; round < 20; ++round)
+        pool.parallel_for(16, [&](std::size_t) {
+            const std::size_t now = live.fetch_add(1) + 1;
+            std::size_t seen = high_water.load();
+            while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            live.fetch_sub(1);
+        });
+    EXPECT_GE(high_water.load(), 1u);
+    EXPECT_LE(high_water.load(), pool.size());
+}
+
+// A helper queued behind busy workers starts only after its fan-out has
+// returned and the body it was given is gone. It must find every index
+// claimed and touch nothing of the caller's: the body lives on the heap
+// and is freed first, so ASan reports any late use, and TSan any race.
+TEST(ThreadPool, HelperThatStartsAfterItsFanOutReturnedClaimsNothing) {
+    std::size_t runs = 0;
+    {
+        ex::thread_pool pool(2);
+        worker_gate gate(pool);
+        ASSERT_TRUE(gate.all_parked());
+
+        auto caller = std::async(std::launch::async, [&] {
+            auto body = std::make_unique<std::function<void(std::size_t)>>(
+                [&runs](std::size_t) { ++runs; });
+            pool.parallel_for(8, *body);
+        });
+        const std::future_status status =
+            caller.wait_for(std::chrono::seconds(10));
+        // One helper (min(8, 2) - 1) is queued and none has started.
+        const ex::thread_pool::totals before = pool.counters();
+        gate.release();
+        caller.get();
+
+        ASSERT_EQ(status, std::future_status::ready);
+        EXPECT_EQ(runs, 8u);
+        EXPECT_EQ(before.submitted, pool.size() + 1);
+        EXPECT_EQ(before.executed, pool.size());
+    }  // the pool runs the helper before it joins
+    EXPECT_EQ(runs, 8u);
 }
