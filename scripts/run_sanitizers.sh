@@ -15,8 +15,9 @@
 # single-flight cache and two optimisers on one surrogate as concurrent
 # pool tasks, also from a worker of the pool they are lent. The
 # harvester label runs the backend-registry and electrostatic device
-# suites, so both device classes' physics hooks get the lifetime/UB pass
-# as well.
+# suites and the electromagnetic envelope kernel's suites (against the
+# libm solve and the warm-start property), so both device classes'
+# physics hooks get the lifetime/UB pass as well.
 # Usage:
 #   scripts/run_sanitizers.sh              # both presets
 #   EHDSE_SANITIZE=address scripts/run_sanitizers.sh   # one preset

@@ -4,8 +4,9 @@
 // A thin adapter: the physics stays in microgenerator / envelope /
 // transient_model. The envelope RHS is the one part with code of its
 // own: envelope_dynamics and make_envelope_batch both run the lockstep
-// damping kernel of electromagnetic_batch.cpp (one lane and B lanes), so
-// the scalar hook and every batch lane give the same bits.
+// damping kernel of electromagnetic_batch.cpp — one template over its
+// row storage, instantiated on one lane held by value and on B lanes —
+// so the scalar hook and every batch lane give the same bits.
 // initial_amplitude and phase_lag are cold libm solves (solve_damping),
 // which both the scalar and the batch systems call.
 #pragma once
@@ -32,8 +33,8 @@ public:
     double initial_amplitude(double freq_hz, double accel_amp_ms2,
                              int position, double store_v,
                              const power::rectifier_params& rect) const override;
-    /// The lockstep damping kernel on one lane, warm-started from `path`
-    /// (electromagnetic_batch.cpp).
+    /// The lockstep damping kernel on one lane held by value, warm-started
+    /// from a copy of `path` that is written back (electromagnetic_batch.cpp).
     envelope_rates envelope_dynamics(
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,

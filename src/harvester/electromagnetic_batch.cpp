@@ -5,15 +5,25 @@
 //
 // Most of the RHS's time is the damping solve: a bisection on the
 // self-consistent electrical damping (envelope.hpp) whose every trial
-// evaluates the mechanical response and the averaged diode bridge. Here
-// each trial is three flat loops over lanes (mechanics / asin-cos /
-// bridge power + bracket update) written branch-free with value selects
-// so GCC auto-vectorises them, and libm calls are replaced by a fitted
-// polynomial asin (numeric/det_math.hpp) plus the exact identities
-// cos(asin x) = sqrt(1 - x^2) and sin(2 asin x) = 2 x sqrt(1 - x^2).
-// Per-lane brackets update under masks, so a lane's answer never depends
-// on which other lanes share the run: batch(B) == batch(1) == the scalar
-// hook, bitwise. The kernel agrees with the libm reference solve
+// evaluates the equivalent damping the averaged diode bridge presents at
+// trial damping c. With emf e = phi omega Z (Z the displacement
+// amplitude) and the conduction-angle argument x = u / e, that damping
+// 2 P_mech / (omega Z)^2 reduces to
+//     T(c) = K g(x),  K = 2 phi^2 / (pi R),
+//     g(x) = pi/2 - asin x - x sqrt(1 - x^2),
+// and Z = min(m A / |Z_m(c)|, x_max) turns x into
+//     x = min(max(x_a |Z_m(c)|, x_b), 1),
+//     x_a = u / (phi omega m A),  x_b = u / (phi omega x_max),
+// where |Z_m(c)| = sqrt(re^2 + ((c_m + c) omega)^2) is the modulus of
+// the dynamic stiffness and x_b is the end stops' limit. K, x_a and x_b are prepared
+// once per call, so a trial costs three square roots and no division. A
+// blocked bridge (e <= u) clamps x to 1, where g is exactly 0. The trial
+// is one flat loop over lanes, branch-free, so GCC auto-vectorises it in
+// an -O3 batch; libm's asin is replaced by a fitted polynomial
+// (numeric/det_math.hpp), and cos(asin x) = sqrt(1 - x^2). Per-lane
+// brackets update under masks, so a lane's answer never depends on which
+// other lanes share the run: batch(B) == batch(1) == the scalar hook,
+// bitwise. The kernel agrees with the libm reference solve
 // (solve_envelope) to solver tolerance.
 //
 // Each lane carries its own damping_path, so the bisection warm-starts per
@@ -22,10 +32,17 @@
 // extrapolates its root in the store voltage without a trial, one whose
 // drive changed spends one lockstep trial at its previous root; one pair
 // checks every lane's predicted cell, and a final lockstep evaluation at
-// the converged damping runs the mechanics only (the bridge there is not
-// read).
+// the converged damping runs the mechanics, which also give x and so
+// dT/du for the next prediction (the bridge there is not read).
 //
-// The lane loops only vectorise with this file's COMPILE_OPTIONS
+// The kernel is one template over its row storage (kernel_rows): the
+// batch lays B-lane rows over vectors it keeps for its run
+// (kernel_lanes), the scalar hook passes one_lane, whose rows are
+// one-element arrays held by value. Inlined, nothing takes that lane's
+// address, so GCC can keep the scalar solve's values in registers. Both
+// instantiate the same expressions.
+//
+// The batch's lane loops only vectorise with this file's COMPILE_OPTIONS
 // (src/harvester/CMakeLists.txt).
 #include "harvester/electromagnetic.hpp"
 
@@ -46,42 +63,9 @@ namespace {
 
 constexpr double k_pi = std::numbers::pi;
 
-// The hot lane loops live in free functions whose pointer parameters are
-// __restrict__: GCC only assigns no-alias cliques to restrict *parameters*
-// (never to restrict locals), and without them these loops reference more
-// arrays than the vectoriser's runtime alias-check budget covers and
-// silently stay scalar. All call sites pass distinct lane arrays.
-
-// Mechanics: linear response at the trial damping (displacement limiter
-// as a value select — no control flow in the loop).
-inline void mechanics_lanes(std::size_t B, double c_mech, double phi,
-                            double xmax, const double* __restrict__ ce,
-                            const double* __restrict__ omega,
-                            const double* __restrict__ re,
-                            const double* __restrict__ ma,
-                            const double* __restrict__ u,
-                            double* __restrict__ za,
-                            double* __restrict__ e,
-                            double* __restrict__ vel,
-                            double* __restrict__ xxv) {
-    for (std::size_t l = 0; l < B; ++l) {
-        const double im = (c_mech + ce[l]) * omega[l];
-        const double denom = std::sqrt(re[l] * re[l] + im * im);
-        double amp = ma[l] / denom;
-        amp = std::min(amp, xmax);
-        za[l] = amp;
-        const double v = omega[l] * amp;
-        vel[l] = v;
-        const double ee = phi * v;
-        e[l] = ee;
-        // Conduction-angle argument u/e, clamped into the asin domain; a
-        // blocked lane (e <= u) lands at 1 => theta1 = pi/2, zero span.
-        xxv[l] = std::min(u[l] / ee, 1.0);
-    }
-}
-
 // theta1 = asin(x) via the range-reduced polynomial; cos(theta1) via
-// the identity cos(asin x) = sqrt(1 - x^2).
+// the identity cos(asin x) = sqrt(1 - x^2). Every call passes distinct
+// rows.
 inline void conduction_angle_lanes(std::size_t B,
                                    const double* __restrict__ xxv,
                                    double* __restrict__ th1,
@@ -93,52 +77,44 @@ inline void conduction_angle_lanes(std::size_t B,
     }
 }
 
-// Averaged bridge power and the equivalent damping it presents:
-// T(c_e) = 2 P_mech / vel^2, with sin(2 theta1) = 2 x cos(theta1).
-inline void bridge_damping_lanes(std::size_t B, double inv_pir,
-                                 const double* __restrict__ e,
-                                 const double* __restrict__ u,
-                                 const double* __restrict__ vel,
-                                 const double* __restrict__ xxv,
-                                 const double* __restrict__ th1,
-                                 const double* __restrict__ cth,
-                                 double* __restrict__ c_target) {
-    for (std::size_t l = 0; l < B; ++l) {
-        const double ee = e[l];
-        const double span = k_pi - 2.0 * th1[l];
-        const double s2 = 2.0 * xxv[l] * cth[l];
-        const double p_mech =
-            (ee * ee * (0.5 * span + 0.5 * s2) - 2.0 * u[l] * ee * cth[l]) *
-            inv_pir;
-        const double v = vel[l];
-        const double ct = 2.0 * p_mech / (v * v);
-        // Bitwise & keeps the two comparisons branch-free (&& would
-        // reintroduce control flow and kill vectorisation).
-        const bool conducting = (ee > u[l]) & (v > 0.0);
-        c_target[l] = conducting ? ct : 0.0;
-    }
-}
-
-/// The lane arrays one run of the kernel reads and writes, `count` lanes
-/// each: the operating point its caller fills, the kernel's scratch, and
-/// each lane's damping_path. em_envelope_batch lays them over storage it
-/// keeps for its run; the scalar hook over one lane of stack storage.
-struct kernel_lanes {
-    /// Rows of doubles and of flags that lay_out() carves.
-    static constexpr std::size_t k_double_rows = 19;
-    static constexpr std::size_t k_flag_rows = 3;
-
-    std::size_t count;
+/// The rows one run of the kernel reads and writes, lane l of each at
+/// index l: the operating point its caller fills, the per-call trial
+/// constants and scratch the kernel fills, and each lane's damping_path.
+/// Row<T> is a row of T: a pointer into run storage (kernel_lanes) or a
+/// one-element array held by value (one_lane).
+template <template <class> class Row>
+struct kernel_rows {
     // Operating point: omega, k_eff - m omega^2, m A, and the bridge's
     // sink voltage V + 2 Vd.
-    double *omega, *re, *ma, *u;
+    Row<double> omega, re, ma, u;
+    // x_a = u / (phi omega m A) and x_b = u / (phi omega x_max).
+    Row<double> xa, xb;
     // Damping-solve and charging-bridge scratch.
-    double *lo, *hi, *ce, *ct, *ct_lo, *za, *e, *vel, *xx, *th1, *cth;
-    double *q_lo, *q_hi;  ///< lo = c_hi q_lo, hi = c_hi q_hi on the grid
-    double *f_lo, *f_hi;  ///< T - c at lo / hi
-    std::uint8_t *blocked, *refine, *warm;
-    int* it;  ///< per-lane bisection decisions
-    damping_path* paths;
+    Row<double> lo, hi, ce, ct, ct_lo, za, e, xx, th1, cth;
+    Row<double> q_lo, q_hi;  ///< lo = c_hi q_lo, hi = c_hi q_hi on the grid
+    Row<double> f_lo, f_hi;  ///< T - c at lo / hi
+    Row<std::uint8_t> blocked, refine, warm;
+    Row<int> it;  ///< per-lane bisection decisions
+    Row<damping_path> paths;
+};
+
+template <class T>
+using row_pointer = T*;
+template <class T>
+using row_value = T[1];
+
+/// B lanes over storage the batch keeps for its run (lay_out).
+struct kernel_lanes : kernel_rows<row_pointer> {
+    /// Rows of doubles and of flags that lay_out() carves.
+    static constexpr std::size_t k_double_rows = 20;
+    static constexpr std::size_t k_flag_rows = 3;
+
+    std::size_t count = 0;
+};
+
+/// The scalar hook's one lane, every row held by value.
+struct one_lane : kernel_rows<row_value> {
+    static constexpr std::size_t count = 1;
 };
 
 /// kernel_lanes for `count` lanes over k_double_rows * count doubles,
@@ -148,9 +124,9 @@ kernel_lanes lay_out(std::size_t count, double* doubles, std::uint8_t* flags,
     kernel_lanes k{};
     k.count = count;
     double** const rows[kernel_lanes::k_double_rows] = {
-        &k.omega, &k.re,  &k.ma, &k.u,  &k.lo, &k.hi,  &k.ce,
-        &k.ct,    &k.ct_lo, &k.za, &k.e, &k.vel, &k.xx, &k.th1,
-        &k.cth,   &k.q_lo, &k.q_hi, &k.f_lo, &k.f_hi};
+        &k.omega, &k.re,  &k.ma,  &k.u,    &k.xa,   &k.xb,   &k.lo,
+        &k.hi,    &k.ce,  &k.ct,  &k.ct_lo, &k.za,  &k.e,    &k.xx,
+        &k.th1,   &k.cth, &k.q_lo, &k.q_hi, &k.f_lo, &k.f_hi};
     for (std::size_t r = 0; r < kernel_lanes::k_double_rows; ++r)
         *rows[r] = doubles + r * count;
     k.blocked = flags;
@@ -161,20 +137,26 @@ kernel_lanes lay_out(std::size_t count, double* doubles, std::uint8_t* flags,
     return k;
 }
 
-/// One lockstep trial of the damping fixed point over the first B lanes:
-/// given per-lane trial damping ce[], fill c_target[] (the damping the
-/// bridge presents there) and za[] (the steady-state displacement
-/// amplitude). Reads the operating point rows of `k`.
-inline void eval_damping(std::size_t B, const microgenerator& gen,
-                         const kernel_lanes& k, const double* ce,
-                         double* c_target, double* za) {
-    const auto& gp = gen.params();
-    mechanics_lanes(B, gen.mech_damping(), gp.coupling_v_per_ms,
-                    gp.max_displacement_m, ce, k.omega, k.re, k.ma, k.u, za,
-                    k.e, k.vel, k.xx);
-    conduction_angle_lanes(B, k.xx, k.th1, k.cth);
-    bridge_damping_lanes(B, 1.0 / (k_pi * gp.coil_resistance_ohm), k.e, k.u,
-                         k.vel, k.xx, k.th1, k.cth, c_target);
+/// One lockstep trial of the damping fixed point over every lane of `k`:
+/// t[l] = T(c[l]) = K g(x), the damping the bridge presents at trial
+/// damping c[l]. Reads the omega, re, xa and xb rows of `k`.
+///
+/// Always inlined, as kernel_rates is: an out-of-line call would take the
+/// address of the scalar hook's one_lane and so keep its rows in memory
+/// (GCC 12 at -O2 leaves this function out of line otherwise).
+template <class Rows, class Row>
+[[gnu::always_inline]] inline void eval_damping(const Rows& k, double c_mech,
+                                                double K, const Row& c,
+                                                Row& t) {
+    for (std::size_t l = 0; l < k.count; ++l) {
+        const double im = (c_mech + c[l]) * k.omega[l];
+        const double z = std::sqrt(k.re[l] * k.re[l] + im * im);
+        // A NaN operand lands at 1 (blocked), as the comparisons of a
+        // not-a-number emf do.
+        const double x = std::min(1.0, std::max(k.xa[l] * z, k.xb[l]));
+        t[l] = K * (0.5 * k_pi - numeric::asin_unit(x) -
+                    x * std::sqrt(1.0 - x * x));
+    }
 }
 
 /// The envelope RHS of every lane of `k` at its operating point, store
@@ -183,19 +165,19 @@ inline void eval_damping(std::size_t B, const microgenerator& gen,
 /// the charging current into ich[l], 1/tau into rate[l] and the current's
 /// slope d ich / d z_env into slope[l]. Every lane is computed in full width
 /// and branch-free: lanes the integrator masked out get (ignored) values
-/// too, which is cheaper than breaking the vector loops up. `Lanes` fixes
-/// the lane count at compile time (the scalar hook's one lane, whose loops
-/// then fold away); 0 reads it from `k`. The arithmetic is the same.
-template <std::size_t Lanes>
-void kernel_rates(const microgenerator& gen, const damping_grid& grid,
-                  const kernel_lanes& k, const double* v_in, const double* z_in,
-                  conditioning_kind conditioning, double efficiency,
-                  double* dz, double* ich, double* rate, double* slope) {
-    const std::size_t B = Lanes != 0 ? Lanes : k.count;
+/// too, which is cheaper than breaking the vector loops up.
+template <class Rows>
+[[gnu::always_inline]] inline void kernel_rates(
+    const microgenerator& gen, const damping_grid& grid, Rows& k,
+    const double* v_in, const double* z_in, conditioning_kind conditioning,
+    double efficiency, double* dz, double* ich, double* rate,
+    double* slope) {
+    const std::size_t B = k.count;
     const auto& gp = gen.params();
     const double m = gp.mass_kg;
     const double c_mech = gen.mech_damping();
     const double phi = gp.coupling_v_per_ms;
+    const double xmax = gp.max_displacement_m;
     const double inv_pir = 1.0 / (k_pi * gp.coil_resistance_ohm);
 
     if (conditioning == conditioning_kind::diode_bridge) {
@@ -205,6 +187,12 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
         // c_hi * q, plus the warm start. ---
         const double c_hi = grid.c_hi;
         const double tol = grid.tol;
+        const double K = 2.0 * phi * phi * inv_pir;
+        for (std::size_t l = 0; l < B; ++l) {
+            const double phi_omega = phi * k.omega[l];
+            k.xa[l] = k.u[l] / (phi_omega * k.ma[l]);
+            k.xb[l] = k.u[l] / (phi_omega * xmax);
+        }
 
         // Warm start (harvester/damping_path.hpp): a lane at its path's
         // mechanics extrapolates the root to its sink voltage; one whose
@@ -222,7 +210,7 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
             k.ce[l] = same ? p.extrapolate(k.u[l]) : newton ? p.root : 0.0;
             any_newton = any_newton || newton;
         }
-        if (any_newton) eval_damping(B, gen, k, k.ce, k.ct, k.za);
+        if (any_newton) eval_damping(k, c_mech, K, k.ce, k.ct);
         for (std::size_t l = 0; l < B; ++l) {
             const double c =
                 k.warm[l] ? k.paths[l].newton(k.ct[l] - k.ce[l]) : k.ce[l];
@@ -235,11 +223,8 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
             k.hi[l] = warm ? cell.hi : c_hi;
             k.it[l] = warm ? grid.depth : 0;
         }
-        const auto probe_ends = [&] {
-            eval_damping(B, gen, k, k.lo, k.ct_lo, k.za);
-            eval_damping(B, gen, k, k.hi, k.ct, k.za);
-        };
-        probe_ends();
+        eval_damping(k, c_mech, K, k.lo, k.ct_lo);
+        eval_damping(k, c_mech, K, k.hi, k.ct);
 
         // Lanes whose root left the predicted cell restart cold.
         // Re-probing the passing lanes' unchanged ends reproduces their
@@ -256,7 +241,10 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
                 any_failed = true;
             }
         }
-        if (any_failed) probe_ends();
+        if (any_failed) {
+            eval_damping(k, c_mech, K, k.lo, k.ct_lo);
+            eval_damping(k, c_mech, K, k.hi, k.ct);
+        }
 
         // Cold lanes: a trial at c_e = 0 that the bridge does not load
         // means blocked — they take the open-circuit amplitude.
@@ -280,7 +268,7 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
                 k.q_hi[l] *= 2.0;
                 k.hi[l] = c_hi * k.q_hi[l];
             }
-            eval_damping(B, gen, k, k.hi, k.ct, k.za);
+            eval_damping(k, c_mech, K, k.hi, k.ct);
         }
 
         // f = T - c at every lane's bracket ends, for its next prediction.
@@ -306,7 +294,7 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
             if (!any) break;
             for (std::size_t l = 0; l < B; ++l)
                 k.ce[l] = c_hi * (0.5 * (k.q_lo[l] + k.q_hi[l]));
-            eval_damping(B, gen, k, k.ce, k.ct, k.za);
+            eval_damping(k, c_mech, K, k.ce, k.ct);
             for (std::size_t l = 0; l < B; ++l) {
                 const bool r = k.refine[l] != 0;
                 const bool up = k.ct[l] > k.ce[l];
@@ -322,24 +310,28 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
         }
 
         // Final evaluation at the converged damping (0 for blocked lanes):
-        // the mechanics alone give the steady-state amplitude the envelope
-        // relaxes towards.
-        for (std::size_t l = 0; l < B; ++l)
-            k.ce[l] = k.blocked[l]
-                          ? 0.0
-                          : c_hi * (0.5 * (k.q_lo[l] + k.q_hi[l]));
-        mechanics_lanes(B, c_mech, phi, gp.max_displacement_m, k.ce, k.omega,
-                        k.re, k.ma, k.u, k.za, k.e, k.vel, k.xx);
-        // dT/du at the result: T depends on u only through x = u / e,
-        // with g'(x) = -2 sqrt(1 - x^2).
-        const double dT_du_scale = -4.0 * phi * phi * inv_pir;
+        // the mechanics give the steady-state amplitude the envelope
+        // relaxes towards, and from the same |Z_m| the argument x.
         for (std::size_t l = 0; l < B; ++l) {
+            const double ce =
+                k.blocked[l] ? 0.0 : c_hi * (0.5 * (k.q_lo[l] + k.q_hi[l]));
+            k.ce[l] = ce;
+            const double im = (c_mech + ce) * k.omega[l];
+            const double z = std::sqrt(k.re[l] * k.re[l] + im * im);
+            k.za[l] = std::min(k.ma[l] / z, xmax);
+            k.xx[l] = std::min(1.0, std::max(k.xa[l] * z, k.xb[l]));
+        }
+        // dT/du at the result: T depends on u only through x, with
+        // dx/du = x / u and g'(x) = -2 sqrt(1 - x^2).
+        const double dT_du_scale = -2.0 * K;
+        for (std::size_t l = 0; l < B; ++l) {
+            const double x = k.xx[l];
             if (k.blocked[l])
                 k.paths[l].forget();
             else
                 k.paths[l].learn(
                     k.lo[l], k.f_lo[l], k.hi[l], k.f_hi[l],
-                    dT_du_scale * std::sqrt(1.0 - k.xx[l] * k.xx[l]) / k.e[l],
+                    dT_du_scale * x * std::sqrt(1.0 - x * x) / k.u[l],
                     k.omega[l], k.re[l], k.ma[l], k.u[l]);
         }
 
@@ -375,7 +367,6 @@ void kernel_rates(const microgenerator& gen, const damping_grid& grid,
         const double c_match = c_mech;
         const double c_total = c_mech + c_match;
         const double tau = 2.0 * m / c_total;
-        const double xmax = gp.max_displacement_m;
         for (std::size_t l = 0; l < B; ++l) {
             const double im = c_total * k.omega[l];
             const double denom = std::sqrt(k.re[l] * k.re[l] + im * im);
@@ -424,10 +415,10 @@ public:
             lanes_.ma[l] = m * in.vib.amplitude_at(in.t[l]);
             lanes_.u[l] = in.store_v[l] + two_vd;
         }
-        kernel_rates<0>(gen_, grid_, lanes_, in.store_v.data(),
-                        in.z_env.data(), conditioning, efficiency,
-                        out.amplitude_rate.data(), out.charge_current.data(),
-                        out.relaxation_rate.data(), out.charge_slope.data());
+        kernel_rates(gen_, grid_, lanes_, in.store_v.data(), in.z_env.data(),
+                     conditioning, efficiency, out.amplitude_rate.data(),
+                     out.charge_current.data(), out.relaxation_rate.data(),
+                     out.charge_slope.data());
     }
 
 private:
@@ -463,27 +454,26 @@ envelope_rates electromagnetic_harvester::envelope_dynamics(
         (void)power::bridge_sink(store_v, gen_.params().coil_resistance_ohm,
                                  rect);
 
-    // One lane of kernel storage on the stack. The kernel writes every
-    // row before it reads it; zero-filling the rows first measured 1-20%
-    // slower per call (bm_envelope_walk with a carried path).
-    double doubles[kernel_lanes::k_double_rows];
-    std::uint8_t flags[kernel_lanes::k_flag_rows];
-    int it = 0;
-    const kernel_lanes lane = lay_out(1, doubles, flags, &it, &path);
+    // One lane by value, with a copy of the caller's path that goes back
+    // once the kernel has run. The kernel writes every row before it
+    // reads it.
+    one_lane lane;
     lane.omega[0] = drive.omega_rad;
     lane.re[0] = drive.detuning;
     lane.ma[0] = drive.mass_accel;
     lane.u[0] = store_v + 2.0 * rect.diode_drop_v;
+    lane.paths[0] = path;
 
     envelope_rates out;
-    kernel_rates<1>(gen_, grid_, lane, &store_v, &z_env, conditioning,
-                    efficiency, &out.amplitude_rate, &out.charge_current_a,
-                    &out.relaxation_rate, &out.charge_slope);
+    kernel_rates(gen_, grid_, lane, &store_v, &z_env, conditioning,
+                 efficiency, &out.amplitude_rate, &out.charge_current_a,
+                 &out.relaxation_rate, &out.charge_slope);
+    path = lane.paths[0];
     // The libm solve's emf checks: a stimulus whose trial emf is not a
-    // number (the trials share it, so the final mechanics' velocity
-    // stands for all of them), and a charging emf phi omega z_env that is
-    // negative or not a number.
-    if (bridge && !(lane.vel[0] >= 0.0 && lane.e[0] >= 0.0))
+    // number (the trials share it, so the velocity omega Z of the final
+    // mechanics stands for all of them), and a charging emf phi omega
+    // z_env that is negative or not a number.
+    if (bridge && !(lane.omega[0] * lane.za[0] >= 0.0 && lane.e[0] >= 0.0))
         throw std::invalid_argument(
             "envelope_dynamics: emf amplitude must be >= 0");
     return out;

@@ -45,8 +45,9 @@
 // equals the scalar hook bitwise at the same arguments: the default
 // envelope_batch calls envelope_dynamics per lane, and an override runs
 // the very computation its scalar hook runs (the electromagnetic entry's
-// hook is its lockstep damping kernel on one lane,
-// electromagnetic_batch.cpp). Lanes stay independent — a lane's rates
+// hook is its lockstep damping kernel on one lane, the same template
+// instantiated on one lane held by value, electromagnetic_batch.cpp).
+// Lanes stay independent — a lane's rates
 // never depend on the other lanes — so a scalar evaluation and any batch
 // lane of the same request give the same result.
 #pragma once

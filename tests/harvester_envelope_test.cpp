@@ -131,6 +131,15 @@ TEST(Envelope, PowerFallsWithDetuneMagnitude) {
 // rates built from the reference's c_e to solver tolerance: the kernel's
 // c_e lies within one bisection tolerance of the reference's, and the
 // charging bridge differs only by the asin rounding.
+//
+// Besides walks drawn across the tuning range, walks at full drive on the
+// exact resonance of a low position start where the end stops clip the
+// open-circuit amplitude (the warm-start property's open_circuit_clipped),
+// so the kernel's trials at low damping take the limiter's argument x_b.
+// Half of them hold the sink voltage just below the clipped emf
+// phi omega x_max, where the bridge loads the device so lightly that the
+// amplitude stays clipped at the converged damping and every trial near
+// the root takes x_b.
 TEST(Envelope, KernelRatesMatchTheLibmSolveToSolverTolerance) {
     const eh::electromagnetic_harvester model;
     const double tol = eh::envelope_options{}.tolerance * gen().mech_damping();
@@ -139,17 +148,18 @@ TEST(Envelope, KernelRatesMatchTheLibmSolveToSolverTolerance) {
     const double two_m = 2.0 * gen().params().mass_kg;
     ehdse::testkit::prng r(2012);
     std::size_t checked = 0, conducting = 0;
-    for (int walk = 0; walk < 40; ++walk) {
-        const int pos = static_cast<int>(r.integer(0, 255));
-        const double f =
-            r.chance(0.5) ? gen().resonant_frequency(pos) + r.uniform(-0.3, 0.3)
-                          : r.uniform(gen().min_frequency(), gen().max_frequency());
-        const double a = r.uniform(0.2, 2.0) * k_accel_60mg;
-        double v = r.uniform(0.0, 5.0);
+    std::size_t clipped = 0;       ///< calls clipped at c_e = 0
+    std::size_t clipped_root = 0;  ///< conducting and clipped at c_e too
+    const auto walk = [&](int walk_id, int pos, double f, double a,
+                          double v_lo, double v_hi) {
+        const bool clips =
+            gen().response(2.0 * std::numbers::pi * f, a, pos, 0.0)
+                .displacement_limited;
+        double v = r.uniform(v_lo, v_hi);
         double z = r.uniform(0.0, 1.5e-3);
         eh::damping_path path;
         for (int i = 0; i < 50; ++i) {
-            v = std::clamp(v + r.uniform(-1e-3, 1e-3), 0.0, 5.0);
+            v = std::clamp(v + r.uniform(-1e-3, 1e-3), v_lo, v_hi);
             z = std::clamp(z + r.uniform(-1e-6, 1e-6), 0.0, 1.5e-3);
             const eh::envelope_rates got = model.envelope_dynamics(
                 f, a, pos, v, z, eh::conditioning_kind::diode_bridge, 1.0, {},
@@ -162,7 +172,7 @@ TEST(Envelope, KernelRatesMatchTheLibmSolveToSolverTolerance) {
             // 1 / tau each move by at most dc / c_total relative.
             EXPECT_NEAR(got.amplitude_rate, rate,
                         tol * (2.0 * za + z) / two_m + 1e-18)
-                << "walk " << walk << " call " << i;
+                << "walk " << walk_id << " call " << i;
 
             const double emf = phi * 2.0 * std::numbers::pi * f * z;
             const ehdse::power::rectifier_operating_point elec =
@@ -170,12 +180,36 @@ TEST(Envelope, KernelRatesMatchTheLibmSolveToSolverTolerance) {
                                              gen().params().coil_resistance_ohm);
             EXPECT_NEAR(got.charge_current_a, elec.i_avg_a,
                         1e-12 * (emf + v + 1.0) / pir)
-                << "walk " << walk << " call " << i;
+                << "walk " << walk_id << " call " << i;
             ++checked;
             conducting += elec.conducting ? 1 : 0;
+            const bool loaded_clipped =
+                ref.c_electrical > 0.0 && ref.mech.displacement_limited;
+            clipped += clips ? 1 : 0;
+            clipped_root += clips && loaded_clipped ? 1 : 0;
         }
+    };
+    for (int w = 0; w < 40; ++w) {
+        const int pos = static_cast<int>(r.integer(0, 255));
+        const double f =
+            r.chance(0.5) ? gen().resonant_frequency(pos) + r.uniform(-0.3, 0.3)
+                          : r.uniform(gen().min_frequency(), gen().max_frequency());
+        walk(w, pos, f, r.uniform(0.2, 2.0) * k_accel_60mg, 0.0, 5.0);
     }
-    // The walks exercise both a charging and an idle store.
+    for (int w = 40; w < 60; ++w) {
+        const int pos = static_cast<int>(r.integer(0, 16));
+        const double f = gen().resonant_frequency(pos);
+        const double e_clip = phi * 2.0 * std::numbers::pi * f *
+                              gen().params().max_displacement_m;
+        if (w % 2 == 0)
+            walk(w, pos, f, 2.0 * k_accel_60mg, 0.0, 5.0);
+        else
+            walk(w, pos, f, 2.0 * k_accel_60mg, 0.98 * e_clip, 0.99 * e_clip);
+    }
+    // The walks exercise both a charging and an idle store, every
+    // end-stop walk clips, and the near-blocking ones converge clipped.
     EXPECT_GT(conducting, checked / 10);
     EXPECT_LT(conducting, checked);
+    EXPECT_EQ(clipped, 20u * 50u);
+    EXPECT_GE(clipped_root, 100u);
 }
