@@ -5,12 +5,11 @@
 // against the committed baselines with awk, no JSON library required:
 //
 //   {
-//     "bench": "batch_kernel",
+//     "bench": "harvester_backends",
 //     "host": {"hardware_concurrency": 4, "compiler": "GNU 12.2.0", ...},
 //     "run": {"steal_frac": 0.031},
 //     "metrics": [
-//       {"metric": "scalar_evals_per_s", "value": 77.31, "unit": "evals/s", "config": "..."},
-//       {"metric": "batch_speedup_x", "value": 1.45, "unit": "x", "config": "...", "min": 1.38, "iqr": 0.06, "trials": 7},
+//       {"metric": "electromagnetic_scalar_evals_per_s", "value": 987.2, "unit": "evals/s", "config": "...", "min": 950.7, "iqr": 101.3, "trials": 7},
 //       ...
 //     ]
 //   }
@@ -21,9 +20,9 @@
 // run instead of the host, so it stays out of the fingerprint:
 // "steal_frac" is the share of the host's CPU time that the hypervisor
 // stole from process start to write(), from /proc/stat (null where that
-// file cannot be read). A row measured by interleaved_trials records its
-// median as "value" and its minimum, interquartile range and trial count
-// after the fixed keys.
+// file cannot be read). A row measured by timed_trials or
+// interleaved_trials records its median as "value" and its minimum,
+// interquartile range and trial count after the fixed keys.
 //
 // Committed BENCH_*.json files at the repo root pin the perf trajectory;
 // EXPERIMENTS.md points at them and the perf-labelled ctest compares.
@@ -94,11 +93,54 @@ inline trial_stats summarise(std::vector<double> readings) {
             readings.size()};
 }
 
-/// Trials per interleaved_trials measurement, and the least wall time each
-/// side of a trial runs: enough passes that one trial sits well above
-/// timer and scheduler noise.
+/// Trials per timed_trials or interleaved_trials measurement, and the
+/// least wall time each side of a trial runs: enough passes that one trial
+/// sits well above timer and scheduler noise.
 inline constexpr int k_trials = 7;
 inline constexpr double k_min_side_s = 0.1;
+
+/// Warm `pass` up (one untimed call), then call it until k_min_side_s
+/// has passed: that call count is the number of passes a trial times.
+template <class Pass>
+int passes_per_side(Pass& pass) {
+    pass();
+    int passes = 0;
+    const obs::stopwatch watch;
+    do {
+        pass();
+        ++passes;
+    } while (watch.seconds() < k_min_side_s);
+    return passes;
+}
+
+/// One trial: work units per second over `passes` calls of `pass`, each
+/// doing `work_per_pass` units.
+template <class Pass>
+double timed_rate(Pass& pass, int passes, double work_per_pass) {
+    const obs::stopwatch watch;
+    for (int i = 0; i < passes; ++i) pass();
+    return passes * work_per_pass / watch.seconds();
+}
+
+/// One workload timed alone in k_trials trials: its rate (work units per
+/// second) and the passes each trial timed.
+struct single_trials {
+    trial_stats rate;
+    int passes = 0;
+};
+
+/// Measure `pass` (a callable doing `work_per_pass` units) in k_trials
+/// trials of passes_per_side(pass) passes each.
+template <class Pass>
+single_trials timed_trials(Pass&& pass, double work_per_pass) {
+    single_trials out;
+    out.passes = passes_per_side(pass);
+    std::vector<double> rates;
+    for (int trial = 0; trial < k_trials; ++trial)
+        rates.push_back(timed_rate(pass, out.passes, work_per_pass));
+    out.rate = summarise(std::move(rates));
+    return out;
+}
 
 /// Two workloads timed side by side: the rate of each (work units per
 /// second) and, trial by trial, the candidate's rate over the reference's.
@@ -111,32 +153,14 @@ struct paired_trials {
 };
 
 /// Measure `candidate` against `reference` (each a callable doing
-/// `work_per_pass` units) in k_trials trials. Each side is first warmed
-/// up (one untimed call) and then called until k_min_side_s has passed;
-/// that call count is the number of passes each trial times for the side.
-/// A trial times a reference side and a candidate side back to back, the
-/// one that goes first alternating from trial to trial, so drift of the
-/// host's speed over a run shows in both rates and cancels from the
-/// per-trial ratio.
+/// `work_per_pass` units) in k_trials trials, each side timed as
+/// timed_trials times one. A trial times a reference side and a candidate
+/// side back to back, the one that goes first alternating from trial to
+/// trial, so drift of the host's speed over a run shows in both rates and
+/// cancels from the per-trial ratio.
 template <class Reference, class Candidate>
 paired_trials interleaved_trials(Reference&& reference, Candidate&& candidate,
                                  double work_per_pass) {
-    const auto passes_per_side = [](auto& pass) {
-        pass();
-        int passes = 0;
-        const obs::stopwatch watch;
-        do {
-            pass();
-            ++passes;
-        } while (watch.seconds() < k_min_side_s);
-        return passes;
-    };
-    const auto timed_rate = [work_per_pass](auto& pass, int passes) {
-        const obs::stopwatch watch;
-        for (int i = 0; i < passes; ++i) pass();
-        return passes * work_per_pass / watch.seconds();
-    };
-
     paired_trials out;
     out.reference_passes = passes_per_side(reference);
     out.candidate_passes = passes_per_side(candidate);
@@ -145,11 +169,15 @@ paired_trials interleaved_trials(Reference&& reference, Candidate&& candidate,
         double reference_rate = 0.0;
         double candidate_rate = 0.0;
         if (trial % 2 == 0) {
-            reference_rate = timed_rate(reference, out.reference_passes);
-            candidate_rate = timed_rate(candidate, out.candidate_passes);
+            reference_rate =
+                timed_rate(reference, out.reference_passes, work_per_pass);
+            candidate_rate =
+                timed_rate(candidate, out.candidate_passes, work_per_pass);
         } else {
-            candidate_rate = timed_rate(candidate, out.candidate_passes);
-            reference_rate = timed_rate(reference, out.reference_passes);
+            candidate_rate =
+                timed_rate(candidate, out.candidate_passes, work_per_pass);
+            reference_rate =
+                timed_rate(reference, out.reference_passes, work_per_pass);
         }
         reference_rates.push_back(reference_rate);
         candidate_rates.push_back(candidate_rate);

@@ -219,14 +219,10 @@ require_section docs/architecture.md '^## .*[Dd]eterminism'
 require_section docs/architecture.md '^## .*[Pp]luggable pipeline'
 require_section docs/architecture.md 'make_surrogate'
 require_section docs/architecture.md 'make_design'
-require_section docs/architecture.md '^## .*[Bb]atch kernel'
 require_section docs/architecture.md '^### Harvester backends'
 require_section docs/architecture.md 'make_harvester'
 require_section DESIGN.md '^### Harvester parameter envelopes'
 require_section docs/observability.md '^### Manifest JSON schema'
-require_section docs/observability.md 'sim\.batch\.'
-require_section docs/observability.md 'dse\.batch\.'
-require_section EXPERIMENTS.md 'BENCH_batch_kernel\.json'
 require_section EXPERIMENTS.md 'BENCH_harvester_backends\.json'
 require_section EXPERIMENTS.md 'run_benchmarks\.sh'
 require_section docs/observability.md '\-\-dump\-spec'

@@ -1,24 +1,17 @@
 #!/usr/bin/env bash
 # check_perf.sh — compare a freshly produced BENCH_<name>.json against the
 # committed baseline at the repo root and fail on a throughput regression.
-# This is the perf gate behind the `perf`-labelled ctests: the batch
-# kernel must not silently decay, neither in its own throughput nor in
-# its single-thread advantage over the scalar path.
+# This is the perf gate behind the `perf`-labelled ctest: no harvester
+# backend's envelope evaluation may silently decay.
 #
 # Usage: check_perf.sh <fresh.json> [<baseline.json>]
 #   When <baseline.json> is omitted it is looked up at the repo root by
 #   the fresh file's basename.
 #
-# Rules (per metric, matched by name): a gated metric must read at least
-#   (1 - tolerance) * its baseline — default tolerance 0.15 (the >15%
-#   regression gate), override with EHDSE_PERF_TOLERANCE. Gated are
-#   * every metric in unit "evals/s";
-#   * "batch_speedup_x", bench_batch_kernel's median over interleaved
-#     trials of batch over scalar evaluations/s: two rates timed side by
-#     side, so the host's speed and its drift cancel from their ratio
-#     (the build type and the CPU still move it).
-#   Every other metric (the harvester bench's <backend>_batch_speedup
-#   rows among them) is informational only.
+# Rule (per metric, matched by name): every metric in unit "evals/s" is
+#   gated and must read at least (1 - tolerance) * its baseline — default
+#   tolerance 0.15 (the >15% regression gate), override with
+#   EHDSE_PERF_TOLERANCE. Every other metric is informational only.
 #
 # Both files' "host" fingerprints (bench/bench_json.hpp) are printed above
 # the verdict ("none" for a file without one), each with its "run" line:
@@ -81,8 +74,8 @@ while read -r name value unit trials iqr; do
         echo "  new metric $name = $value $unit (no baseline)"
         continue
     fi
-    case "$unit:$name" in
-    evals/s:* | *:batch_speedup_x)
+    case "$unit" in
+    evals/s)
         checked=$((checked + 1))
         read -r ok floor delta < <(awk -v f="$value" -v b="$base" -v t="$tolerance" \
             'BEGIN {fl = (1 - t) * b; printf "%d %.6g %+.1f%%\n", (f >= fl), fl, 100 * (f / b - 1)}')

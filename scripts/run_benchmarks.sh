@@ -22,13 +22,13 @@ build="${EHDSE_BENCH_BUILD_DIR:-build-bench}"
 # configured with another type before.
 cmake -B "$build" -S . -DCMAKE_BUILD_TYPE= -DEHDSE_NATIVE_ARCH=OFF \
     -DEHDSE_BUILD_TESTS=OFF -DEHDSE_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build "$build" -j --target bench_batch_kernel bench_exec_throughput \
+cmake --build "$build" -j --target bench_exec_throughput \
     bench_harvester_backends
 
 # Each bench writes BENCH_<name>.json into $EHDSE_BENCH_OUT.
 out="$build/bench_out"
 mkdir -p "$out"
-for bench in bench_batch_kernel bench_exec_throughput bench_harvester_backends; do
+for bench in bench_exec_throughput bench_harvester_backends; do
     echo "=== $bench ==="
     EHDSE_BENCH_OUT="$out" "$build/bench/$bench"
     echo

@@ -10,14 +10,15 @@
 # The svc label includes the service soak (svc_soak_test), so the TSan
 # pass exercises hundreds of concurrent submissions through the server's
 # reader threads, runner tasks and shared caches. The exec label carries
-# the SoA batch-kernel suites (sim_batch_test, dse_batch_test) and the
-# flow determinism suite, whose flows run design points through the
+# the flow determinism suite, whose flows run design points through the
 # single-flight cache and two optimisers on one surrogate as concurrent
-# pool tasks, also from a worker of the pool they are lent. The
-# harvester label runs the backend-registry and electrostatic device
-# suites and the electromagnetic envelope kernel's suites (against the
-# libm solve and the warm-start property), so both device classes'
-# physics hooks get the lifetime/UB pass as well.
+# pool tasks, also from a worker of the pool they are lent; the rsm label
+# carries the flow suites (dse_flow_test), whose design points run as
+# pool tasks through a wrapper of evaluate(). The harvester label runs
+# the backend-registry and electrostatic device suites and the
+# electromagnetic envelope kernel's suites (against the libm solve and
+# the warm-start property), so both device classes' physics hooks get
+# the lifetime/UB pass as well.
 # Usage:
 #   scripts/run_sanitizers.sh              # both presets
 #   EHDSE_SANITIZE=address scripts/run_sanitizers.sh   # one preset

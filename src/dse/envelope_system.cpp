@@ -41,7 +41,7 @@ sim::ode_options envelope_ode_options() noexcept {
     return ode;
 }
 
-sim::sim_context& envelope_system::sim() const {
+sim::simulator& envelope_system::sim() const {
     if (sim_ == nullptr)
         throw std::logic_error("envelope_system: no simulator attached");
     return *sim_;

@@ -19,11 +19,10 @@
 //   (dV'/di * di/dz, -1/tau, V * di/dz, 0),
 // with di/dz the model's charge_slope and dV'/di the storage model's
 // dv_dt_slope, and the integrator's exponential step integrates it
-// exactly (sim/cash_karp.hpp).
-// batch_envelope_system runs the same model for many design points at
-// once, with the same state layout and integration defaults
-// (envelope_ode_options), and every lane computes the bits this system
-// computes for its design point.
+// exactly (sim/cash_karp.hpp). The system carries the model's
+// damping_path from one derivatives() call to the next, so the
+// electromagnetic damping solve warm-starts along the run
+// (harvester/damping_path.hpp) with the bits of a cold solve.
 //
 // Digital processes interact through the harvester::plant interface:
 // instantaneous charge withdrawals (transmission bursts, MCU activity),
@@ -58,10 +57,9 @@ using frontend_kind = spec::frontend_kind;
 /// harvester library cannot depend on spec).
 harvester::conditioning_kind conditioning_of(frontend_kind kind) noexcept;
 
-/// Integration defaults of the envelope plant, scalar and batch:
-/// volts-scale tolerances (rel_tol 1e-9, which the exponential step's
-/// error tracks), and a max_dt that resolves the watchdog and settling
-/// dynamics.
+/// Integration defaults of the envelope plant: volts-scale tolerances
+/// (rel_tol 1e-9, which the exponential step's error tracks), and a
+/// max_dt that resolves the watchdog and settling dynamics.
 sim::ode_options envelope_ode_options() noexcept;
 
 class envelope_system final : public node_system {
@@ -88,7 +86,7 @@ public:
                     power::rectifier_params rect = {});
 
     // --- node_system ---
-    void attach(sim::sim_context& sim) override { sim_ = &sim; }
+    void attach(sim::simulator& sim) override { sim_ = &sim; }
 
     /// Select the power front-end (default: the paper's diode bridge).
     /// `efficiency` applies to the mppt kind only; must be in (0, 1].
@@ -135,7 +133,7 @@ public:
     const harvester::vibration_source& vibration() const noexcept { return vib_; }
 
 private:
-    sim::sim_context& sim() const;
+    sim::simulator& sim() const;
 
     const harvester::harvester_model& model_;
     const harvester::vibration_source& vib_;
@@ -144,7 +142,7 @@ private:
     power::load_bank loads_;
     std::unordered_map<std::string, power::load_id> load_slots_;
     power::energy_ledger ledger_;
-    sim::sim_context* sim_ = nullptr;
+    sim::simulator* sim_ = nullptr;
     int position_ = 0;
     frontend_kind frontend_ = frontend_kind::diode_bridge;
     double frontend_efficiency_ = 0.75;

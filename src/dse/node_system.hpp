@@ -15,8 +15,8 @@
 #include "power/energy_ledger.hpp"
 #include "power/rectifier.hpp"
 #include "power/storage.hpp"
-#include "sim/context.hpp"
 #include "sim/ode.hpp"
+#include "sim/simulator.hpp"
 #include "spec/experiment_spec.hpp"
 
 namespace ehdse::harvester {
@@ -39,7 +39,7 @@ public:
 
     /// Bind the simulator whose state vector this system reads/writes when
     /// servicing plant calls. Must be called before the first event fires.
-    virtual void attach(sim::sim_context& sim) = 0;
+    virtual void attach(sim::simulator& sim) = 0;
 
     /// Initial state for storage voltage v0 with the actuator at
     /// `initial_position`.

@@ -96,7 +96,6 @@ obs::sim_run_record make_run_record(const char* kind, std::size_t index,
     rec.seed = seed;
     rec.response = static_cast<double>(r.transmissions);
     rec.wall_s = r.wall_time_s;
-    rec.batch_lanes = r.batch_lanes;
     rec.ode_steps = r.ode_steps;
     rec.ode_steps_rejected = r.ode_steps_rejected;
     rec.events = r.events;

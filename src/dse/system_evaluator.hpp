@@ -52,10 +52,7 @@ struct evaluation_result {
     std::size_t ode_steps = 0;
     std::size_t ode_steps_rejected = 0;   ///< error-controlled integrator retries
     std::uint64_t events = 0;
-    /// Measured wall clock of the run: of evaluate() for a scalar run, of
-    /// the whole SoA sweep for a batch lane (shared by its batch_lanes).
-    double wall_time_s = 0.0;
-    std::size_t batch_lanes = 0;  ///< lanes of the producing sweep; 0 = scalar
+    double wall_time_s = 0.0;             ///< measured wall clock of evaluate()
     bool sim_ok = true;
     std::optional<sim::trace> voltage_trace;   ///< when tracing was requested
     std::optional<sim::trace> position_trace;  ///< actuator position over time
@@ -111,28 +108,17 @@ public:
         const system_config& config,
         const evaluation_options& options = {}) const;
 
-    /// Evaluate many configs against the same scenario/options in one
-    /// call. The default implementation routes envelope-fidelity,
-    /// untraced requests through the SoA sweep (batch_envelope_system,
-    /// over the backend's own make_envelope_batch hook) in chunks of at
-    /// most k_max_batch_lanes, and falls back to per-config evaluate() for
-    /// transient fidelity or when traces were requested. Results are
-    /// positional: out[i] corresponds to configs[i], and each lane's
-    /// result is independent of which other configs share its batch.
-    ///
-    /// The batch kernel calls neither evaluate() nor build_system(), so a
-    /// subclass that interposes there is bypassed by this entry point
-    /// unless it overrides it too (the testkit wrappers do).
-    /// run_rsm_flow and cached_evaluator call evaluate() only.
+    /// evaluate() of every config in order, through the virtual call, so
+    /// a wrapper that overrides evaluate() alone sees each one: out[i]
+    /// corresponds to configs[i]. Kept, and kept virtual, for callers
+    /// and wrappers outside src/ that still spell this entry point
+    /// (ehdse_bench's timed_evaluator overrides it); run_rsm_flow,
+    /// cached_evaluator and ehdsed call evaluate() only.
     virtual std::vector<evaluation_result> evaluate_batch(
         std::span<const system_config> configs,
         const evaluation_options& options = {}) const;
 
-    /// Widest batch the default evaluate_batch runs as one SoA sweep.
-    static constexpr std::size_t k_max_batch_lanes = 16;
-
-    /// Number of evaluated configs so far (DOE bookkeeping); batch lanes
-    /// count individually.
+    /// Number of evaluated configs so far (DOE bookkeeping).
     std::size_t runs() const noexcept { return runs_.load(); }
 
     /// evaluate() is safe to call concurrently from several threads: each
@@ -161,10 +147,6 @@ protected:
         const harvester::vibration_source& vib) const;
 
 private:
-    /// The node and controller parameters of one design point.
-    std::pair<node::node_params, mcu::controller_params> digital_params(
-        const system_config& config, const evaluation_options& options) const;
-
     scenario scenario_;
     spec::harvester_spec harv_;
     std::shared_ptr<const harvester::harvester_model> model_;

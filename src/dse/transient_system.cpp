@@ -23,7 +23,7 @@ transient_system::transient_system(
       rect_(rect),
       rhs_(model_.make_transient(vib_, *storage_, loads_, rect_)) {}
 
-sim::sim_context& transient_system::sim() const {
+sim::simulator& transient_system::sim() const {
     if (sim_ == nullptr)
         throw std::logic_error("transient_system: no simulator attached");
     return *sim_;

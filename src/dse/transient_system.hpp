@@ -40,7 +40,7 @@ public:
                      power::rectifier_params rect = {});
 
     // --- node_system ---
-    void attach(sim::sim_context& sim) override { sim_ = &sim; }
+    void attach(sim::simulator& sim) override { sim_ = &sim; }
 
     /// Initial state: mass at rest, store at v0, actuator at the position.
     std::vector<double> initial_state(double v0, int initial_position) override;
@@ -77,7 +77,7 @@ public:
     const harvester::harvester_model& model() const noexcept { return model_; }
 
 private:
-    sim::sim_context& sim() const;
+    sim::simulator& sim() const;
 
     const harvester::harvester_model& model_;
     const harvester::vibration_source& vib_;
@@ -87,7 +87,7 @@ private:
     std::unique_ptr<harvester::transient_rhs> rhs_;
     std::unordered_map<std::string, power::load_id> load_slots_;
     power::energy_ledger ledger_;
-    sim::sim_context* sim_ = nullptr;
+    sim::simulator* sim_ = nullptr;
 };
 
 }  // namespace ehdse::dse

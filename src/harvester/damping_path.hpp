@@ -1,8 +1,7 @@
 // Warm start for the self-consistent damping bisection of the
-// electromagnetic envelope kernel (electromagnetic_batch.cpp), which the
-// scalar envelope_dynamics hook runs on one lane and an envelope_batch on
-// many. The libm reference solve (solve_damping, envelope.hpp) is cold
-// and keeps its own 0.5 * (lo + hi) grid.
+// electromagnetic envelope kernel (electromagnetic_kernel.cpp), which the
+// envelope_dynamics hook runs. The libm reference solve (solve_damping,
+// envelope.hpp) is cold and keeps its own 0.5 * (lo + hi) grid.
 //
 // The kernel bisects f(c) = T(c) - c on [0, c_hi], where T is the
 // equivalent damping the diode bridge presents at trial damping c. It
@@ -20,9 +19,9 @@
 // operating point, so the root moves smoothly. A damping_path keeps, from
 // the last conducting solve, the regula-falsi root r* of its final cell,
 // the slope of f across that cell, the prepared operating point it solved
-// at (the kernel's omega, re and ma rows and the sink voltage u = V +
-// 2 V_d), and the root's slope in u, dr/du = -(dT/du) / slope. T depends
-// on u only through x = u / e (below), and dx/du = x / u, so
+// at (the kernel's omega, re and ma and the sink voltage u = V + 2 V_d),
+// and the root's slope in u, dr/du = -(dT/du) / slope. T depends on u
+// only through x = u / e (below), and dx/du = x / u, so
 //     dT/du = -(4 phi^2 / (pi R)) x sqrt(1 - x^2) / u,
 // with x from the solve's final mechanics (not from its last trial: that
 // would make the learned dr/du, and so the path a solve leaves, depend on
@@ -56,7 +55,7 @@
 // decisions implied as well. Only the number of evaluations changes.
 //
 // The kernel evaluates T as K g(x) with no division (x from the
-// mechanical impedance, electromagnetic_batch.cpp), not as 2 P_mech /
+// mechanical impedance, electromagnetic_kernel.cpp), not as 2 P_mech /
 // (omega Z)^2 through the bridge's power, so its T rounds differently
 // from that form. The argument above covers either form, since warm and
 // cold solves share one; between the forms, T's rounding reaches the
@@ -69,15 +68,14 @@
 // the path holds, because the check decides, not the prediction. The
 // extrapolation and the Newton step may give any value; one that is not
 // in [2 tol, c_hi) (NaN and infinities included) has no usable cell, and
-// the lane solves cold. A Newton trial needs a root in [0, c_hi) and a
+// the solve is cold. A Newton trial needs a root in [0, c_hi) and a
 // falling slope — a root below 0 is no point of the bracket. The grid is
 // exact only while D <= damping_grid::k_max_depth (52): a deeper grid
 // has no usable cell, so every solve on it is cold.
 //
-// A path is per-run state: a scalar run's envelope_system owns one and
-// passes it to the hook, a batch run's envelope_batch owns one per lane
-// (never shared between runs or threads); harvester models stay
-// stateless.
+// A path is per-run state: a run's envelope_system owns one and passes
+// it to the hook (never shared between runs or threads); harvester
+// models stay stateless.
 #pragma once
 
 namespace ehdse::harvester {

@@ -3,12 +3,10 @@
 //
 // A thin adapter: the physics stays in microgenerator / envelope /
 // transient_model. The envelope RHS is the one part with code of its
-// own: envelope_dynamics and make_envelope_batch both run the lockstep
-// damping kernel of electromagnetic_batch.cpp — one template over its
-// row storage, instantiated on one lane held by value and on B lanes —
-// so the scalar hook and every batch lane give the same bits.
-// initial_amplitude and phase_lag are cold libm solves (solve_damping),
-// which both the scalar and the batch systems call.
+// own: envelope_dynamics runs the damping kernel of
+// electromagnetic_kernel.cpp, warm-started from the caller's
+// damping_path. initial_amplitude and phase_lag are cold libm solves
+// (solve_damping).
 #pragma once
 
 #include "harvester/harvester_model.hpp"
@@ -33,16 +31,13 @@ public:
     double initial_amplitude(double freq_hz, double accel_amp_ms2,
                              int position, double store_v,
                              const power::rectifier_params& rect) const override;
-    /// The lockstep damping kernel on one lane held by value, warm-started
-    /// from a copy of `path` that is written back (electromagnetic_batch.cpp).
+    /// The damping kernel, warm-started from a copy of `path` that is
+    /// written back (electromagnetic_kernel.cpp).
     envelope_rates envelope_dynamics(
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,
         const power::rectifier_params& rect,
         damping_path& path) const override;
-    /// The same kernel on `lanes` lanes (electromagnetic_batch.cpp).
-    std::unique_ptr<envelope_batch> make_envelope_batch(
-        std::size_t lanes) const override;
     double phase_lag(double freq_hz, double accel_amp_ms2, int position,
                      double store_v,
                      const power::rectifier_params& rect) const override;

@@ -17,8 +17,8 @@
 //
 // This is the reference solve, cold and with libm's asin/cos/sin: the
 // electromagnetic harvester's initial_amplitude and phase_lag taps use it,
-// and tests hold the envelope RHS (the lockstep kernel of
-// electromagnetic_batch.cpp, which bisects the same fixed point with a
+// and tests hold the envelope RHS (the damping kernel of
+// electromagnetic_kernel.cpp, which bisects the same fixed point with a
 // polynomial asin and a warm start) to it within solver tolerance. Two
 // entry points share one solver. solve_damping returns c_e and the
 // mechanics there; its final evaluation at the converged c_e runs the

@@ -12,12 +12,9 @@
 //                             point — the RHS contribution the envelope
 //                             fast path integrates — plus 1/tau and the
 //                             current's slope in z_env, from which the
-//                             envelope systems assemble the Jacobian
+//                             envelope system assembles the Jacobian
 //                             column of the integrator's exponential step
 //                             (sim/cash_karp.hpp);
-//   * the batch envelope      make_envelope_batch(): the same RHS for
-//                             many lanes at once, for the SoA batch
-//                             kernel;
 //   * the transient RHS       make_transient(): the full per-cycle ODE
 //                             system for validation runs;
 //   * the retune energy cost  actuator(): what one tuning move costs the
@@ -30,31 +27,21 @@
 // Numerical contract: initial_amplitude / phase_lag are pure functions of
 // their arguments, and envelope_dynamics is a pure function of all its
 // arguments but the damping_path. That path is per-run solver state the
-// caller owns (one per simulated run or batch lane) and passes in/out: a
-// backend may read it to warm-start an iterative solve and update it for
-// the next call, but must treat what it holds as untrusted input, so the
-// returned rates never depend on it — it changes only speed (the
-// electromagnetic entry predicts its damping bisection's root from the
-// path, finds the final cell holding it in closed form and verifies that
-// cell; the bit-identity argument is in damping_path.hpp; other backends
-// ignore the path). The models themselves hold no mutable
-// state: per-run state lives in what make_transient and
-// make_envelope_batch return.
-//
-// The batch hook follows the same contract lane by lane, and every lane
-// equals the scalar hook bitwise at the same arguments: the default
-// envelope_batch calls envelope_dynamics per lane, and an override runs
-// the very computation its scalar hook runs (the electromagnetic entry's
-// hook is its lockstep damping kernel on one lane, the same template
-// instantiated on one lane held by value, electromagnetic_batch.cpp).
-// Lanes stay independent — a lane's rates
-// never depend on the other lanes — so a scalar evaluation and any batch
-// lane of the same request give the same result.
+// caller owns (one per simulated run) and passes in/out: a backend may
+// read it to warm-start an iterative solve and update it for the next
+// call, but must treat what it holds as untrusted input, so the returned
+// rates never depend on it — it changes only speed (the electromagnetic
+// entry predicts its damping bisection's root from the path, finds the
+// final cell holding it in closed form and verifies that cell; the
+// bit-identity argument is in damping_path.hpp; other backends ignore the
+// path). A run that carries its path from call to call therefore gets the
+// bits of a run that hands every call a fresh one. The models themselves
+// hold no mutable state: per-run state lives in the caller's path and in
+// what make_transient returns.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,43 +87,6 @@ struct envelope_rates {
     double charge_current_a = 0.0;  ///< average current into the store
     double relaxation_rate = 0.0;   ///< 1/tau = c_total / 2m (1/s)
     double charge_slope = 0.0;      ///< d charge_current_a / d z_env (A/m)
-};
-
-/// Per-lane outputs of envelope_batch::rates, each of the batch's width:
-/// lane l gets envelope_rates' four fields.
-struct envelope_lane_rates {
-    std::span<double> amplitude_rate;
-    std::span<double> charge_current;
-    std::span<double> relaxation_rate;
-    std::span<double> charge_slope;
-};
-
-/// Operating points of a batch's lanes, lane-contiguous and all of the
-/// batch's width. Lane l's excitation is `vib` at its own time t[l]
-/// (envelope_dynamics' freq_hz = vib.frequency_at(t[l]) and accel_amp_ms2
-/// = vib.amplitude_at(t[l])); the other arrays hold the remaining
-/// arguments.
-struct envelope_lanes {
-    const vibration_source& vib;
-    std::span<const double> t;
-    std::span<const int> position;
-    std::span<const double> store_v;
-    std::span<const double> z_env;
-};
-
-/// The envelope RHS of one batch run (see make_envelope_batch). Owns each
-/// lane's damping_path and any scratch, so an instance serves one run on
-/// one thread at a time.
-class envelope_batch {
-public:
-    virtual ~envelope_batch() = default;
-
-    /// envelope_dynamics for every lane l of `in` with lane l's own path:
-    /// fills lane l of every row of `out`.
-    virtual void rates(const envelope_lanes& in,
-                       conditioning_kind conditioning, double efficiency,
-                       const power::rectifier_params& rect,
-                       const envelope_lane_rates& out) = 0;
 };
 
 /// Full transient ODE system of one harvester: mechanics + conditioning
@@ -208,13 +158,6 @@ public:
         double freq_hz, double accel_amp_ms2, int position, double store_v,
         double z_env, conditioning_kind conditioning, double efficiency,
         const power::rectifier_params& rect, damping_path& path) const = 0;
-
-    /// Batch form of envelope_dynamics for `lanes` independent lanes, under
-    /// the numerical contract above. The default loops envelope_dynamics
-    /// lane by lane; a backend overrides it with a kernel over all lanes.
-    /// The model must outlive the returned batch.
-    virtual std::unique_ptr<envelope_batch> make_envelope_batch(
-        std::size_t lanes) const;
 
     /// Steady-state phase lag between excitation and displacement — the
     /// measurement tap the fine-tuning controller's phase detector reads.

@@ -7,7 +7,7 @@
 
 namespace ehdse::mcu {
 
-tuning_controller::tuning_controller(sim::sim_context& sim, harvester::plant& plant,
+tuning_controller::tuning_controller(sim::simulator& sim, harvester::plant& plant,
                                      const harvester::tuning_table& table,
                                      controller_params params)
     : sim::process(sim),

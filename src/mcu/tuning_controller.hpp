@@ -76,7 +76,7 @@ class tuning_controller final : public sim::process {
 public:
     /// `plant` and `table` must outlive the controller. The first watchdog
     /// fires a full period after t = 0 (Algorithm 1 line 2 sleeps first).
-    tuning_controller(sim::sim_context& sim, harvester::plant& plant,
+    tuning_controller(sim::simulator& sim, harvester::plant& plant,
                       const harvester::tuning_table& table,
                       controller_params params = {});
 

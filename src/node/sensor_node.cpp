@@ -21,7 +21,7 @@ node_energy_model derive_energy_model(const node_params& p) {
     return m;
 }
 
-sensor_node::sensor_node(sim::sim_context& sim, harvester::plant& plant,
+sensor_node::sensor_node(sim::simulator& sim, harvester::plant& plant,
                          node_params params, double first_wake_s)
     : sim::process(sim), plant_(plant), params_(params) {
     if (params_.fast_interval_s <= 0.0)

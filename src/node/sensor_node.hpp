@@ -81,7 +81,7 @@ class sensor_node final : public sim::process {
 public:
     /// `plant` must outlive the node. The node registers its sleep draw on
     /// construction and schedules its first wake-up at t = first_wake.
-    sensor_node(sim::sim_context& sim, harvester::plant& plant,
+    sensor_node(sim::simulator& sim, harvester::plant& plant,
                 node_params params = {}, double first_wake_s = 0.0);
 
     /// Attach an environment-temperature source (degrees C as a function of

@@ -1,11 +1,11 @@
 // Deterministic elementary functions: polynomial forms whose bits depend
 // only on IEEE double arithmetic as written (the libraries compile with
 // -ffp-contract=off), not on which libm variant the host loads. The
-// envelope kernel (harvester/electromagnetic_batch.cpp) evaluates the
+// envelope kernel (harvester/electromagnetic_kernel.cpp) evaluates the
 // diode bridge's conduction angle with asin_unit.
 //
-// Every function is branch-free — both sides of a range reduction are
-// computed and one is selected — so lane loops that call it vectorise.
+// Every function is branch-free: both sides of a range reduction are
+// computed and one is selected.
 #pragma once
 
 #include <cmath>

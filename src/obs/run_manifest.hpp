@@ -38,10 +38,7 @@ struct sim_run_record {
     double tx_interval_s = 0.0;
     std::uint64_t seed = 0;       ///< controller measurement-noise seed
     double response = 0.0;        ///< transmissions (the paper's y)
-    double wall_s = 0.0;          ///< measured wall of the run or its sweep
-    /// Lanes of the SoA batch sweep that ran this simulation; wall_s is
-    /// then the whole sweep's. 0 = scalar run (field omitted in JSON).
-    std::uint64_t batch_lanes = 0;
+    double wall_s = 0.0;          ///< measured wall of the run
     std::uint64_t ode_steps = 0;
     std::uint64_t ode_steps_rejected = 0;
     std::uint64_t events = 0;

@@ -1,9 +1,7 @@
 // One Cash–Karp RK45 step, element by element: the tableau, the stage
 // inputs, the embedded fifth/fourth-order pair with its error ratio, and
-// the step-size control. The scalar rk45_integrator (ode.cpp) and the
-// lane-masked batch_rk45_integrator (batch_ode.cpp) both build their
-// steps from these expressions, so a state advanced by either integrator
-// has the same bits.
+// the step-size control, from which rk45_integrator (ode.cpp) builds its
+// steps.
 //
 // The exponential form. A system may name one stiff element s of its
 // state and report its Jacobian column a = df/dx_s (analog_system::
@@ -19,13 +17,13 @@
 //
 // and the fifth- and fourth-order solutions use the c and d weights with
 // psi((1 - c_j) h). Element by element that is the plain expression on
-// the remainders N_j (remainder()) plus a times one per-lane shift
-// (stiff_lane, applied by shifted()). The error ratio and the step
+// the remainders N_j (remainder()) plus a times one shift per stage
+// (stiff_step, applied by shifted()). The error ratio and the step
 // control are the plain step's. N_1,s vanishes by the choice of z*, so
 // the shifts leave out its (rounding-sized) terms.
 //
 // The nodes are 0, 8, 12, 24, 40 and 35 fortieths of h, so every factor
-// is a power of q = exp(-lambda h / 40): one std::exp per step and lane.
+// is a power of q = exp(-lambda h / 40): one std::exp per step.
 // Far from equilibrium (|d0| > 1e-3 |z*|: frequency steps, retunes,
 // dropout edges) the step is capped at lambda h = 3, inside Cash–Karp's
 // own real-axis bound of about 3.7: there a nonlinear remainder that
@@ -128,16 +126,16 @@ inline double remainder(double k, double a, double deviation) {
 }
 
 /// An element of an exponential stage input or solution: its plain
-/// expression on the remainders, plus column entry a times the lane's
+/// expression on the remainders, plus column entry a times the step's
 /// shift for that stage.
 inline double shifted(double plain, double a, double shift) {
     return plain + a * shift;
 }
 
-/// One lane's exponential step: the equilibrium, the (capped) step and
-/// the psi factors, and from them the per-stage shifts. The n_j arguments
-/// are the stiff element's remainders N_j,s.
-struct stiff_lane {
+/// One exponential step: the equilibrium, the (capped) step and the psi
+/// factors, and from them the per-stage shifts. The n_j arguments are the
+/// stiff element's remainders N_j,s.
+struct stiff_step {
     double z_star = 0.0;  ///< the step start's equilibrium of x_s
     double d0 = 0.0;      ///< x_s - z*
     double h = 0.0;       ///< the step, capped far from equilibrium

@@ -72,46 +72,46 @@ ode_status rk45_integrator::integrate_loop(const analog_system& sys, double t0,
         // Six Cash–Karp stages; with a usable stiff column, on the
         // remainders with shifted inputs.
         sys.derivatives(t, x, k1_);
-        cash_karp::stiff_lane lane;
+        cash_karp::stiff_step stiff;
         bool ex = false;
         if constexpr (Stiff) {
             sys.stiff_column(column_);
-            ex = lane.start(-column_[s], x[s], k1_[s], dt);
+            ex = stiff.start(-column_[s], x[s], k1_[s], dt);
             if (ex) {
-                dt = lane.h;
-                remainders(k1_, lane.d0);
+                dt = stiff.h;
+                remainders(k1_, stiff.d0);
             }
         }
         for (std::size_t i = 0; i < n; ++i)
             xtmp_[i] = cash_karp::stage2(x[i], dt, k1_[i]);
-        if (ex) shift(lane.shift2());
+        if (ex) shift(stiff.shift2());
         sys.derivatives(t + cash_karp::a2 * dt, xtmp_, k2_);
-        if (ex) remainders(k2_, xtmp_[s] - lane.z_star);
+        if (ex) remainders(k2_, xtmp_[s] - stiff.z_star);
         for (std::size_t i = 0; i < n; ++i)
             xtmp_[i] = cash_karp::stage3(x[i], dt, k1_[i], k2_[i]);
-        if (ex) shift(lane.shift3(k2_[s]));
+        if (ex) shift(stiff.shift3(k2_[s]));
         sys.derivatives(t + cash_karp::a3 * dt, xtmp_, k3_);
-        if (ex) remainders(k3_, xtmp_[s] - lane.z_star);
+        if (ex) remainders(k3_, xtmp_[s] - stiff.z_star);
         for (std::size_t i = 0; i < n; ++i)
             xtmp_[i] = cash_karp::stage4(x[i], dt, k1_[i], k2_[i], k3_[i]);
-        if (ex) shift(lane.shift4(k2_[s], k3_[s]));
+        if (ex) shift(stiff.shift4(k2_[s], k3_[s]));
         sys.derivatives(t + cash_karp::a4 * dt, xtmp_, k4_);
-        if (ex) remainders(k4_, xtmp_[s] - lane.z_star);
+        if (ex) remainders(k4_, xtmp_[s] - stiff.z_star);
         for (std::size_t i = 0; i < n; ++i)
             xtmp_[i] =
                 cash_karp::stage5(x[i], dt, k1_[i], k2_[i], k3_[i], k4_[i]);
-        if (ex) shift(lane.shift5(k2_[s], k3_[s], k4_[s]));
+        if (ex) shift(stiff.shift5(k2_[s], k3_[s], k4_[s]));
         sys.derivatives(t + cash_karp::a5 * dt, xtmp_, k5_);
-        if (ex) remainders(k5_, xtmp_[s] - lane.z_star);
+        if (ex) remainders(k5_, xtmp_[s] - stiff.z_star);
         for (std::size_t i = 0; i < n; ++i)
             xtmp_[i] = cash_karp::stage6(x[i], dt, k1_[i], k2_[i], k3_[i],
                                          k4_[i], k5_[i]);
-        if (ex) shift(lane.shift6(k2_[s], k3_[s], k4_[s], k5_[s]));
+        if (ex) shift(stiff.shift6(k2_[s], k3_[s], k4_[s], k5_[s]));
         sys.derivatives(t + cash_karp::a6 * dt, xtmp_, k6_);
-        if (ex) remainders(k6_, xtmp_[s] - lane.z_star);
+        if (ex) remainders(k6_, xtmp_[s] - stiff.z_star);
 
-        const double shift5 = ex ? lane.shift_fifth(k3_[s], k4_[s], k6_[s]) : 0.0;
-        const double shift4 = ex ? lane.shift_fourth(k3_[s], k4_[s], k6_[s]) : 0.0;
+        const double shift5 = ex ? stiff.shift_fifth(k3_[s], k4_[s], k6_[s]) : 0.0;
+        const double shift4 = ex ? stiff.shift_fourth(k3_[s], k4_[s], k6_[s]) : 0.0;
         double err_ratio = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             double x5 = cash_karp::fifth_order(x[i], dt, k1_[i], k3_[i],

@@ -3,13 +3,13 @@
 // SystemC-A couples an analogue equation set solved by a variable-step
 // integrator with digital processes. Here the analogue side is an explicit
 // ODE system dx/dt = f(t, x) advanced by an adaptive Cash–Karp RK45
-// integrator (the step itself is in cash_karp.hpp, shared with the batch
-// integrator of batch_ode.hpp). A system that names a stiff element and
-// reports its Jacobian column gets the step's exponential form, which
-// integrates that column's linear dynamics exactly; every other system
-// gets the plain step. The simulator (simulator.hpp) guarantees
-// integration is always stopped exactly at digital event times, so
-// digital processes observe and perturb a consistent analogue state.
+// integrator (the step itself is in cash_karp.hpp). A system that names a
+// stiff element and reports its Jacobian column gets the step's
+// exponential form, which integrates that column's linear dynamics
+// exactly; every other system gets the plain step. The simulator
+// (simulator.hpp) guarantees integration is always stopped exactly at
+// digital event times, so digital processes observe and perturb a
+// consistent analogue state.
 #pragma once
 
 #include <cstddef>

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/context.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ode.hpp"
 
@@ -26,33 +25,33 @@ class counter;
 namespace ehdse::sim {
 
 /// Drives one analog_system plus an event queue over simulated time.
-class simulator final : public sim_context {
+class simulator final {
 public:
     /// The analog system must outlive the simulator.
     simulator(analog_system& sys, std::vector<double> initial_state,
               ode_options options = {});
 
     /// Current simulation time in seconds.
-    double now() const noexcept override { return now_; }
+    double now() const noexcept { return now_; }
 
     /// Read-only view of the analogue state vector.
     std::span<const double> state() const noexcept { return state_; }
 
     /// Read one analogue state variable.
-    double state_at(std::size_t i) const override { return state_.at(i); }
+    double state_at(std::size_t i) const { return state_.at(i); }
 
     /// Overwrite one analogue state variable (discrete perturbation by a
     /// digital process, e.g. an instantaneous charge withdrawal).
-    void set_state(std::size_t i, double value) override { state_.at(i) = value; }
+    void set_state(std::size_t i, double value) { state_.at(i) = value; }
 
     /// Schedule `action` at absolute time t (must be >= now; throws otherwise).
-    event_id at(double t, std::function<void()> action) override;
+    event_id at(double t, std::function<void()> action);
 
     /// Schedule `action` after `delay` seconds (delay must be >= 0).
-    event_id after(double delay, std::function<void()> action) override;
+    event_id after(double delay, std::function<void()> action);
 
     /// Cancel a pending event.
-    bool cancel(event_id id) override { return queue_.cancel(id); }
+    bool cancel(event_id id) { return queue_.cancel(id); }
 
     /// Register an observer invoked after every accepted integration step and
     /// after every event batch, with (time, state) — used for tracing.
@@ -115,15 +114,15 @@ private:
 /// state change" idiom (Table II's voltage-banded transmission policy) safe.
 class process {
 public:
-    explicit process(sim_context& sim) : sim_(sim) {}
+    explicit process(simulator& sim) : sim_(sim) {}
     virtual ~process();
 
     process(const process&) = delete;
     process& operator=(const process&) = delete;
 
 protected:
-    sim_context& sim() noexcept { return sim_; }
-    const sim_context& sim() const noexcept { return sim_; }
+    simulator& sim() noexcept { return sim_; }
+    const simulator& sim() const noexcept { return sim_; }
 
     /// Schedule activate() after `delay` seconds, replacing any pending wake.
     void wake_after(double delay);
@@ -141,7 +140,7 @@ protected:
     virtual void activate() = 0;
 
 private:
-    sim_context& sim_;
+    simulator& sim_;
     event_id pending_ = 0;
 };
 

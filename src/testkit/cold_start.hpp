@@ -3,11 +3,8 @@
 //
 //   * cold_start_model — a harvester_model decorator whose
 //     envelope_dynamics hands the wrapped model a fresh damping_path on
-//     every call, so every damping solve is cold. It does not override
-//     make_envelope_batch, so its batches are the default envelope_batch,
-//     which calls the decorator lane by lane: cold too.
-//   * cold_start_evaluator — a system_evaluator over that decorator, for
-//     evaluate() and evaluate_batch() alike.
+//     every call, so every damping solve is cold.
+//   * cold_start_evaluator — a system_evaluator over that decorator.
 //
 // The warm start changes only how many trials a solve makes, never its
 // bits, so this evaluator must equal the default one bit for bit on

@@ -155,7 +155,7 @@ public:
     }
 
     // -- node_system ------------------------------------------------------
-    void attach(sim::sim_context& sim) override {
+    void attach(sim::simulator& sim) override {
         inner_->attach(sim);
         const state_map ix = inner_->states();
         for (const leak_step& leak : plan_.leaks) {
@@ -256,20 +256,6 @@ public:
                     spec::evaluation_request_hash(config, options)));
         }
         return system_evaluator::evaluate(config, options);
-    }
-
-    /// Batched requests take the scalar path one by one: the batch kernel
-    /// bypasses build_system(), so running it here would silently drop the
-    /// fault decoration. Per-request plans (and throw_before_run) behave
-    /// exactly as under evaluate().
-    std::vector<dse::evaluation_result> evaluate_batch(
-        std::span<const dse::system_config> configs,
-        const dse::evaluation_options& options = {}) const override {
-        std::vector<dse::evaluation_result> out;
-        out.reserve(configs.size());
-        for (const dse::system_config& config : configs)
-            out.push_back(evaluate(config, options));
-        return out;
     }
 
 protected:

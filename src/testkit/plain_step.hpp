@@ -46,7 +46,7 @@ public:
     }
 
     // -- node_system ------------------------------------------------------
-    void attach(sim::sim_context& sim) override { inner_->attach(sim); }
+    void attach(sim::simulator& sim) override { inner_->attach(sim); }
     std::vector<double> initial_state(double v0, int initial_position) override {
         return inner_->initial_state(v0, initial_position);
     }
@@ -83,8 +83,7 @@ private:
 };
 
 /// system_evaluator whose every run takes plain Cash–Karp steps at
-/// rel_tol / abs_tol. Batched requests run through evaluate() one by one
-/// (the batch kernel does not call build_system()).
+/// rel_tol / abs_tol.
 class plain_step_evaluator : public dse::system_evaluator {
 public:
     explicit plain_step_evaluator(dse::scenario scn,
@@ -92,16 +91,6 @@ public:
                                   double rel_tol = k_reference_rel_tol,
                                   double abs_tol = k_reference_abs_tol)
         : system_evaluator(scn, harv), rel_tol_(rel_tol), abs_tol_(abs_tol) {}
-
-    std::vector<dse::evaluation_result> evaluate_batch(
-        std::span<const dse::system_config> configs,
-        const dse::evaluation_options& options = {}) const override {
-        std::vector<dse::evaluation_result> out;
-        out.reserve(configs.size());
-        for (const dse::system_config& config : configs)
-            out.push_back(evaluate(config, options));
-        return out;
-    }
 
 protected:
     std::unique_ptr<dse::node_system> build_system(

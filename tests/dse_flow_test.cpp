@@ -1,7 +1,13 @@
-// End-to-end RSM flow (DOE -> simulate -> fit -> optimise -> validate).
+// End-to-end RSM flow (DOE -> simulate -> fit -> optimise -> validate),
+// and the evaluate() interposition the flow's design points go through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dse/rsm_flow.hpp"
 #include "obs/metrics.hpp"
@@ -280,4 +286,139 @@ TEST(Flow, ReducedDoeRunsStillWork) {
     EXPECT_EQ(r.design_coded.size(), 14u);
     // Over-determined fit: R^2 well-defined and LOO-CV RMSE finite.
     EXPECT_TRUE(std::isfinite(r.fit.loo_rmse));
+}
+
+namespace {
+
+/// Two minutes with one frequency step: long enough to transmit and to
+/// exercise the tuning controller, fast enough for a unit test.
+ed::scenario fast_scenario() {
+    ed::scenario s;
+    s.duration_s = 120.0;
+    s.step_period_s = 50.0;
+    s.step_count = 1;
+    return s;
+}
+
+std::vector<ed::system_config> spread_configs(std::size_t n) {
+    std::vector<ed::system_config> configs;
+    for (std::size_t i = 0; i < n; ++i) {
+        ed::system_config cfg = ed::system_config::original();
+        cfg.tx_interval_s += static_cast<double>(i);
+        cfg.watchdog_period_s += 10.0 * static_cast<double>(i);
+        configs.push_back(cfg);
+    }
+    return configs;
+}
+
+/// Exact equality of every deterministic field (wall_time_s describes
+/// the run, not its result).
+void expect_results_equal(const ed::evaluation_result& a,
+                          const ed::evaluation_result& b,
+                          const std::string& what) {
+    EXPECT_EQ(a.transmissions, b.transmissions) << what;
+    EXPECT_EQ(a.suppressed_wakeups, b.suppressed_wakeups) << what;
+    EXPECT_EQ(a.low_band_transmissions, b.low_band_transmissions) << what;
+    EXPECT_EQ(a.tuning.wakeups, b.tuning.wakeups) << what;
+    EXPECT_EQ(a.tuning.low_energy_skips, b.tuning.low_energy_skips) << what;
+    EXPECT_EQ(a.tuning.measurements, b.tuning.measurements) << what;
+    EXPECT_EQ(a.tuning.position_matches, b.tuning.position_matches) << what;
+    EXPECT_EQ(a.tuning.coarse_tunings, b.tuning.coarse_tunings) << what;
+    EXPECT_EQ(a.tuning.coarse_steps, b.tuning.coarse_steps) << what;
+    EXPECT_EQ(a.tuning.fine_iterations, b.tuning.fine_iterations) << what;
+    EXPECT_EQ(a.tuning.fine_steps, b.tuning.fine_steps) << what;
+    EXPECT_EQ(a.tuning.fine_converged, b.tuning.fine_converged) << what;
+    EXPECT_EQ(a.events, b.events) << what;
+    EXPECT_EQ(a.ode_steps, b.ode_steps) << what;
+    EXPECT_EQ(a.ode_steps_rejected, b.ode_steps_rejected) << what;
+    EXPECT_EQ(a.final_voltage_v, b.final_voltage_v) << what;
+    EXPECT_EQ(a.min_voltage_v, b.min_voltage_v) << what;
+    EXPECT_EQ(a.max_voltage_v, b.max_voltage_v) << what;
+    EXPECT_EQ(a.harvested_energy_j, b.harvested_energy_j) << what;
+    EXPECT_EQ(a.sustained_load_energy_j, b.sustained_load_energy_j) << what;
+    EXPECT_EQ(a.withdrawn_energy_j, b.withdrawn_energy_j) << what;
+    EXPECT_EQ(a.ledger.accounts(), b.ledger.accounts()) << what;
+    EXPECT_EQ(a.sim_ok, b.sim_ok) << what;
+}
+
+/// Overrides evaluate() alone and keeps every result it returns, in call
+/// order, by config.
+class recording_evaluator final : public ed::system_evaluator {
+public:
+    using ed::system_evaluator::system_evaluator;
+
+    ed::evaluation_result evaluate(
+        const ed::system_config& config,
+        const ed::evaluation_options& options = {}) const override {
+        ed::evaluation_result result =
+            ed::system_evaluator::evaluate(config, options);
+        const std::lock_guard<std::mutex> lock(mutex_);
+        calls_.emplace_back(config, result);
+        return result;
+    }
+
+    std::vector<std::pair<ed::system_config, ed::evaluation_result>> calls()
+        const {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return calls_;
+    }
+
+private:
+    mutable std::mutex mutex_;
+    mutable std::vector<std::pair<ed::system_config, ed::evaluation_result>>
+        calls_;
+};
+
+}  // namespace
+
+TEST(Flow, PooledDesignPointsEqualAFreshEvaluate) {
+    // The simulate phase runs each design point as its own evaluate() task
+    // (over a 3-worker pool here); the result each call returned, and so
+    // each response the surface is fitted to, is the per-config evaluate()
+    // of a fresh evaluator, bit for bit.
+    const recording_evaluator evaluator(fast_scenario());
+    ed::flow_options opts;
+    opts.doe_runs = 10;
+    opts.parallel = true;
+    opts.jobs = 3;
+    const ed::flow_result flow = ed::run_rsm_flow(evaluator, opts);
+
+    // Every simulation the flow cache missed reached evaluate().
+    const auto calls = evaluator.calls();
+    ASSERT_EQ(calls.size(), flow.cache.misses);
+    const ed::system_evaluator plain(fast_scenario());
+    for (std::size_t i = 0; i < flow.design_configs.size(); ++i) {
+        const ed::system_config& config = flow.design_configs[i];
+        const auto call = std::find_if(
+            calls.begin(), calls.end(),
+            [&](const auto& entry) { return entry.first == config; });
+        ASSERT_NE(call, calls.end()) << "design point " << i;
+        const ed::evaluation_result alone = plain.evaluate(config);
+        expect_results_equal(call->second, alone,
+                             "design point " + std::to_string(i));
+        EXPECT_EQ(flow.responses[i],
+                  static_cast<double>(alone.transmissions))
+            << "design point " << i;
+    }
+}
+
+TEST(EvaluateBatch, AWrapperOfEvaluateAloneSeesEveryConfigInOrder) {
+    // evaluate_batch() runs the virtual evaluate() for each config, so a
+    // wrapper that overrides evaluate() alone interposes on the batch
+    // entry point too, and every result is evaluate()'s, field by field.
+    const recording_evaluator evaluator(fast_scenario());
+    std::vector<ed::system_config> configs = spread_configs(3);
+    configs.push_back(configs[0]);  // a repeat is a call of its own
+    const auto batch = evaluator.evaluate_batch(configs);
+    const auto calls = evaluator.calls();
+    ASSERT_EQ(batch.size(), configs.size());
+    ASSERT_EQ(calls.size(), configs.size());
+    const ed::system_evaluator plain(fast_scenario());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const std::string what = "config " + std::to_string(i);
+        EXPECT_EQ(calls[i].first, configs[i]) << what;
+        expect_results_equal(batch[i], calls[i].second, what + " vs its call");
+        expect_results_equal(batch[i], plain.evaluate(configs[i]),
+                             what + " vs a fresh evaluate()");
+    }
 }

@@ -1,8 +1,8 @@
 // The harvester-backend registry contract plus the electrostatic device
 // class itself: registry listings, construction by name, the per-backend
 // invariants every entry must satisfy (ascending tuning law, tuning-table
-// compatibility, sane describe(), a batch hook that matches the scalar
-// one lane by lane, bit for bit), and the electrostatic physics — bias
+// compatibility, sane describe(), an envelope hook whose carried path
+// never changes its bits), and the electrostatic physics — bias
 // ramp, spring softening, charge-pump extraction, and the envelope /
 // transient energy agreement the equivalent-damping construction promises.
 #include <algorithm>
@@ -118,11 +118,10 @@ TEST(HarvesterRegistry, ActuatorCostsMatchEachMechanism) {
 }
 
 TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
-    // Every entry's batch hook against its scalar hook called with a fresh
-    // path, lane by lane and bitwise, along slow per-lane walks with jumps
-    // — so batch lanes warm-start, and now and then a stale path fails its
-    // check. The default batch loops the scalar hook; the electromagnetic
-    // entry's hook is its batch kernel on one lane.
+    // Every entry's envelope_dynamics along a carried path against the
+    // same call with a fresh path, bitwise, on slow walks with jumps — so
+    // the carried path warm-starts, and now and then a stale path fails
+    // its check (harvester/damping_path.hpp).
     const power::rectifier_params rect;
     testkit::prng r(2012);
     for (const eh::harvester_info& info : eh::harvester_registry()) {
@@ -130,7 +129,7 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
         const eh::tuning_table table(*model);
         // One stimulus whose frequency (new value every second, across the
         // tuning band) and amplitude (18..120 mg, new every 0.7 s) vary
-        // independently along its 200 s, so a lane's time picks both.
+        // independently along its 200 s, so a walk's time picks both.
         std::vector<std::pair<double, double>> freqs, scales;
         for (int k = 0; k < 200; ++k)
             freqs.emplace_back(k, r.uniform(model->min_frequency(),
@@ -142,73 +141,77 @@ TEST(HarvesterRegistry, EnvelopeBatchMatchesTheScalarHookPerLane) {
                 .with_amplitude_schedule(scales);
         for (const eh::conditioning_kind cond :
              {eh::conditioning_kind::diode_bridge, eh::conditioning_kind::mppt}) {
-            std::size_t lanes_checked = 0, conducting = 0, mismatches = 0;
-            for (const std::size_t width : {1u, 3u, 10u, 16u}) {
-                const auto batch = model->make_envelope_batch(width);
-                std::vector<double> t(width), v(width), z(width), rate(width),
-                    current(width), relax(width), slope(width);
-                std::vector<int> pos(width);
-                const auto draw = [&](std::size_t l) {
-                    t[l] = r.uniform(0.0, 199.0);
-                    const int tuned = table.lookup(vib.frequency_at(t[l]));
-                    pos[l] = r.chance(0.75)
+            std::size_t calls_checked = 0, conducting = 0, mismatches = 0;
+            // Walks advance side by side, in groups of 1, 3, 10 and 16,
+            // each carrying its own path.
+            for (const std::size_t walks : {1u, 3u, 10u, 16u}) {
+                std::vector<eh::damping_path> carried(walks);
+                std::vector<double> t(walks), v(walks), z(walks);
+                std::vector<int> pos(walks);
+                const auto draw = [&](std::size_t w) {
+                    t[w] = r.uniform(0.0, 199.0);
+                    const int tuned = table.lookup(vib.frequency_at(t[w]));
+                    pos[w] = r.chance(0.75)
                                  ? std::clamp(tuned + static_cast<int>(
                                                           r.integer(-3, 3)),
                                               0, model->position_count() - 1)
                                  : static_cast<int>(r.integer(
                                        0, model->position_count() - 1));
-                    v[l] = r.uniform(0.0, 5.0);
-                    z[l] = r.uniform(0.0, 1e-3);
+                    v[w] = r.uniform(0.0, 5.0);
+                    z[w] = r.uniform(0.0, 1e-3);
                 };
-                for (std::size_t l = 0; l < width; ++l) draw(l);
+                for (std::size_t w = 0; w < walks; ++w) draw(w);
 
                 for (int call = 0; call < 50; ++call) {
-                    for (std::size_t l = 0; l < width; ++l) {
+                    for (std::size_t w = 0; w < walks; ++w) {
                         if (r.chance(0.05)) {
-                            draw(l);
+                            draw(w);
                             continue;
                         }
-                        t[l] += r.uniform(0.0, 0.02);
-                        v[l] = std::max(0.0, v[l] + r.uniform(-1e-3, 1e-3));
-                        z[l] = std::max(0.0, z[l] + r.uniform(-1e-6, 1e-6));
+                        t[w] += r.uniform(0.0, 0.02);
+                        v[w] = std::max(0.0, v[w] + r.uniform(-1e-3, 1e-3));
+                        z[w] = std::max(0.0, z[w] + r.uniform(-1e-6, 1e-6));
                     }
-                    batch->rates({vib, t, pos, v, z}, cond, 0.75, rect,
-                                 {rate, current, relax, slope});
-                    for (std::size_t l = 0; l < width; ++l) {
+                    for (std::size_t w = 0; w < walks; ++w) {
+                        const double f = vib.frequency_at(t[w]);
+                        const double a = vib.amplitude_at(t[w]);
+                        const eh::envelope_rates got = model->envelope_dynamics(
+                            f, a, pos[w], v[w], z[w], cond, 0.75, rect,
+                            carried[w]);
                         eh::damping_path fresh;
                         const eh::envelope_rates want = model->envelope_dynamics(
-                            vib.frequency_at(t[l]), vib.amplitude_at(t[l]),
-                            pos[l], v[l], z[l], cond, 0.75, rect, fresh);
-                        ++lanes_checked;
+                            f, a, pos[w], v[w], z[w], cond, 0.75, rect, fresh);
+                        ++calls_checked;
                         if (want.charge_current_a > 0.0) ++conducting;
-                        const auto agree = [](double got, double ref) {
-                            return std::bit_cast<std::uint64_t>(got) ==
-                                   std::bit_cast<std::uint64_t>(ref);
+                        const auto agree = [](double lhs, double rhs) {
+                            return std::bit_cast<std::uint64_t>(lhs) ==
+                                   std::bit_cast<std::uint64_t>(rhs);
                         };
-                        if (agree(rate[l], want.amplitude_rate) &&
-                            agree(current[l], want.charge_current_a) &&
-                            agree(relax[l], want.relaxation_rate) &&
-                            agree(slope[l], want.charge_slope))
+                        if (agree(got.amplitude_rate, want.amplitude_rate) &&
+                            agree(got.charge_current_a, want.charge_current_a) &&
+                            agree(got.relaxation_rate, want.relaxation_rate) &&
+                            agree(got.charge_slope, want.charge_slope))
                             continue;
                         if (mismatches++ == 0)
                             ADD_FAILURE()
                                 << info.name << " conditioning "
-                                << static_cast<int>(cond) << " width " << width
-                                << " call " << call << " lane " << l
-                                << ": amplitude_rate " << rate[l] << " vs "
-                                << want.amplitude_rate << ", charge_current "
-                                << current[l] << " vs "
-                                << want.charge_current_a
-                                << ", relaxation_rate " << relax[l] << " vs "
-                                << want.relaxation_rate << ", charge_slope "
-                                << slope[l] << " vs " << want.charge_slope;
+                                << static_cast<int>(cond) << " group of "
+                                << walks << " walk " << w << " call " << call
+                                << ": amplitude_rate " << got.amplitude_rate
+                                << " vs " << want.amplitude_rate
+                                << ", charge_current " << got.charge_current_a
+                                << " vs " << want.charge_current_a
+                                << ", relaxation_rate " << got.relaxation_rate
+                                << " vs " << want.relaxation_rate
+                                << ", charge_slope " << got.charge_slope
+                                << " vs " << want.charge_slope;
                     }
                 }
             }
-            EXPECT_EQ(mismatches, 0u) << info.name << " of " << lanes_checked;
+            EXPECT_EQ(mismatches, 0u) << info.name << " of " << calls_checked;
             // The walks must exercise both a charging and an idle store.
-            EXPECT_GT(conducting, lanes_checked / 10) << info.name;
-            EXPECT_LT(conducting, lanes_checked) << info.name;
+            EXPECT_GT(conducting, calls_checked / 10) << info.name;
+            EXPECT_LT(conducting, calls_checked) << info.name;
         }
     }
 }

@@ -1,6 +1,6 @@
 // Warm start of the electromagnetic envelope kernel
-// (harvester/damping_path.hpp), through the scalar hook that runs it on
-// one lane: for any operating point and any predictor state, a call with
+// (harvester/damping_path.hpp), through the envelope_dynamics hook that
+// runs it: for any operating point and any predictor state, a call with
 // a primed path equals a call with a fresh path bit for bit, in both rates
 // and in the whole path it leaves (root, slope, dr/du and the operating
 // point). Paths come from the previous point of a random walk that

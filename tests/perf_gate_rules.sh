@@ -29,22 +29,16 @@ expect() {
     fi
 }
 
-# batch_speedup_x (baseline 2) must read at least (1 - 0.15) x 2 = 1.7;
-# one step below in the last printed digit fails, and the tolerance
-# variable moves the floor.
-expect 0 "ok   batch_speedup_x: 1.7 x" \
-    "$check" "$data/ratio_at_floor.json" "$base"
-expect 1 "FAIL batch_speedup_x: 1.69999 x" \
-    "$check" "$data/ratio_below_floor.json" "$base"
-expect 0 "ok   batch_speedup_x: 1.69999 x" \
-    env EHDSE_PERF_TOLERANCE=0.2 "$check" "$data/ratio_below_floor.json" "$base"
-# evals/s rows (baseline 100): -14% passes, -16% fails.
+# evals/s rows (baseline 100): -14% passes, -16% fails, and the
+# tolerance variable moves the floor.
 expect 0 "ok   scalar_evals_per_s: 86 evals/s" \
     "$check" "$data/evals_minus_14pct.json" "$base"
 expect 1 "FAIL scalar_evals_per_s: 84 evals/s" \
     "$check" "$data/evals_minus_16pct.json" "$base"
-# The harvester bench's <backend>_batch_speedup rows stay informational,
-# even at half their baseline.
+expect 0 "ok   scalar_evals_per_s: 84 evals/s" \
+    env EHDSE_PERF_TOLERANCE=0.2 "$check" "$data/evals_minus_16pct.json" "$base"
+# A row in any unit but evals/s stays informational, even at half its
+# baseline.
 expect 0 "info electromagnetic_batch_speedup = 2 x" \
     "$check" "$data/backend_speedup_half.json" "$base"
 # Both fingerprints are printed; a baseline without one reads "none".
@@ -53,9 +47,9 @@ expect 0 'host fresh:    {"hardware_concurrency": 1, "compiler": "GNU 12.2.0"' \
 expect 0 "host baseline: none" \
     "$check" "$data/evals_minus_14pct.json" "$base"
 expect 2 "no committed baseline" \
-    "$check" "$data/ratio_at_floor.json" "$data/no_such_baseline.json"
+    "$check" "$data/evals_minus_14pct.json" "$data/no_such_baseline.json"
 expect 77 "perf gate skipped" \
-    env EHDSE_SKIP_PERF_GATE=1 "$check" "$data/ratio_at_floor.json" "$base"
+    env EHDSE_SKIP_PERF_GATE=1 "$check" "$data/evals_minus_14pct.json" "$base"
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures perf gate rule case(s) failed"

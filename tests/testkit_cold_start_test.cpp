@@ -2,8 +2,7 @@
 // end: on the golden scenario and design points, for the electromagnetic
 // device behind either front-end, testkit::cold_start_evaluator (every
 // damping solve cold) equals the default evaluator (warm-started) in
-// every deterministic field, through evaluate() and through every lane
-// of evaluate_batch().
+// every deterministic field.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,8 +27,8 @@ std::string hex(double v) {
     return buf;
 }
 
-/// Every deterministic field of a run (wall_time_s and batch_lanes
-/// describe the run, not its result), floats as hex.
+/// Every deterministic field of a run (wall_time_s describes the run,
+/// not its result), floats as hex.
 std::string fields(const ed::evaluation_result& r) {
     std::ostringstream os;
     os << "transmissions " << r.transmissions << "\nsuppressed_wakeups "
@@ -64,20 +63,9 @@ TEST(ColdStart, WarmStartedEvaluationsEqualColdOnesBitForBit) {
         options.frontend = frontend;
         const std::string fe =
             frontend == ed::frontend_kind::mppt ? "mppt" : "diode bridge";
-        const std::vector<ed::evaluation_result> warm_batch =
-            warm.evaluate_batch(configs, options);
-        const std::vector<ed::evaluation_result> cold_batch =
-            cold.evaluate_batch(configs, options);
-        ASSERT_EQ(warm_batch.size(), configs.size());
-        ASSERT_EQ(cold_batch.size(), configs.size());
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const std::string want = fields(cold.evaluate(configs[i], options));
-            EXPECT_EQ(fields(warm.evaluate(configs[i], options)), want)
-                << fe << ", evaluate(), config " << i;
-            EXPECT_EQ(fields(warm_batch[i]), want)
-                << fe << ", evaluate_batch() lane " << i;
-            EXPECT_EQ(fields(cold_batch[i]), want)
-                << fe << ", cold evaluate_batch() lane " << i;
-        }
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            EXPECT_EQ(fields(warm.evaluate(configs[i], options)),
+                      fields(cold.evaluate(configs[i], options)))
+                << fe << ", config " << i;
     }
 }

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,8 +59,8 @@ inline void check_canonical_idempotence(const spec::experiment_spec& s) {
 // --- evaluator / cache -----------------------------------------------------
 
 /// Exact equality of every deterministic field of two evaluation results
-/// (wall_time_s and batch_lanes describe the run, not its result; traces
-/// are compared where they are recorded).
+/// (wall_time_s describes the run, not its result; traces are compared
+/// where they are recorded).
 inline void require_results_bit_equal(const dse::evaluation_result& a,
                                       const dse::evaluation_result& b,
                                       const std::string& what) {
@@ -123,48 +122,6 @@ inline void check_cache_bit_equality(const spec::experiment_spec& s) {
         require(cached.stats().hits == hits_before + 1,
                 "canonically-equal request missed the cache");
         require_results_bit_equal(first, aliased, "canonical alias hit");
-    }
-}
-
-/// Differential property of the SoA batch kernel. The batch width and the
-/// extra lane configs derive deterministically from the spec (hash-seeded
-/// PRNG), so a pinned spec replays the identical case. Two invariants,
-/// both bitwise in every deterministic field:
-///
-///  1. Lane independence: evaluating a config in a batch of B equals
-///     evaluating it alone through the same kernel — masked lockstep
-///     means batch composition must not leak into any lane.
-///  2. Path independence: each lane equals the scalar evaluate() of its
-///     config, so a result never depends on which path computed it.
-inline void check_batch_vs_scalar(const spec::experiment_spec& s) {
-    // The kernel covers envelope fidelity without traces; other requests
-    // fall back to the scalar path and are exercised elsewhere.
-    spec::evaluation_options eval = s.eval;
-    eval.model = spec::fidelity::envelope;
-    eval.record_traces = false;
-
-    const std::uint64_t seed = spec::spec_hash(s);
-    prng lane_rng(seed);
-    const std::size_t width = 1 + static_cast<std::size_t>(seed % 16);
-    std::vector<dse::system_config> configs;
-    configs.push_back(s.config);
-    while (configs.size() < width) configs.push_back(gen_system_config(lane_rng));
-
-    const dse::system_evaluator evaluator(s.scn, s.harv);
-    const std::vector<dse::evaluation_result> batch =
-        evaluator.evaluate_batch(configs, eval);
-    require(batch.size() == configs.size(),
-            "evaluate_batch returned the wrong number of results");
-
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const std::string lane = "lane " + std::to_string(i) + "/" +
-                                 std::to_string(configs.size());
-        const std::vector<dse::evaluation_result> alone = evaluator.evaluate_batch(
-            std::span<const dse::system_config>(&configs[i], 1), eval);
-        require_results_bit_equal(batch[i], alone.front(),
-                                  lane + " batched vs alone (independence)");
-        require_results_bit_equal(batch[i], evaluator.evaluate(configs[i], eval),
-                                  lane + " batch lane vs scalar evaluate");
     }
 }
 

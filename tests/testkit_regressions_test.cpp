@@ -49,13 +49,6 @@ TEST(TestkitRegressions, CacheBitEquality) {
     EHDSE_EXPECT_ORACLE(tk::oracles::check_cache_bit_equality(s));
 }
 
-TEST(TestkitRegressions, BatchVsScalar) {
-    // Steps through the frequency schedule so lanes diverge mid-run; the
-    // spec hash picks the batch width and the extra lane configs.
-    const auto s = load_regression("batch_vs_scalar.json");
-    EHDSE_EXPECT_ORACLE(tk::oracles::check_batch_vs_scalar(s));
-}
-
 TEST(TestkitRegressions, JobsDeterminism) {
     const auto s = load_regression("jobs_determinism.json");
     EHDSE_EXPECT_ORACLE(tk::oracles::check_jobs_determinism(s));
